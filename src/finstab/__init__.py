@@ -6,12 +6,10 @@ an unobservable part W and its metric-orthogonal complement, builds singular
 feedback laws on the observable part, integrates the closed loop, and checks
 the decay envelopes and settling-time bounds those laws promise.
 """
-from .backend import USING_NUMBA
 from .controllers import (DEFAULT_DEAD_ZONE, DEFAULT_U_MAX, DEFAULT_WAVE_CAP, UNBOUNDED,
-                          ControllerSpec, PhiSpec, control_bilinear_grad,
-                          control_bilinear_phi, control_linear_phi, control_rank_one,
-                          control_value, controller_from_json, controller_to_json,
-                          settling_bound, settling_bound_details, validate_rank_one_data)
+                          ControllerSpec, PhiSpec, control_value, controller_from_json,
+                          controller_to_json, settling_bound, settling_bound_details,
+                          validate_rank_one_data)
 from .decomposition import (NOT_NILPOTENT, DecompositionResult, check_H1, check_H2,
                             compute_delta, compute_gamma, decomposition_from_axes,
                             gamma_certificate, unobservable_subspace)
@@ -21,7 +19,7 @@ from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         hybrid_v, rank_one_controller, simulate_hybrid, transport_heat_model,
                         transport_step, wave_model)
 from .integrator import (IntegrationOpts, IntegrationStalledError, Trajectory,
-                         closed_loop_field, simulate, verify_decay,
+                         simulate, verify_decay,
                          verify_lyapunov_stability, verify_split)
 from .model import (CheckReport, ModalModel, ModelError, inner, model_from_json,
                     model_to_json, norm, quasi_contraction_type,
@@ -32,12 +30,14 @@ from .scenario import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, EXIT_STALL
 
 __version__ = "0.1.0"
 
+# the integration kernels are plain numpy; benchmark records still read this flag
+USING_NUMBA = False
+
 __all__ = [
     "USING_NUMBA",
     "ControllerSpec", "PhiSpec", "UNBOUNDED",
     "DEFAULT_DEAD_ZONE", "DEFAULT_U_MAX", "DEFAULT_WAVE_CAP",
-    "control_bilinear_phi", "control_bilinear_grad", "control_linear_phi",
-    "control_rank_one", "control_value", "controller_from_json", "controller_to_json",
+    "control_value", "controller_from_json", "controller_to_json",
     "settling_bound", "settling_bound_details", "validate_rank_one_data",
     "NOT_NILPOTENT", "DecompositionResult", "check_H1", "check_H2", "compute_delta",
     "compute_gamma", "decomposition_from_axes", "gamma_certificate",
@@ -47,7 +47,7 @@ __all__ = [
     "hybrid_decay_check", "hybrid_norm", "hybrid_split_check", "hybrid_v",
     "rank_one_controller", "simulate_hybrid", "transport_heat_model", "transport_step",
     "wave_model",
-    "IntegrationOpts", "IntegrationStalledError", "Trajectory", "closed_loop_field",
+    "IntegrationOpts", "IntegrationStalledError", "Trajectory",
     "simulate", "verify_decay", "verify_lyapunov_stability", "verify_split",
     "CheckReport", "ModalModel", "ModelError", "inner", "model_from_json",
     "model_to_json", "norm", "quasi_contraction_type", "validate_control_operator",

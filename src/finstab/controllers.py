@@ -13,7 +13,7 @@ the observable set):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -21,13 +21,7 @@ from . import kernels
 from .decomposition import NOT_NILPOTENT, DecompositionResult, _effective_control_matrix
 from .model import ModalModel, ModelError
 
-VARIANT_CODES = {
-    "ZeroControl": kernels.VARIANT_ZERO,
-    "BilinearPhi": kernels.VARIANT_BILINEAR_PHI,
-    "BilinearGrad": kernels.VARIANT_BILINEAR_GRAD,
-    "LinearPhi": kernels.VARIANT_LINEAR_PHI,
-    "RankOne": kernels.VARIANT_RANK_ONE,
-}
+VARIANTS = ("ZeroControl", "BilinearPhi", "BilinearGrad", "LinearPhi", "RankOne")
 
 MU_RANGES = {
     "BilinearPhi": (0.0, 0.5),
@@ -72,11 +66,6 @@ class PhiSpec:
         if self.kind == "WaveK" and (self.q <= 0 or self.half <= 0):
             raise ModelError("WaveK requires positive q and half")
 
-    @property
-    def code(self) -> int:
-        return {"Zero": kernels.PHI_ZERO, "Constant": kernels.PHI_CONSTANT,
-                "WaveK": kernels.PHI_WAVE_RATIO}[self.kind]
-
 
 @dataclass(frozen=True)
 class ControllerSpec:
@@ -89,7 +78,7 @@ class ControllerSpec:
     u_max: float = DEFAULT_U_MAX
 
     def __post_init__(self):
-        if self.variant not in VARIANT_CODES:
+        if self.variant not in VARIANTS:
             raise ModelError(f"unknown controller variant: {self.variant}")
         if self.variant in MU_RANGES:
             lo, hi = MU_RANGES[self.variant]
@@ -117,108 +106,73 @@ def validate_rank_one_data(spec: ControllerSpec, model: ModalModel) -> None:
         raise ModelError(f"RankOne data violates L varpi = zeta (residual {residual:.3e})")
 
 
-def make_phi_callable(phi: PhiSpec, eps_dz: float) -> Callable[[np.ndarray], float]:
-    return lambda py: float(kernels.phi_value(np.asarray(py, dtype=float), phi.code,
-                                              phi.value, phi.cap, phi.q, phi.half, eps_dz))
+@dataclass(frozen=True)
+class KernelOps:
+    """Constant operators of one law, assembled once per run for kernels.closed_loop_rhs.
+
+    stack holds the rows of A over the law's own rows, so one mat-vec gives
+    A y and every linear quantity the law reads from P y:
+
+    - BilinearPhi, BilinearGrad, ZeroControl: Q = P* M B P (V = <y, Q y>), then B
+      (not for ZeroControl); BilinearGrad adds the Gram form P* B* M B P and
+      the pairing P* A* M B P.
+    - LinearPhi: L* M P.
+    - RankOne: (P* M zeta)^T and (P* A* M zeta)^T.
+    - a WaveK phi appends the rows of P.
+    """
+
+    spec: ControllerSpec
+    stack: np.ndarray
+    input_map: np.ndarray | None
+    width: int                 # control components (1 for bilinear laws)
+    zeta_normsq: float = 1.0
 
 
 def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
-                         dec: DecompositionResult) -> dict[str, Any]:
-    """Precompute the constant arrays the kernels need for this controller."""
-    n = model.dim
+                         dec: DecompositionResult) -> KernelOps:
+    """Fold the law's constant operators into one stacked matrix."""
     M = model.metric
     A = model.generator
-    Beff = _effective_control_matrix(model)
-    if model.input_map is not None:
-        L = model.input_map
+    P = dec.projection
+    L = model.input_map
+    width = 1 if L is None else L.shape[1]
+    zeta_normsq = 1.0
+    if spec.variant == "RankOne":
+        validate_rank_one_data(spec, model)
+        m_zeta = M @ spec.zeta
+        rows = [A, (P.T @ m_zeta)[None, :], (P.T @ (A.T @ m_zeta))[None, :]]
+        width = spec.varpi.shape[0]
+        zeta_normsq = float(spec.zeta @ m_zeta)
+    elif spec.variant == "LinearPhi":
+        if L is None:
+            raise ModelError("LinearPhi requires a model with an input_map")
+        rows = [A, L.T @ M @ P]
     else:
-        L = np.zeros((n, 1))
-    LtM = L.T @ M
-    if spec.zeta is not None:
-        zeta = spec.zeta
-        varpi = spec.varpi
-        m_zeta = M @ zeta
-        az_pair = A.T @ M @ zeta  # dotting Py with this gives <Py, A* zeta>
-        zeta_normsq = float(zeta @ M @ zeta)
-    else:
-        m = L.shape[1]
-        zeta = np.zeros(n)
-        varpi = np.ones(m) if model.input_map is not None else np.ones(1)
-        m_zeta = np.zeros(n)
-        az_pair = np.zeros(n)
-        zeta_normsq = 1.0
-    return {
-        "A": A, "Beff": Beff, "L": L, "LtM": LtM, "M": M, "P": dec.projection,
-        "variant": VARIANT_CODES[spec.variant], "mu": spec.mu,
-        "phi_kind": spec.phi.code, "phi_const": spec.phi.value, "phi_cap": spec.phi.cap,
-        "phi_q": spec.phi.q, "phi_half": spec.phi.half,
-        "eps_dz": spec.dead_zone, "u_max": spec.u_max,
-        "m_zeta": m_zeta, "az_pair": az_pair, "zeta_normsq": zeta_normsq, "varpi": varpi,
-    }
-
-
-def _eval(spec: ControllerSpec, model: ModalModel, dec: DecompositionResult,
-          y: np.ndarray):
-    args = assemble_kernel_args(spec, model, dec)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.dim,):
-        raise ModelError("state dimension mismatch")
-    _, control, trigger, V, saturated = kernels.closed_loop_rhs(
-        y, args["A"], args["Beff"], args["L"], args["LtM"], args["M"], args["P"],
-        args["variant"], args["mu"], args["phi_kind"], args["phi_const"], args["phi_cap"],
-        args["phi_q"], args["phi_half"], args["eps_dz"], args["u_max"],
-        args["m_zeta"], args["az_pair"], args["zeta_normsq"], args["varpi"], False)
-    return control, trigger, V, saturated
-
-
-def control_bilinear_phi(spec: ControllerSpec, model: ModalModel,
-                         dec: DecompositionResult, y: np.ndarray) -> float:
-    if spec.variant != "BilinearPhi":
-        raise ModelError("spec variant must be BilinearPhi")
-    if model.control_op is None:
-        raise ModelError("BilinearPhi requires a control operator")
-    control, _, V, _ = _eval(spec, model, dec, y)
-    if V < -1e-12:
-        raise ModelError("negative Lyapunov value: control operator is not PSD")
-    return float(control[0])
-
-
-def control_bilinear_grad(spec: ControllerSpec, model: ModalModel,
-                          dec: DecompositionResult, y: np.ndarray) -> float:
-    if spec.variant != "BilinearGrad":
-        raise ModelError("spec variant must be BilinearGrad")
-    control, _, V, _ = _eval(spec, model, dec, y)
-    if V < -1e-12:
-        raise ModelError("negative Lyapunov value: control operator is not PSD")
-    return float(control[0])
-
-
-def control_linear_phi(spec: ControllerSpec, model: ModalModel,
-                       dec: DecompositionResult, y: np.ndarray) -> np.ndarray:
-    if spec.variant != "LinearPhi":
-        raise ModelError("spec variant must be LinearPhi")
-    if model.input_map is None:
-        raise ModelError("LinearPhi requires a model with an input_map")
-    control, _, _, _ = _eval(spec, model, dec, y)
-    return control
-
-
-def control_rank_one(spec: ControllerSpec, model: ModalModel,
-                     dec: DecompositionResult, y: np.ndarray) -> np.ndarray:
-    if spec.variant != "RankOne":
-        raise ModelError("spec variant must be RankOne")
-    validate_rank_one_data(spec, model)
-    control, _, _, _ = _eval(spec, model, dec, y)
-    return control
+        if spec.variant != "ZeroControl" and model.control_op is None:
+            raise ModelError(f"{spec.variant} requires a control operator")
+        B = _effective_control_matrix(model)
+        BP = B @ P
+        rows = [A, P.T @ M @ BP]
+        if spec.variant != "ZeroControl":
+            rows.append(B)
+        if spec.variant == "BilinearGrad":
+            MBP = M @ BP
+            rows += [BP.T @ MBP, P.T @ A.T @ MBP]
+    if spec.variant in ("BilinearPhi", "LinearPhi") and spec.phi.kind == "WaveK":
+        rows.append(P)
+    return KernelOps(spec=spec, stack=np.vstack(rows), input_map=L, width=width,
+                     zeta_normsq=zeta_normsq)
 
 
 def control_value(spec: ControllerSpec, model: ModalModel, dec: DecompositionResult,
                   y: np.ndarray) -> np.ndarray:
-    """Variant-dispatching control evaluation (always an m-vector; m=1 bilinear)."""
+    """Control at one state (always an m-vector; m = 1 for bilinear laws)."""
     if spec.variant == "ZeroControl":
         return np.zeros(1)
-    control, _, _, _ = _eval(spec, model, dec, y)
-    return control
+    y = np.asarray(y, dtype=float)
+    if y.shape != (model.dim,):
+        raise ModelError("state dimension mismatch")
+    return kernels.closed_loop_rhs(y, assemble_kernel_args(spec, model, dec), False)[1]
 
 
 def settling_bound(spec: ControllerSpec, model: ModalModel, dec: DecompositionResult,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import kernels
 from .model import CheckReport, ModalModel, ModelError, validate_control_operator
 
 KERNEL_RTOL = 1e-10
@@ -230,14 +231,15 @@ def compute_delta(model: ModalModel, dec: DecompositionResult,
     return float(analytic_delta)
 
 
-def check_H2(model: ModalModel, dec: DecompositionResult, phi, samples: int = 256,
-             seed: int = 0) -> CheckReport:
+def check_H2(model: ModalModel, dec: DecompositionResult, phi, dead_zone: float,
+             samples: int = 256, seed: int = 0) -> CheckReport:
     """Monte-Carlo margin certificate for <Ay,By> <= phi(y) ||By||^2 on W_perp.
 
-    phi: callable y -> float.  When phi is constant the exact requirement is
-    also solved as a generalized eigenvalue problem; a cross-coupling between
-    ker(B) and range(B) inside W_perp makes any constant insufficient, which
-    is reported as needed_phi = inf.
+    phi is the law's PhiSpec, evaluated by the kernel with the law's dead
+    zone.  For a Zero or Constant phi the exact requirement is also solved as
+    a generalized eigenvalue problem; a cross-coupling between ker(B) and
+    range(B) inside W_perp makes any constant insufficient, which is
+    reported as needed_phi = inf.
     """
     if samples <= 0:
         raise ModelError("check_H2 requires a positive sample count")
@@ -259,9 +261,10 @@ def check_H2(model: ModalModel, dec: DecompositionResult, phi, samples: int = 25
         by = B @ y
         pairing = float((A @ y) @ M @ by)
         bnormsq = float(by @ M @ by)
-        margin = phi(y) * bnormsq - pairing
+        phi_y = kernels.phi_value(phi, y, dead_zone)
+        margin = phi_y * bnormsq - pairing
         min_margin = min(min_margin, margin)
-        cur = (y, phi(y) * by)
+        cur = (y, phi_y * by)
         if prev is not None:
             dy = cur[0] - prev[0]
             dist = float(np.sqrt(max(dy @ M @ dy, 0.0)))
@@ -270,24 +273,14 @@ def check_H2(model: ModalModel, dec: DecompositionResult, phi, samples: int = 25
                 lipschitz = max(lipschitz, float(np.sqrt(max(df @ M @ df, 0.0))) / dist)
         prev = cur
     details = {"min_margin": float(min_margin), "lipschitz_estimate": lipschitz}
-    constant_value = _constant_value_of(phi, Q, M)
-    if constant_value is not None:
+    if phi.kind in ("Zero", "Constant"):
+        constant_value = float(kernels.phi_value(phi, Q[:, 0], dead_zone))
         needed = _exact_constant_phi(A, B, M, Q)
         details["needed_phi"] = needed
         details["phi_constant"] = constant_value
         exact_ok = needed != np.inf and constant_value >= needed - H2_TOL
         return CheckReport("H2", bool(min_margin >= -H2_TOL and exact_ok), details)
     return CheckReport("H2", bool(min_margin >= -H2_TOL), details)
-
-
-def _constant_value_of(phi, Q: np.ndarray, M: np.ndarray) -> float | None:
-    """Detect a constant phi by probing; returns its value or None."""
-    probe = np.linspace(0.3, 1.7, 5)
-    vals = []
-    for i, s in enumerate(probe):
-        y = Q @ (s * np.cos(np.arange(Q.shape[1]) + i))
-        vals.append(phi(y))
-    return vals[0] if all(v == vals[0] for v in vals) else None
 
 
 def _exact_constant_phi(A: np.ndarray, B: np.ndarray, M: np.ndarray, Q: np.ndarray) -> float:

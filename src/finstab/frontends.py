@@ -20,6 +20,7 @@ import numpy as np
 
 from .controllers import ControllerSpec, DEFAULT_WAVE_CAP, PhiSpec
 from .decomposition import NOT_NILPOTENT, DecompositionResult, decomposition_from_axes
+from .integrator import _settling_time
 from .model import ModalModel, ModelError
 
 
@@ -324,17 +325,11 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
         norms.append(hybrid_norm(model, state))
     times_arr = np.asarray(times)
     norms_arr = np.asarray(norms)
-    above = np.nonzero(norms_arr > eps_settle)[0]
-    if above.size == 0:
-        settling = float(times_arr[0])
-    elif above[-1] + 1 >= len(times_arr):
-        settling = None
-    else:
-        settling = float(times_arr[above[-1] + 1])
     return HybridTrajectory(
         times=times_arr, states=np.asarray(heat_states), psi_norms=np.asarray(psi_norms),
         controls=np.asarray(us).reshape(-1, 1), lyapunov=np.asarray(Vs), norms=norms_arr,
-        settling_time=settling, psi_initial=y0.psi.copy(), psi_final=state.psi.copy(),
+        settling_time=_settling_time(times_arr, norms_arr, eps_settle),
+        psi_initial=y0.psi.copy(), psi_final=state.psi.copy(),
         diagnostics={"latch_time": latch_time, "clamp_time": clamp_time,
                      "dead_zone_regrow": regrow, "steps": n_steps},
     )

@@ -16,7 +16,8 @@ import scipy.linalg
 
 from . import kernels
 from .controllers import ControllerSpec, assemble_kernel_args
-from .decomposition import DecompositionResult, _metric_orthonormalize
+from .decomposition import (DecompositionResult, _effective_control_matrix,
+                            _metric_orthonormalize)
 from .model import CheckReport, ModalModel, ModelError
 
 
@@ -72,31 +73,14 @@ class IntegrationStalledError(RuntimeError):
         self.trajectory = trajectory
 
 
-def closed_loop_field(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
-                      y: np.ndarray) -> np.ndarray:
-    """Derivative A y + (control contribution) at a single state."""
-    args = assemble_kernel_args(spec, model, dec)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.dim,):
-        raise ModelError("state dimension mismatch")
-    dy, _, _, _, _ = kernels.closed_loop_rhs(
-        y, args["A"], args["Beff"], args["L"], args["LtM"], args["M"], args["P"],
-        args["variant"], args["mu"], args["phi_kind"], args["phi_const"], args["phi_cap"],
-        args["phi_q"], args["phi_half"], args["eps_dz"], args["u_max"],
-        args["m_zeta"], args["az_pair"], args["zeta_normsq"], args["varpi"], False)
-    return dy
-
-
-def clamp_projector(model: ModalModel, dec: DecompositionResult,
-                    spec: ControllerSpec) -> np.ndarray:
+def clamp_projector(model: ModalModel, dec: DecompositionResult) -> np.ndarray:
     """Metric-orthoprojector onto the component the dead zone asserts is zero.
 
-    That is range(B P) (range of L L* P for input-map laws; the zeta direction
-    for the rank-one law).  Clamping y -> y - Cy zeroes exactly B P y, nothing
-    more, so a premature latch shows up as regrowth instead of being hidden.
+    That is range(B P), with B = L L* for input-map models.  Clamping
+    y -> y - Cy zeroes exactly B P y, nothing more, so a premature latch
+    shows up as regrowth instead of being hidden.
     """
-    args = assemble_kernel_args(spec, model, dec)
-    cols = args["Beff"] @ dec.projection
+    cols = _effective_control_matrix(model) @ dec.projection
     u, sv, _ = scipy.linalg.svd(cols)
     rank = int(np.sum(sv > 1e-12 * max(sv[0] if sv.size else 1.0, 1.0)))
     basis = _metric_orthonormalize(u[:, :rank], model.metric)
@@ -114,22 +98,18 @@ def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (model.dim,):
         raise ModelError("initial state dimension mismatch")
-    args = assemble_kernel_args(spec, model, dec)
-    C = clamp_projector(model, dec, spec)
-    if args["variant"] == kernels.VARIANT_RANK_ONE:
-        gamma_eff = args["zeta_normsq"]
+    ops = assemble_kernel_args(spec, model, dec)
+    C = clamp_projector(model, dec)
+    if spec.variant == "RankOne":
+        gamma_eff = ops.zeta_normsq
         trig_exp = 2.0 * spec.mu
     else:
         gamma_eff = dec.gamma if dec.gamma is not None else 1.0
         trig_exp = spec.mu
     sample_ts = _sample_grid(opts)
     (ys, us, Vs, status, n_steps, n_rej, n_sat, n_vinc, latch_time, clamp_time,
-     regrow, reached) = kernels.integrate_adaptive(
-        y0, sample_ts, args["A"], args["Beff"], args["L"], args["LtM"], args["M"],
-        args["P"], C, args["variant"], args["mu"], args["phi_kind"], args["phi_const"],
-        args["phi_cap"], args["phi_q"], args["phi_half"], args["eps_dz"], args["u_max"],
-        args["m_zeta"], args["az_pair"], args["zeta_normsq"], args["varpi"],
-        gamma_eff, trig_exp, opts.rtol, opts.atol, opts.dt_init, opts.dt_min, opts.dt_max)
+     regrow, reached) = kernels.integrate_adaptive(y0, sample_ts, ops, C, gamma_eff,
+                                                   trig_exp, opts)
     end = reached + 1
     norms = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", ys[:end], model.metric, ys[:end]), 0.0))
     diagnostics = {
@@ -169,13 +149,18 @@ def _pre_settling_mask(traj: Trajectory) -> np.ndarray:
     return traj.times <= traj.settling_time + 1e-15
 
 
+def decay_envelope(v0: float, gamma: float, mu: float, times: np.ndarray) -> np.ndarray:
+    """Comparison-principle bound on V(t)^mu: max(V(0)^mu - 2 gamma mu t, 0)."""
+    return np.maximum(max(v0, 0.0) ** mu - 2.0 * gamma * mu * times, 0.0)
+
+
 def verify_decay(traj: Trajectory, gamma: float, mu: float,
                  tol_decay: float = 1e-6) -> CheckReport:
-    """Comparison-principle envelope: V(t)^mu <= V(0)^mu - 2 gamma mu t + tol."""
+    """Comparison-principle envelope: V(t)^mu <= max(V(0)^mu - 2 gamma mu t, 0) + tol."""
     mask = _pre_settling_mask(traj)
     V = traj.lyapunov[mask]
     t = traj.times[mask]
-    envelope = V[0] ** mu - 2.0 * gamma * mu * t
+    envelope = decay_envelope(V[0], gamma, mu, t)
     deviation = V ** mu - envelope
     max_violation = float(np.max(deviation - tol_decay))
     worst_index = int(np.argmax(deviation))

@@ -1,28 +1,14 @@
-"""Hot numerical kernels: control evaluation and the adaptive RK45 loop.
+"""Hot numerical kernels: the closed-loop field and the adaptive RK45 loop.
 
-Single-source kernels compiled with numba when the backend allows it and run
-as plain numpy otherwise (see backend.py).  All branching is on integer codes
-so the same code object serves both paths.
-
-Variant codes: 0 ZeroControl, 1 BilinearPhi, 2 BilinearGrad, 3 LinearPhi,
-4 RankOne.  Phi codes: 0 zero, 1 constant, 2 capped coordinate-ratio.
+A law only ever reads P y, so its field is a fixed linear map of y plus one
+scalar law.  controllers.assemble_kernel_args folds that map into one stacked
+matrix per run (rows of A over the law's own rows); closed_loop_rhs applies
+it with one mat-vec and evaluates the law named by the variant.
 Status codes: 0 completed, 3 stalled at dt_min.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from .backend import maybe_njit
-
-VARIANT_ZERO = 0
-VARIANT_BILINEAR_PHI = 1
-VARIANT_BILINEAR_GRAD = 2
-VARIANT_LINEAR_PHI = 3
-VARIANT_RANK_ONE = 4
-
-PHI_ZERO = 0
-PHI_CONSTANT = 1
-PHI_WAVE_RATIO = 2
 
 STATUS_OK = 0
 STATUS_STALLED = 3
@@ -39,141 +25,101 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                                 -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
-@maybe_njit
-def phi_value(py, phi_kind, phi_const, phi_cap, phi_q, phi_half, eps_dz):
-    """Compensation value phi(Py); code 2 is min(cap, max |pos_i|/max(|vel_i|, eps))."""
-    if phi_kind == PHI_ZERO:
+def phi_value(phi, py: np.ndarray, eps_dz: float) -> float:
+    """Compensation phi(Py) for a PhiSpec.
+
+    WaveK is min(cap, max_i |pos_i| / max(|vel_i|, eps_dz)) over the first q
+    oscillator blocks, pos_i = py[i] and vel_i = py[half + i].
+    """
+    if phi.kind == "Zero":
         return 0.0
-    if phi_kind == PHI_CONSTANT:
-        return phi_const
-    worst = 0.0
-    for i in range(phi_q):
-        den = abs(py[phi_half + i])
-        if den < eps_dz:
-            den = eps_dz
-        r = abs(py[i]) / den
-        if r > worst:
-            worst = r
-    if worst > phi_cap:
-        worst = phi_cap
-    return worst
+    if phi.kind == "Constant":
+        return phi.value
+    pos = np.abs(py[:phi.q])
+    vel = np.maximum(np.abs(py[phi.half:phi.half + phi.q]), eps_dz)
+    return min(float(np.max(pos / vel)), phi.cap)
 
 
-@maybe_njit
-def closed_loop_rhs(y, A, Beff, L, LtM, M, P, variant, mu, phi_kind, phi_const, phi_cap,
-                    phi_q, phi_half, eps_dz, u_max, m_zeta, az_pair, zeta_normsq, varpi,
-                    latched):
-    """Field Ay + control contribution; returns (dy, control, trigger, V, saturated).
+def closed_loop_rhs(y: np.ndarray, ops, latched: bool):
+    """Field A y plus the law's contribution; returns (dy, control, trigger, V, saturated).
 
-    trigger is the dead-zone variable (V, ||w||^2, or |s| by variant); latched
-    forces the singular control terms to zero permanently.
+    ops is a controllers.KernelOps.  trigger is the dead-zone variable (V,
+    ||B P y||^2, ||w||^2 or |s| by variant); latched switches the singular
+    control terms off for good.
     """
     n = y.shape[0]
-    m = varpi.shape[0]
-    dy = A @ y
-    control = np.zeros(m)
-    saturated = False
-    py = P @ y
-    mpy = M @ py
-    if variant == VARIANT_BILINEAR_PHI or variant == VARIANT_BILINEAR_GRAD:
-        bpy = Beff @ py
-        V = 0.0
-        bnormsq = 0.0
-        for i in range(n):
-            V += bpy[i] * mpy[i]
-        trigger = V
-        u = 0.0
-        if variant == VARIANT_BILINEAR_GRAD:
-            mbpy = M @ bpy
-            for i in range(n):
-                bnormsq += bpy[i] * mbpy[i]
-            trigger = bnormsq
-        if (not latched) and trigger > eps_dz:
-            if variant == VARIANT_BILINEAR_PHI:
-                u = -(V ** (-mu) + phi_value(py, phi_kind, phi_const, phi_cap,
-                                             phi_q, phi_half, eps_dz))
-            else:
-                apy = A @ py
-                mbpy = M @ bpy
-                pairing = 0.0
-                for i in range(n):
-                    pairing += apy[i] * mbpy[i]
-                u = -(V ** (-mu) + pairing / bnormsq)
-                if u > u_max:
-                    u = u_max
-                    saturated = True
-                elif u < -u_max:
-                    u = -u_max
-                    saturated = True
-        control[0] = u
-        if u != 0.0:
-            by = Beff @ y
-            for i in range(n):
-                dy[i] += u * by[i]
-        return dy, control, trigger, V, saturated
-    if variant == VARIANT_LINEAR_PHI:
-        w = LtM @ py
-        wnormsq = 0.0
-        for j in range(m):
-            wnormsq += w[j] * w[j]
-        V = wnormsq
-        if (not latched) and wnormsq > eps_dz:
-            scale = wnormsq ** (-mu) + phi_value(py, phi_kind, phi_const, phi_cap,
-                                                 phi_q, phi_half, eps_dz)
-            for j in range(m):
-                control[j] = -scale * w[j]
-            lv = L @ control
-            for i in range(n):
-                dy[i] += lv[i]
-        return dy, control, wnormsq, V, saturated
-    if variant == VARIANT_RANK_ONE:
-        s = 0.0
-        comp = 0.0
-        for i in range(n):
-            s += py[i] * m_zeta[i]
-            comp += py[i] * az_pair[i]
-        V = s * s / zeta_normsq
+    spec = ops.spec
+    law = spec.variant
+    z = ops.stack @ y
+    dy = z[:n]
+    control = np.zeros(ops.width)
+    if law == "RankOne":
+        # rows: A, (P* M zeta)^T giving s, (P* A* M zeta)^T giving <Py, A* zeta>
+        s, comp = z[n], z[n + 1]
         first = 0.0
-        if (not latched) and abs(s) > eps_dz:
-            first = -s * abs(s) ** (-2.0 * mu)
-        second = -comp / zeta_normsq
-        coeff = first + second
-        for j in range(m):
-            control[j] = coeff * varpi[j]
-        lv = L @ control
-        for i in range(n):
-            dy[i] += lv[i]
-        return dy, control, abs(s), V, saturated
-    # ZeroControl: record V for the trajectory but leave the field free
-    bpy = Beff @ py
-    V = 0.0
-    for i in range(n):
-        V += bpy[i] * mpy[i]
-    return dy, control, V, V, saturated
+        if (not latched) and abs(s) > spec.dead_zone:
+            first = -s * abs(s) ** (-2.0 * spec.mu)
+        control = (first - comp / ops.zeta_normsq) * spec.varpi
+        return dy + ops.input_map @ control, control, abs(s), s * s / ops.zeta_normsq, False
+    if law == "LinearPhi":
+        # rows: A, L* M P giving w; the rows of P follow for WaveK
+        w = z[n:n + ops.width]
+        wnormsq = w @ w
+        if (not latched) and wnormsq > spec.dead_zone:
+            scale = wnormsq ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone)
+            control = -scale * w
+            dy = dy + ops.input_map @ control
+        return dy, control, wnormsq, wnormsq, False
+    # bilinear family, rows: A, Q = P* M B P giving V = <y, Q y>, then B
+    V = y @ z[n:2 * n]
+    if law == "ZeroControl":
+        return dy, control, V, V, False
+    trigger = V
+    u = 0.0
+    saturated = False
+    if law == "BilinearGrad":
+        # further rows: Gram P* B* M B P and pairing P* A* M B P
+        bnormsq = y @ z[3 * n:4 * n]
+        trigger = bnormsq
+        if (not latched) and bnormsq > spec.dead_zone:
+            u = -(V ** (-spec.mu) + (y @ z[4 * n:5 * n]) / bnormsq)
+            if u > spec.u_max:
+                u = spec.u_max
+                saturated = True
+            elif u < -spec.u_max:
+                u = -spec.u_max
+                saturated = True
+    elif (not latched) and V > spec.dead_zone:
+        # BilinearPhi; the rows of P follow for WaveK
+        u = -(V ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone))
+    control[0] = u
+    if u != 0.0:
+        dy = dy + u * z[2 * n:3 * n]
+    return dy, control, trigger, V, saturated
 
 
-@maybe_njit
-def integrate_adaptive(y0, sample_ts, A, Beff, L, LtM, M, P, C, variant, mu,
-                       phi_kind, phi_const, phi_cap, phi_q, phi_half,
-                       eps_dz, u_max, m_zeta, az_pair, zeta_normsq, varpi,
-                       gamma_eff, trig_exp, rtol, atol, dt_init, dt_min, dt_max):
+def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     """Adaptive Dormand-Prince 5(4) over a fixed sample grid.
 
     Steps never cross a sample time, so recorded states are step endpoints
     (no dense interpolation).  The dead zone latches at the first accepted
-    step whose trigger falls below eps_dz; if the decay envelope then
+    step whose trigger falls below the dead zone; if the decay envelope then
     predicts settling within one step, the observed component is clamped
-    to zero via the projector C.
+    to zero via the projector C.  opts supplies rtol, atol, dt_init, dt_min
+    and dt_max.
 
     Returns (states, controls, lyapunov, status, n_steps, n_rejected,
     n_saturated, n_v_increase, latch_time, clamp_time, regrow_flag,
     reached_index).
     """
+    rtol, atol, dt_min, dt_max = opts.rtol, opts.atol, opts.dt_min, opts.dt_max
+    eps_dz = ops.spec.dead_zone
+    mu = ops.spec.mu
+    controlled = ops.spec.variant != "ZeroControl"
     n = y0.shape[0]
-    m = varpi.shape[0]
     ns = sample_ts.shape[0]
     ys = np.zeros((ns, n))
-    us = np.zeros((ns, m))
+    us = np.zeros((ns, ops.width))
     Vs = np.zeros(ns)
     y = y0.copy()
     t = sample_ts[0]
@@ -188,18 +134,16 @@ def integrate_adaptive(y0, sample_ts, A, Beff, L, LtM, M, P, C, variant, mu,
     n_v_increase = 0
     status = STATUS_OK
 
-    dy, ctrl, trigger, V, sat = closed_loop_rhs(
-        y, A, Beff, L, LtM, M, P, variant, mu, phi_kind, phi_const, phi_cap,
-        phi_q, phi_half, eps_dz, u_max, m_zeta, az_pair, zeta_normsq, varpi, latched)
+    dy, ctrl, trigger, V, sat = closed_loop_rhs(y, ops, latched)
     ys[0] = y
     us[0] = ctrl
     Vs[0] = V
-    if variant != VARIANT_ZERO and trigger <= eps_dz:
+    if controlled and trigger <= eps_dz:
         latched = True
         latch_time = t
     k1 = dy
     have_k1 = True
-    dt = dt_init
+    dt = opts.dt_init
     reached = 0
     for isamp in range(1, ns):
         target = sample_ts[isamp]
@@ -215,43 +159,20 @@ def integrate_adaptive(y0, sample_ts, A, Beff, L, LtM, M, P, C, variant, mu,
             if h < dt_min:
                 h = dt_min
             if not have_k1:
-                k1, c1, tr1, V1, s1 = closed_loop_rhs(
-                    y, A, Beff, L, LtM, M, P, variant, mu, phi_kind, phi_const, phi_cap,
-                    phi_q, phi_half, eps_dz, u_max, m_zeta, az_pair, zeta_normsq, varpi, latched)
+                k1 = closed_loop_rhs(y, ops, latched)[0]
                 have_k1 = True
-            k2 = closed_loop_rhs(
-                y + h * _A21 * k1, A, Beff, L, LtM, M, P, variant, mu, phi_kind, phi_const,
-                phi_cap, phi_q, phi_half, eps_dz, u_max, m_zeta, az_pair, zeta_normsq,
-                varpi, latched)[0]
-            k3 = closed_loop_rhs(
-                y + h * (_A31 * k1 + _A32 * k2), A, Beff, L, LtM, M, P, variant, mu,
-                phi_kind, phi_const, phi_cap, phi_q, phi_half, eps_dz, u_max, m_zeta,
-                az_pair, zeta_normsq, varpi, latched)[0]
-            k4 = closed_loop_rhs(
-                y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), A, Beff, L, LtM, M, P,
-                variant, mu, phi_kind, phi_const, phi_cap, phi_q, phi_half, eps_dz,
-                u_max, m_zeta, az_pair, zeta_normsq, varpi, latched)[0]
-            k5 = closed_loop_rhs(
-                y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), A, Beff, L, LtM,
-                M, P, variant, mu, phi_kind, phi_const, phi_cap, phi_q, phi_half, eps_dz,
-                u_max, m_zeta, az_pair, zeta_normsq, varpi, latched)[0]
-            k6 = closed_loop_rhs(
-                y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
-                A, Beff, L, LtM, M, P, variant, mu, phi_kind, phi_const, phi_cap,
-                phi_q, phi_half, eps_dz, u_max, m_zeta, az_pair, zeta_normsq, varpi,
-                latched)[0]
+            k2 = closed_loop_rhs(y + h * _A21 * k1, ops, latched)[0]
+            k3 = closed_loop_rhs(y + h * (_A31 * k1 + _A32 * k2), ops, latched)[0]
+            k4 = closed_loop_rhs(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), ops, latched)[0]
+            k5 = closed_loop_rhs(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
+                                 ops, latched)[0]
+            k6 = closed_loop_rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                                          + _A65 * k5), ops, latched)[0]
             ynew = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-            k7, ctrl_new, trig_new, V_new, sat_new = closed_loop_rhs(
-                ynew, A, Beff, L, LtM, M, P, variant, mu, phi_kind, phi_const, phi_cap,
-                phi_q, phi_half, eps_dz, u_max, m_zeta, az_pair, zeta_normsq, varpi, latched)
-            errnorm = 0.0
-            for i in range(n):
-                e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
-                         + _E6 * k6[i] + _E7 * k7[i])
-                sc = atol + rtol * max(abs(y[i]), abs(ynew[i]))
-                q = e / sc
-                errnorm += q * q
-            errnorm = np.sqrt(errnorm / n)
+            k7, ctrl_new, trig_new, V_new, sat_new = closed_loop_rhs(ynew, ops, latched)
+            err = (h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+                   / (atol + rtol * np.maximum(np.abs(y), np.abs(ynew))))
+            errnorm = np.sqrt((err @ err) / n)
             if errnorm <= 1.0:
                 n_steps += 1
                 if sat_new:
@@ -279,7 +200,7 @@ def integrate_adaptive(y0, sample_ts, A, Beff, L, LtM, M, P, C, variant, mu,
                         dt = h * fac
                 else:
                     dt = h * fac
-                if variant != VARIANT_ZERO and trig_new <= eps_dz:
+                if controlled and trig_new <= eps_dz:
                     if not latched:
                         latched = True
                         latch_time = t
@@ -308,9 +229,7 @@ def integrate_adaptive(y0, sample_ts, A, Beff, L, LtM, M, P, C, variant, mu,
         if bail:
             reached = isamp - 1
             break
-        dy, ctrl, trigger, V, sat = closed_loop_rhs(
-            y, A, Beff, L, LtM, M, P, variant, mu, phi_kind, phi_const, phi_cap,
-            phi_q, phi_half, eps_dz, u_max, m_zeta, az_pair, zeta_normsq, varpi, latched)
+        dy, ctrl, trigger, V, sat = closed_loop_rhs(y, ops, latched)
         ys[isamp] = y
         us[isamp] = ctrl
         Vs[isamp] = V

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import svgplot
 from .controllers import (UNBOUNDED, ControllerSpec, controller_from_json,
-                          controller_to_json, make_phi_callable, settling_bound_details,
+                          controller_to_json, settling_bound_details,
                           validate_rank_one_data)
 from .decomposition import (NOT_NILPOTENT, DecompositionResult, check_H1, check_H2,
                             compute_delta, compute_gamma, gamma_certificate,
@@ -31,8 +31,8 @@ from .decomposition import (NOT_NILPOTENT, DecompositionResult, check_H1, check_
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         build_frontend, hybrid_decay_check, hybrid_split_check, hybrid_v,
                         simulate_hybrid)
-from .integrator import (IntegrationOpts, IntegrationStalledError, simulate, verify_decay,
-                         verify_lyapunov_stability, verify_split)
+from .integrator import (IntegrationOpts, IntegrationStalledError, decay_envelope, simulate,
+                         verify_decay, verify_lyapunov_stability, verify_split)
 from .model import (CheckReport, ModalModel, ModelError, model_from_json,
                     quasi_contraction_type, validate_control_operator)
 
@@ -357,8 +357,8 @@ def assumption_reports(built: BuiltScenario) -> list[CheckReport]:
     elif dec.gamma is not None:
         reports.append(gamma_certificate(model, dec, dec.gamma, samples=500, seed=built.seed))
     if spec.variant in ("BilinearPhi", "LinearPhi"):
-        phi = make_phi_callable(spec.phi, spec.dead_zone)
-        reports.append(check_H2(model, dec, phi, samples=256, seed=built.seed))
+        reports.append(check_H2(model, dec, spec.phi, spec.dead_zone, samples=256,
+                                seed=built.seed))
     reports.append(_h4_report(dec))
     return reports
 
@@ -516,9 +516,8 @@ def _run_modal(config: ScenarioConfig, built: BuiltScenario,
     if config.make_plot:
         envelope = None
         if gamma_decay is not None and len(traj.times):
-            v0m = max(traj.lyapunov[0], 0.0) ** spec.mu
-            env_m = np.maximum(v0m - 2.0 * gamma_decay * spec.mu * traj.times, 0.0)
-            envelope = env_m ** (1.0 / spec.mu)
+            envelope = decay_envelope(traj.lyapunov[0], gamma_decay, spec.mu,
+                                      traj.times) ** (1.0 / spec.mu)
         _plot_run(out / "plot.svg", config.name, traj.times, traj.lyapunov, traj.norms,
                   envelope)
         artifacts.append("plot.svg")
@@ -583,8 +582,7 @@ def _run_hybrid(config: ScenarioConfig, built: BuiltScenario,
     if config.make_plot:
         envelope = None
         if spec.variant == "BilinearPhi":
-            env_m = np.maximum(V0 ** spec.mu - 2.0 * spec.mu * traj.times, 0.0)
-            envelope = env_m ** (1.0 / spec.mu)
+            envelope = decay_envelope(V0, 1.0, spec.mu, traj.times) ** (1.0 / spec.mu)
         _plot_run(out / "plot.svg", config.name, traj.times, traj.lyapunov, traj.norms,
                   envelope)
         artifacts.append("plot.svg")

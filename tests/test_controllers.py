@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from finstab import (DEFAULT_DEAD_ZONE, UNBOUNDED, ControllerSpec, ModalModel,
-                     ModelError, PhiSpec, control_bilinear_grad, control_bilinear_phi,
-                     control_linear_phi, control_rank_one, control_value,
-                     controller_from_json, controller_to_json, compute_delta,
-                     compute_gamma, decomposition_from_axes, settling_bound,
+                     ModelError, PhiSpec, control_value, controller_from_json,
+                     controller_to_json, compute_delta, compute_gamma,
+                     decomposition_from_axes, settling_bound,
                      settling_bound_details, unobservable_subspace,
                      validate_rank_one_data)
 from dataclasses import replace
@@ -72,7 +71,7 @@ def test_bilinear_phi_value():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     # V = 4 at y = (2, 0): u = -V^{-mu} = -1/sqrt(2)
-    u = control_bilinear_phi(spec, model, dec, np.array([2.0, 0.0]))
+    u = control_value(spec, model, dec, np.array([2.0, 0.0]))[0]
     assert u == pytest.approx(-0.7071067811865475, rel=1e-14)
 
 
@@ -81,7 +80,7 @@ def test_bilinear_phi_constant_compensation():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25,
                           phi=PhiSpec(kind="Constant", value=0.5))
-    u = control_bilinear_phi(spec, model, dec, np.array([2.0, 0.0]))
+    u = control_value(spec, model, dec, np.array([2.0, 0.0]))[0]
     assert u == pytest.approx(-1.2071067811865475, rel=1e-14)
 
 
@@ -91,7 +90,7 @@ def test_bilinear_phi_dead_zone_silences_the_feedback():
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25,
                           phi=PhiSpec(kind="Constant", value=0.5))
     tiny = np.array([1e-8, 0.0])  # V = 1e-16 <= default dead zone
-    assert control_bilinear_phi(spec, model, dec, tiny) == 0.0
+    assert control_value(spec, model, dec, tiny)[0] == 0.0
 
 
 def test_bilinear_grad_value():
@@ -99,7 +98,7 @@ def test_bilinear_grad_value():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="BilinearGrad", mu=0.25)
     # at y = (2, 0): <APy, BPy>/||BPy||^2 = -1, so u = 1 - 1/sqrt(2)
-    u = control_bilinear_grad(spec, model, dec, np.array([2.0, 0.0]))
+    u = control_value(spec, model, dec, np.array([2.0, 0.0]))[0]
     assert u == pytest.approx(0.29289321881345254, rel=1e-14)
 
 
@@ -108,7 +107,7 @@ def test_bilinear_grad_saturates_at_u_max():
                        control_op=np.eye(2))
     dec = finished_dec(model)
     spec = ControllerSpec(variant="BilinearGrad", mu=0.25)
-    u = control_bilinear_grad(spec, model, dec, np.array([1.0, 0.0]))
+    u = control_value(spec, model, dec, np.array([1.0, 0.0]))[0]
     assert u == spec.u_max == 1.0e6
 
 
@@ -117,7 +116,7 @@ def test_linear_phi_value():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="LinearPhi", mu=0.25)
     # w = (3,): v = -||w||^{-2 mu} w = -sqrt(3)
-    v = control_linear_phi(spec, model, dec, np.array([0.0, 3.0]))
+    v = control_value(spec, model, dec, np.array([0.0, 3.0]))
     assert v.shape == (1,)
     assert v[0] == pytest.approx(-1.7320508075688772, rel=1e-14)
 
@@ -126,7 +125,7 @@ def test_rank_one_value():
     model, spec = oscillator_rank_one()
     dec = finished_dec(model)
     # s = 2 and <Py, A* zeta> = 0 at y = (0, 2): v = -2 |2|^{-1/2} = -sqrt(2)
-    v = control_rank_one(spec, model, dec, np.array([0.0, 2.0]))
+    v = control_value(spec, model, dec, np.array([0.0, 2.0]))
     assert v[0] == pytest.approx(-1.4142135623730951, rel=1e-14)
 
 
@@ -134,7 +133,7 @@ def test_rank_one_drift_term_survives_the_dead_zone():
     model, spec = oscillator_rank_one()
     dec = finished_dec(model)
     # s = 0 at y = (1, 0) but <Py, A* zeta> = -1, so the drift term still acts
-    v = control_rank_one(spec, model, dec, np.array([1.0, 0.0]))
+    v = control_value(spec, model, dec, np.array([1.0, 0.0]))
     assert v[0] == 1.0
 
 
@@ -155,9 +154,9 @@ def test_bilinear_scaling_law():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     y = np.array([0.7, -1.3])
-    u = control_bilinear_phi(spec, model, dec, y)
+    u = control_value(spec, model, dec, y)[0]
     for c in (0.5, 2.0, 10.0):
-        scaled = control_bilinear_phi(spec, model, dec, c * y)
+        scaled = control_value(spec, model, dec, c * y)[0]
         assert scaled == pytest.approx(c ** (-2.0 * spec.mu) * u, rel=1e-12)
 
 
@@ -169,8 +168,8 @@ def test_control_ignores_the_unobservable_component():
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     y = np.array([0.0, 0.4, -0.9])
     w = np.array([5.0, 0.0, 0.0])  # lives in W
-    assert control_bilinear_phi(spec, model, dec, y + w) == \
-        control_bilinear_phi(spec, model, dec, y)
+    assert control_value(spec, model, dec, y + w)[0] == \
+        control_value(spec, model, dec, y)[0]
 
 
 def test_settling_bound_zero_control_is_none():
@@ -258,9 +257,9 @@ def test_variant_model_mismatch_is_rejected():
     dec = finished_dec(model)
     lspec = ControllerSpec(variant="LinearPhi", mu=0.25)
     with pytest.raises(ModelError):
-        control_linear_phi(lspec, model, dec, np.array([1.0, 0.0]))
+        control_value(lspec, model, dec, np.array([1.0, 0.0]))
     lin = velocity_linear()
     ldec = finished_dec(lin)
     bspec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     with pytest.raises(ModelError):
-        control_bilinear_phi(bspec, lin, ldec, np.array([0.0, 1.0]))
+        control_value(bspec, lin, ldec, np.array([0.0, 1.0]))

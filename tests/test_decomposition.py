@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from finstab import (NOT_NILPOTENT, ModalModel, ModelError, check_H1, check_H2,
-                     compute_delta, compute_gamma, decomposition_from_axes,
-                     gamma_certificate, unobservable_subspace)
+from finstab import (DEFAULT_DEAD_ZONE, NOT_NILPOTENT, ModalModel, ModelError, PhiSpec,
+                     check_H1, check_H2, compute_delta, compute_gamma,
+                     decomposition_from_axes, gamma_certificate, unobservable_subspace)
 
 
 def bilinear(A, B, M=None):
@@ -175,7 +175,8 @@ def test_delta_semantics():
 def test_h2_accepts_dissipative_pairing_with_zero_phi():
     model = bilinear(np.diag([-1.0, -4.0]), np.eye(2))
     dec = unobservable_subspace(model)
-    report = check_H2(model, dec, lambda y: 0.0, samples=128, seed=0)
+    report = check_H2(model, dec, PhiSpec("Zero"), DEFAULT_DEAD_ZONE, samples=128,
+                      seed=0)
     assert report.passed
     assert report.details["min_margin"] >= -1e-9
     # pairing is negative everywhere, so no compensation is needed at all
@@ -186,10 +187,12 @@ def test_h2_exact_constant_threshold():
     # sym(A) = [[-1, 3/2], [3/2, -1]] has top eigenvalue 1/2, the tight constant
     model = bilinear(np.array([[-1.0, 3.0], [0.0, -1.0]]), np.eye(2))
     dec = unobservable_subspace(model)
-    tight = check_H2(model, dec, lambda y: 0.5, samples=128, seed=0)
+    tight = check_H2(model, dec, PhiSpec("Constant", value=0.5), DEFAULT_DEAD_ZONE,
+                     samples=128, seed=0)
     assert tight.passed
     assert tight.details["needed_phi"] == pytest.approx(0.5, abs=1e-9)
-    assert not check_H2(model, dec, lambda y: 0.4, samples=128, seed=0).passed
+    assert not check_H2(model, dec, PhiSpec("Constant", value=0.4),
+                        DEFAULT_DEAD_ZONE, samples=128, seed=0).passed
 
 
 def test_h2_oscillator_cross_coupling_defeats_any_constant():
@@ -199,6 +202,7 @@ def test_h2_oscillator_cross_coupling_defeats_any_constant():
     A = np.array([[0.0, omega], [-omega, 0.0]])
     model = bilinear(A, np.diag([0.0, 1.0]))
     dec = decomposition_from_axes(model, ())
-    report = check_H2(model, dec, lambda y: 7.0, samples=128, seed=0)
+    report = check_H2(model, dec, PhiSpec("Constant", value=7.0), DEFAULT_DEAD_ZONE,
+                      samples=128, seed=0)
     assert not report.passed
     assert report.details["needed_phi"] == np.inf

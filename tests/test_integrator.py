@@ -4,9 +4,9 @@ import scipy.linalg
 from dataclasses import replace
 
 from finstab import (ControllerSpec, IntegrationOpts, IntegrationStalledError,
-                     ModalModel, ModelError, compute_delta, compute_gamma, simulate,
-                     unobservable_subspace, verify_decay, verify_lyapunov_stability,
-                     verify_split)
+                     ModalModel, ModelError, Trajectory, compute_delta, compute_gamma,
+                     simulate, unobservable_subspace, verify_decay,
+                     verify_lyapunov_stability, verify_split)
 from finstab.integrator import clamp_projector
 
 
@@ -146,6 +146,26 @@ def test_verify_decay_rejects_slow_decay():
     assert report.details["max_violation"] > 0.1
 
 
+def test_verify_decay_envelope_is_clipped_at_zero():
+    times = np.linspace(0.0, 3.0, 31)
+
+    def trajectory(V):
+        n = len(times)
+        return Trajectory(times=times, states=np.zeros((n, 1)), controls=np.zeros((n, 1)),
+                          lyapunov=V, norms=np.zeros(n), settling_time=None)
+
+    # V = 0 throughout lies on the clipped envelope max(0 - 2 gamma mu t, 0)
+    assert verify_decay(trajectory(np.zeros(len(times))), gamma=1.0, mu=0.25).passed
+    # V(0) = 1 puts the envelope's zero at t = 2; V^mu stays at half the
+    # envelope until then and positive after it
+    env = np.maximum(1.0 - 0.5 * times, 0.0)
+    V = np.where(times < 2.0, (0.5 * env) ** 4, 1e-4)
+    V[0] = 1.0
+    report = verify_decay(trajectory(V), gamma=1.0, mu=0.25)
+    assert not report.passed
+    assert times[report.details["worst_sample"]] >= 2.0
+
+
 def test_verify_lyapunov_stability_detects_excess_growth():
     model = bilinear(np.diag([0.5]), np.eye(1))
     dec = replace(unobservable_subspace(model), gamma=1.0)
@@ -158,9 +178,8 @@ def test_verify_lyapunov_stability_detects_excess_growth():
 def test_clamp_projector_targets_the_controlled_range():
     model = bilinear(np.diag([-1.0, -2.0, -3.0]), np.diag([0.0, 1.0, 1.0]))
     dec = finished_dec(model)
-    spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
-    C = clamp_projector(model, dec, spec)
+    C = clamp_projector(model, dec)
     assert np.allclose(C, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
     full = bilinear(np.diag([-1.0, -2.0]), np.eye(2))
-    Cf = clamp_projector(full, finished_dec(full), spec)
+    Cf = clamp_projector(full, finished_dec(full))
     assert np.allclose(Cf, np.eye(2), atol=1e-12)
