@@ -66,6 +66,8 @@ class ModalModel:
         object.__setattr__(self, "generator", generator)
         if metric.shape != (n, n) or generator.shape != (n, n):
             raise ModelError("metric and generator must be n-by-n")
+        if not (np.all(np.isfinite(metric)) and np.all(np.isfinite(generator))):
+            raise ModelError("metric and generator must be finite")
         if np.max(np.abs(metric - metric.T)) > SYM_TOL * max(1.0, np.max(np.abs(metric))):
             raise ModelError("metric must be symmetric")
         if np.min(scipy.linalg.eigvalsh(metric)) <= 0:
@@ -76,6 +78,8 @@ class ModalModel:
             B = np.asarray(self.control_op, dtype=float)
             if B.shape != (n, n):
                 raise ModelError("control_op must be n-by-n")
+            if not np.all(np.isfinite(B)):
+                raise ModelError("control_op must be finite")
             object.__setattr__(self, "control_op", B)
         if self.input_map is not None:
             L = np.asarray(self.input_map, dtype=float)
@@ -83,6 +87,8 @@ class ModalModel:
                 L = L.reshape(n, 1)
             if L.ndim != 2 or L.shape[0] != n:
                 raise ModelError("input_map must be n-by-m")
+            if not np.all(np.isfinite(L)):
+                raise ModelError("input_map must be finite")
             object.__setattr__(self, "input_map", L)
         if not self.basis_labels:
             object.__setattr__(self, "basis_labels", tuple(f"y{i+1}" for i in range(n)))

@@ -129,6 +129,7 @@ class BuiltScenario:
     opts: IntegrationOpts | None = None
     bundle: FrontendBundle | None = None
     gamma_error: str | None = None
+    h1: CheckReport | None = None               # computed once, while building
     hybrid: HybridModel | None = None
     hybrid_y0: HybridState | None = None
     t_max: float = 0.0
@@ -178,6 +179,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         except ModelError as exc:
             raise ConfigError(f"invalid frontend: {exc}") from exc
         model, dec = bundle.model, bundle.dec
+        h1 = check_H1(model, dec)
         gamma_error = None
     else:
         bundle = None
@@ -186,6 +188,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         except ModelError as exc:
             raise ConfigError(f"invalid matrices: {exc}") from exc
         dec0 = unobservable_subspace(model)
+        h1 = check_H1(model, dec0)
         gamma_error = None
         try:
             gamma = compute_gamma(model, dec0)
@@ -194,7 +197,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
             gamma_error = str(exc)
         delta = compute_delta(model, dec0)
         dec = dataclasses.replace(dec0, gamma=gamma, delta=delta,
-                                  h1_holds=check_H1(model, dec0).passed,
+                                  h1_holds=h1.passed,
                                   h3_holds=gamma is not None,
                                   h4_holds=not (delta is NOT_NILPOTENT) or dec0.dim_w == 0)
     spec = _controller_spec(config, bundle)
@@ -210,7 +213,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     y0 = parse_initial_state(config.initial_state, model, dec, seed)
     opts = _integration_opts(config.integration)
     return BuiltScenario(kind="modal", spec=spec, seed=seed, model=model, dec=dec,
-                         y0=y0, opts=opts, bundle=bundle, gamma_error=gamma_error,
+                         y0=y0, opts=opts, bundle=bundle, gamma_error=gamma_error, h1=h1,
                          t_max=opts.t_max, eps_settle=opts.eps_settle)
 
 
@@ -351,7 +354,7 @@ def assumption_reports(built: BuiltScenario) -> list[CheckReport]:
                                      "validated_by": "zero-control grid flow"}),
         ]
     model, dec, spec = built.model, built.dec, built.spec
-    reports = [validate_control_operator(model), check_H1(model, dec)]
+    reports = [validate_control_operator(model), built.h1]
     if built.gamma_error is not None:
         reports.append(CheckReport("H3", False, {"error": built.gamma_error}))
     elif dec.gamma is not None:

@@ -7,6 +7,7 @@ as a table; the test suite asserts every clause.
 from __future__ import annotations
 
 import fnmatch
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,7 @@ class CriterionResult:
     key: str
     title: str
     clauses: list[ClauseResult]
+    wall_s: float = 0.0    # wall time of the criterion, shown in the table only
 
     @property
     def passed(self) -> bool:
@@ -472,7 +474,14 @@ def list_criteria() -> list[str]:
 
 
 def run_criteria(pattern: str = "*") -> list[CriterionResult]:
-    return [fn() for key, fn in CRITERIA.items() if fnmatch.fnmatch(key, pattern)]
+    results = []
+    for key, fn in CRITERIA.items():
+        if fnmatch.fnmatch(key, pattern):
+            start = time.perf_counter()
+            result = fn()
+            result.wall_s = time.perf_counter() - start
+            results.append(result)
+    return results
 
 
 def format_table(results: list[CriterionResult]) -> str:
@@ -480,7 +489,7 @@ def format_table(results: list[CriterionResult]) -> str:
     width = max(len(r.key) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.key:<{width}}  {status}  {r.title}")
+        lines.append(f"{r.key:<{width}}  {status}  {r.title}  ({r.wall_s:.2f} s)")
         for c in r.clauses:
             mark = "ok " if c.passed else "BAD"
             lines.append(f"  [{mark}] {c.description}: {c.measured} (target: {c.target})")

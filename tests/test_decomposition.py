@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from finstab import (DEFAULT_DEAD_ZONE, NOT_NILPOTENT, ModalModel, ModelError, PhiSpec,
-                     check_H1, check_H2, compute_delta, compute_gamma,
-                     decomposition_from_axes, gamma_certificate, unobservable_subspace)
+from finstab import (DEFAULT_DEAD_ZONE, NOT_NILPOTENT, FrontendSpec, ModalModel, ModelError,
+                     PhiSpec, build_frontend, check_H1, check_H2, compute_delta,
+                     compute_gamma, decomposition_from_axes, gamma_certificate,
+                     model_from_json, model_to_json, unobservable_subspace)
 
 
 def bilinear(A, B, M=None):
@@ -61,9 +64,8 @@ def test_kernel_of_b_alone_is_not_enough():
     assert sampled_kernel(model).shape[1] == 0
 
 
-def test_planted_rotated_subspace_recovered():
-    rng = np.random.default_rng(5)
-    n, nw = 6, 2
+def planted(n, nw, seed):
+    rng = np.random.default_rng(seed)
     k = n - nw
     # upper-right block zero keeps the last nw axes invariant; B vanishes
     # there and is definite on the complement, so W is exactly that span
@@ -73,11 +75,39 @@ def test_planted_rotated_subspace_recovered():
     B = np.zeros((n, n))
     B[:k, :k] = C @ C.T + 0.1 * np.eye(k)
     rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    model = bilinear(rot @ A @ rot.T, rot @ B @ rot.T)
+    return bilinear(rot @ A @ rot.T, rot @ B @ rot.T), rot[:, k:]
+
+
+def test_planted_rotated_subspace_recovered():
+    model, w_true = planted(6, 2, seed=5)
     dec = unobservable_subspace(model)
-    assert dec.dim_w == nw
-    assert angles(dec.w_basis, rot[:, k:]) < 1e-8
+    assert dec.dim_w == 2
+    assert angles(dec.w_basis, w_true) < 1e-8
     assert angles(dec.w_basis, sampled_kernel(model)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_planted_rotated_subspace_recovered_at_larger_sizes(n, seed):
+    model, w_true = planted(n, n // 4, seed)
+    dec = unobservable_subspace(model)
+    assert dec.dim_w == n // 4
+    assert angles(dec.w_basis, w_true) < 1e-8
+
+
+@pytest.mark.parametrize("kind, n_modes, extra", [
+    ("Heat1D", 8, {}), ("Heat1D", 32, {}), ("Heat1D", 128, {}),
+    ("Wave1D", 8, {"q": 3}), ("Wave1D", 32, {"q": 3}), ("Wave1D", 64, {"q": 3}),
+    ("Beam1D", 8, {"h_coeffs": (1.0, 0.5)}), ("Beam1D", 32, {"h_coeffs": (1.0, 0.5)}),
+    ("Beam1D", 64, {"h_coeffs": (1.0, 0.5)}),
+])
+def test_front_end_matrices_recover_the_axis_decomposition(kind, n_modes, extra):
+    # the matrices config route: the front end's model serialised and parsed back
+    bundle = build_frontend(FrontendSpec(kind=kind, n_modes=n_modes, **extra))
+    model = model_from_json(json.loads(json.dumps(model_to_json(bundle.model))))
+    dec = unobservable_subspace(model)
+    assert dec.dim_w == len(bundle.w_axes)
+    assert angles(dec.w_basis, bundle.dec.w_basis) < 1e-8
 
 
 def test_projector_is_metric_orthogonal():
@@ -121,6 +151,13 @@ def test_h1_fails_when_complement_leaks():
     report = check_H1(model, dec)
     assert not report.passed
     assert report.details["invariance_residual"] > 1e-3
+    assert report.details["worst_column"] == 0
+    # W_perp = span(e1, e2) where only A e2 leaks into W = e3
+    A3 = np.array([[-1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 1.0, -3.0]])
+    model3 = bilinear(A3, np.diag([1.0, 1.0, 0.0]))
+    report3 = check_H1(model3, decomposition_from_axes(model3, (2,)))
+    assert not report3.passed
+    assert report3.details["worst_column"] == 1
 
 
 def test_gamma_is_smallest_positive_eigenvalue_on_complement():
@@ -153,10 +190,46 @@ def test_gamma_certificate_two_sided():
     assert good.passed
     assert good.details["max_violation"] <= 1e-9
     assert good.details["min_ratio"] <= gamma * (1.0 + 1e-6)
+    # the tightest row is the appended minimizing eigendirection, after the 200 draws
+    assert good.details["worst_sample"] == 200
     # too large: violated at the minimizing eigendirection
-    assert not gamma_certificate(model, dec, 1.5 * gamma, samples=200, seed=3).passed
+    bad = gamma_certificate(model, dec, 1.5 * gamma, samples=200, seed=3)
+    assert not bad.passed
+    assert bad.details["max_violation"] > 0.0
+    assert bad.details["worst_sample"] == 200
     # too small: holds everywhere but is no longer attained
     assert not gamma_certificate(model, dec, 0.5 * gamma, samples=200, seed=3).passed
+
+
+def test_certificates_match_a_per_sample_loop():
+    # reference: the certificates computed one W_perp column / one sample at a time
+    rng = np.random.default_rng(7)
+    R = rng.standard_normal((4, 4))
+    M = R @ R.T + 4.0 * np.eye(4)
+    Bsym = np.zeros((4, 4))
+    Bsym[2:, 2:] = np.array([[2.0, 0.5], [0.5, 1.0]])
+    B = scipy.linalg.solve(M, Bsym, assume_a="pos")
+    dec = unobservable_subspace(bilinear(np.diag([-1.0, -2.0, -3.0, -4.0]), B, M=M))
+    model = bilinear(rng.standard_normal((4, 4)), B, M=M)  # W_perp no longer invariant
+    Q, P = dec.wperp_basis, dec.projection
+    h1 = [np.sqrt(max((a - P @ a) @ M @ (a - P @ a), 0.0)) / max(1.0, np.sqrt(a @ M @ a))
+          for a in (model.generator @ v for v in Q.T)]
+    report = check_H1(model, dec)
+    assert report.details["invariance_residual"] == pytest.approx(max(h1), rel=1e-12)
+    assert report.details["worst_column"] == int(np.argmax(h1))
+
+    gamma = compute_gamma(model, dec)
+    coeffs = np.random.default_rng(4).standard_normal((300, Q.shape[1]))
+    restricted = Q.T @ M @ B @ Q
+    evals, evecs = scipy.linalg.eigh(0.5 * (restricted + restricted.T))
+    coeffs = np.vstack([coeffs, evecs[:, np.argmax(evals > 1e-12 * np.max(np.abs(evals)))]])
+    quad = np.array([(B @ Q @ c) @ M @ (Q @ c) for c in coeffs])
+    normsq = np.array([(B @ Q @ c) @ M @ (B @ Q @ c) for c in coeffs])
+    cert = gamma_certificate(model, dec, gamma, samples=300, seed=4)
+    assert cert.details["min_ratio"] == pytest.approx(np.min(normsq / quad), rel=1e-12)
+    assert cert.details["worst_sample"] == int(np.argmin(normsq / quad))
+    assert cert.details["max_violation"] == pytest.approx(
+        max(0.0, np.max(gamma * quad - normsq)), abs=1e-12)
 
 
 def test_delta_semantics():
@@ -206,3 +279,4 @@ def test_h2_oscillator_cross_coupling_defeats_any_constant():
                       samples=128, seed=0)
     assert not report.passed
     assert report.details["needed_phi"] == np.inf
+    assert 0 <= report.details["worst_sample"] < 128

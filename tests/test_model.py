@@ -41,6 +41,19 @@ def test_rejects_bad_shapes_and_labels():
         bilinear(-np.eye(2), np.eye(2), labels=("only_one",))
 
 
+def test_rejects_non_finite_entries():
+    eye = np.eye(2)
+    bad = np.array([[1.0, 0.0], [0.0, np.nan]])
+    with pytest.raises(ModelError, match="finite"):
+        bilinear(-eye, eye, M=np.diag([1.0, np.inf]))
+    with pytest.raises(ModelError, match="finite"):
+        bilinear(bad, eye)
+    with pytest.raises(ModelError, match="finite"):
+        bilinear(-eye, bad)
+    with pytest.raises(ModelError, match="finite"):
+        ModalModel(dim=2, metric=eye, generator=-eye, input_map=np.array([1.0, np.inf]))
+
+
 def test_default_labels_and_input_map_reshape():
     model = ModalModel(dim=3, metric=np.eye(3), generator=-np.eye(3),
                        input_map=np.array([0.0, 1.0, 0.0]))

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from finstab import (ConfigError, build_scenario, check_scenario, load_scenario,
                      run_scenario, scenario_from_json)
+from finstab import cli
 from finstab.scenario import hybrid_initial_state, parse_initial_state, resolve_seed
 from finstab.frontends import transport_heat_model
 from finstab import FrontendSpec
@@ -291,6 +293,31 @@ def test_cli_stall_exit_code(tmp_path):
     cp = run_cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
     assert cp.returncode == 3
     assert "status=stalled" in cp.stdout
+
+
+@pytest.mark.parametrize("matrices", [
+    {"dim": 2, "generator": [[-1.0, float("nan")], [0.0, -2.0]], "control_op": "identity"},
+    {"dim": 2, "metric": {"diagonal": [1.0, float("inf")]},
+     "generator": {"diagonal": [-1.0, -2.0]}, "control_op": "identity"},
+    {"dim": 2, "generator": {"diagonal": [-1.0, -2.0]},
+     "control_op": [[float("inf"), 0.0], [0.0, 1.0]]},
+])
+def test_cli_check_rejects_non_finite_matrices(tmp_path, capsys, matrices):
+    # json writes and reads these as NaN / Infinity
+    doc = {"name": "non-finite", "matrices": matrices,
+           "controller": {"variant": "BilinearPhi", "mu": 0.25},
+           "initial_state": [1.0, 1.0], "integration": {"t_max": 1.0}}
+    path = write_config(tmp_path, doc)
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    assert cli.main(["check", "--config", str(path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_cli_suite_prints_each_criterion_wall_time(capsys):
+    assert cli.main(["suite", "--filter", "c7-*"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.startswith("c7-decomposition-oracle")
+    assert re.search(r"\(\d+\.\d\d s\)$", header)
 
 
 def test_cli_suite_list_and_bad_filter():
