@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .model import ModelError
 from .scenario import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, ConfigError,
                        check_scenario, load_scenario, run_scenario)
 
@@ -38,6 +39,12 @@ def _cmd_run(args) -> int:
     for report in summary.get("checks", []):
         status = "pass" if report["passed"] else "FAIL"
         print(f"  [{status}] {report['name']}")
+    diag = summary.get("diagnostics", {})
+    if "rhs_calls" in diag:
+        dt_range = (f"[{diag['dt_min_accepted']:.3g}, {diag['dt_max_accepted']:.3g}]"
+                    if diag["steps"] else "none")
+        print(f"  stepper: {diag['steps']} steps, {diag['rejections']} rejections, "
+              f"{diag['rhs_calls']} RHS calls, accepted dt {dt_range}")
     settling = summary.get("settling_time")
     bound = summary.get("settling_bound")
     print(f"{summary['name']}: status={summary['status']} settling={settling} "
@@ -82,6 +89,9 @@ def main(argv=None) -> int:
         return _cmd_suite(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except ModelError as exc:
+        print(f"model error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

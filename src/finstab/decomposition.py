@@ -10,6 +10,7 @@ settling bounds.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,21 @@ class _NotNilpotent:
 
 
 NOT_NILPOTENT = _NotNilpotent()
+
+
+class SolverError(ModelError):
+    """A decomposition (SVD or eigensolver) did not converge on finite input."""
+
+
+def _solver_errors(fn):
+    """Re-raise a LinAlgError from fn's numpy/scipy solvers as a SolverError."""
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is the same class
+            raise SolverError(f"{fn.__name__}: {exc}") from exc
+    return wrapped
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,7 @@ def _null_space(mat: np.ndarray, cutoff: float) -> np.ndarray:
     return vt[int(np.sum(sv > cutoff)):].T
 
 
+@_solver_errors
 def unobservable_subspace(model: ModalModel) -> DecompositionResult:
     """Bases of W and W_perp plus the projector, by the invariant-subspace recursion.
 
@@ -160,6 +177,7 @@ def check_H1(model: ModalModel, dec: DecompositionResult) -> CheckReport:
     )
 
 
+@_solver_errors
 def compute_gamma(model: ModalModel, dec: DecompositionResult) -> float:
     """Largest gamma with gamma <Bx,x> <= ||Bx||^2 on W_perp.
 
@@ -195,6 +213,7 @@ def _as_bilinear(model: ModalModel) -> ModalModel:
     )
 
 
+@_solver_errors
 def gamma_certificate(model: ModalModel, dec: DecompositionResult, gamma: float,
                       samples: int = 1000, seed: int = 0) -> CheckReport:
     """Two-sided sample certificate: the bound holds everywhere and is attained.
@@ -260,6 +279,7 @@ def compute_delta(model: ModalModel, dec: DecompositionResult,
     return float(analytic_delta)
 
 
+@_solver_errors
 def check_H2(model: ModalModel, dec: DecompositionResult, phi, dead_zone: float,
              samples: int = 256, seed: int = 0) -> CheckReport:
     """Monte-Carlo margin certificate for <Ay,By> <= phi(y) ||By||^2 on W_perp.

@@ -87,6 +87,16 @@ def clamp_projector(model: ModalModel, dec: DecompositionResult) -> np.ndarray:
     return basis @ (basis.T @ model.metric)
 
 
+def _metric_normsq(rows: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """<x, M x> for each row x.
+
+    One BLAS product and a row-wise einsum: a three-operand einsum does the
+    n^2 work of every row in its own loop (9.5 ms against 0.2 ms for 1001
+    rows at n = 128 on a 2-vCPU x86 host).
+    """
+    return np.einsum("ij,ij->i", rows @ metric, rows)
+
+
 def _sample_grid(opts: IntegrationOpts) -> np.ndarray:
     ns = max(int(np.ceil(opts.t_max / opts.sample_dt - 1e-9)), 1) + 1
     return np.linspace(0.0, opts.t_max, ns)
@@ -107,20 +117,10 @@ def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
         gamma_eff = dec.gamma if dec.gamma is not None else 1.0
         trig_exp = spec.mu
     sample_ts = _sample_grid(opts)
-    (ys, us, Vs, status, n_steps, n_rej, n_sat, n_vinc, latch_time, clamp_time,
-     regrow, reached) = kernels.integrate_adaptive(y0, sample_ts, ops, C, gamma_eff,
-                                                   trig_exp, opts)
+    ys, us, Vs, status, reached, diagnostics = kernels.integrate_adaptive(
+        y0, sample_ts, ops, C, gamma_eff, trig_exp, opts)
     end = reached + 1
-    norms = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", ys[:end], model.metric, ys[:end]), 0.0))
-    diagnostics = {
-        "steps": int(n_steps),
-        "rejections": int(n_rej),
-        "saturation_events": int(n_sat),
-        "v_increase_events": int(n_vinc),
-        "latch_time": None if np.isnan(latch_time) else float(latch_time),
-        "clamp_time": None if np.isnan(clamp_time) else float(clamp_time),
-        "dead_zone_regrow": bool(regrow),
-    }
+    norms = np.sqrt(np.maximum(_metric_normsq(ys[:end], model.metric), 0.0))
     traj = Trajectory(
         times=sample_ts[:end], states=ys[:end], controls=us[:end],
         lyapunov=np.maximum(Vs[:end], 0.0), norms=norms,
@@ -188,27 +188,26 @@ def verify_split(model: ModalModel, dec: DecompositionResult, traj: Trajectory,
     P = dec.projection
     M = model.metric
     IP = np.eye(model.dim) - P
-    dt = float(traj.times[1] - traj.times[0]) if len(traj.times) > 1 else 0.0
+    ns = len(traj.times)
+    dt = float(traj.times[1] - traj.times[0]) if ns > 1 else 0.0
     E = scipy.linalg.expm(model.generator * dt)
-    w = IP @ traj.states[0]
-    worst = 0.0
+    # the reference path: z_0 = (I-P) y0, then one exact step per sample
+    zs = np.empty_like(traj.states)
+    zs[0] = IP @ traj.states[0]
     if not forced:
-        for i in range(len(traj.times)):
-            diff = IP @ traj.states[i] - w
-            worst = max(worst, float(np.sqrt(max(diff @ M @ diff, 0.0))))
-            w = E @ w
+        for i in range(1, ns):
+            zs[i] = E @ zs[i - 1]
         scale = max(1.0, float(np.sqrt(max(traj.states[0] @ M @ traj.states[0], 0.0))))
         tol = tol_split * scale
     else:
-        forcing = [IP @ (model.generator @ (P @ s)) for s in traj.states]
-        peak = max(float(np.sqrt(max(f @ M @ f, 0.0))) for f in forcing)
-        z = w
-        for i in range(len(traj.times)):
-            diff = IP @ traj.states[i] - z
-            worst = max(worst, float(np.sqrt(max(diff @ M @ diff, 0.0))))
-            if i + 1 < len(traj.times):
-                z = E @ z + 0.5 * dt * (E @ forcing[i] + forcing[i + 1])
+        forcing = traj.states @ (IP @ model.generator @ P).T   # row i: (I-P) A P y_i
+        peak = float(np.sqrt(max(np.max(_metric_normsq(forcing, M)), 0.0)))
+        kicks = 0.5 * dt * (forcing[:-1] @ E.T + forcing[1:])
+        for i in range(1, ns):
+            zs[i] = E @ zs[i - 1] + kicks[i - 1]
         tol = split_constant * dt * dt * max(1.0, peak)
+    zs -= traj.states @ IP.T   # in place: minus the deviation, one (ns, n) array fewer
+    worst = float(np.sqrt(max(np.max(_metric_normsq(zs, M)), 0.0)))
     return CheckReport("split", worst <= tol,
                        {"max_deviation": worst, "tolerance": tol, "forced": forced})
 

@@ -4,6 +4,9 @@ A law only ever reads P y, so its field is a fixed linear map of y plus one
 scalar law.  controllers.assemble_kernel_args folds that map into one stacked
 matrix per run (rows of A over the law's own rows); closed_loop_rhs applies
 it with one mat-vec and evaluates the law named by the variant.
+integrate_adaptive steps by the error control alone and fills the sample
+grid from the Dormand-Prince continuous extension, so the step count does
+not grow with the number of samples.
 Status codes: 0 completed, 3 stalled at dt_min.
 """
 from __future__ import annotations
@@ -23,6 +26,10 @@ _A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0
 _B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
 _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                                 -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# its free 4th-order continuous extension (Hairer, Norsett, Wanner, Solving ODEs I, II.6)
+_D1, _D3, _D4, _D5, _D6, _D7 = (-12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
+                                -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+                                -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0)
 
 
 def phi_value(phi, py: np.ndarray, eps_dz: float) -> float:
@@ -99,18 +106,24 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool):
 
 
 def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
-    """Adaptive Dormand-Prince 5(4) over a fixed sample grid.
+    """Adaptive Dormand-Prince 5(4) recorded on a fixed sample grid.
 
-    Steps never cross a sample time, so recorded states are step endpoints
-    (no dense interpolation).  The dead zone latches at the first accepted
-    step whose trigger falls below the dead zone; if the decay envelope then
-    predicts settling within one step, the observed component is clamped
-    to zero via the projector C.  opts supplies rtol, atol, dt_init, dt_min
-    and dt_max.
+    The error control alone sets the steps; only the last one is cut short,
+    to land on t_max.  Samples inside an accepted step are filled from the
+    free 4th-order continuous extension (dense output); a sample on a step
+    end takes the end state.  The dead zone latches at the first accepted
+    step end whose trigger falls below the dead zone; if the decay envelope
+    then predicts settling within one step, the observed component is
+    clamped to zero via the projector C.  opts supplies rtol, atol, dt_init,
+    dt_min and dt_max.
 
-    Returns (states, controls, lyapunov, status, n_steps, n_rejected,
-    n_saturated, n_v_increase, latch_time, clamp_time, regrow_flag,
-    reached_index).
+    Returns (states, controls, lyapunov, status, reached_index, stats); stats
+    holds the deterministic counters: steps, rejections, rhs_calls,
+    dt_min_accepted, dt_max_accepted, saturation_events, v_increase_events,
+    latch_time, clamp_time and dead_zone_regrow.  rhs_calls counts the
+    stages and the re-evaluation after a latch or clamp; the one call that
+    gives an interior sample its control and V is left out, so every counter
+    is independent of the sample grid.
     """
     rtol, atol, dt_min, dt_max = opts.rtol, opts.atol, opts.dt_min, opts.dt_max
     eps_dz = ops.spec.dead_zone
@@ -123,116 +136,123 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     Vs = np.zeros(ns)
     y = y0.copy()
     t = sample_ts[0]
-    latched = False
+    t_end = sample_ts[-1]
+    tol_t = 1e-14 * max(abs(t_end), 1.0)   # a sample this close to a step end lies on it
     clamped = False
     regrow = False
-    latch_time = np.nan
-    clamp_time = np.nan
+    latch_time = None
+    clamp_time = None
     n_steps = 0
     n_rejected = 0
     n_saturated = 0
     n_v_increase = 0
+    dt_lo = np.inf
+    dt_hi = 0.0
     status = STATUS_OK
 
-    dy, ctrl, trigger, V, sat = closed_loop_rhs(y, ops, latched)
+    k1, ctrl, trigger, V, _ = closed_loop_rhs(y, ops, False)
+    rhs_calls = 1
     ys[0] = y
     us[0] = ctrl
     Vs[0] = V
-    if controlled and trigger <= eps_dz:
-        latched = True
-        latch_time = t
-    k1 = dy
-    have_k1 = True
+    latched = controlled and trigger <= eps_dz
+    if latched:
+        latch_time = float(t)
     dt = opts.dt_init
-    reached = 0
-    for isamp in range(1, ns):
-        target = sample_ts[isamp]
-        bail = False
-        while t < target - 1e-14 * max(abs(target), 1.0):
-            h = dt
-            if h > dt_max:
-                h = dt_max
-            truncated = False
-            if h > target - t:
-                h = target - t
-                truncated = True
-            if h < dt_min:
-                h = dt_min
-            if not have_k1:
-                k1 = closed_loop_rhs(y, ops, latched)[0]
-                have_k1 = True
-            k2 = closed_loop_rhs(y + h * _A21 * k1, ops, latched)[0]
-            k3 = closed_loop_rhs(y + h * (_A31 * k1 + _A32 * k2), ops, latched)[0]
-            k4 = closed_loop_rhs(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), ops, latched)[0]
-            k5 = closed_loop_rhs(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
-                                 ops, latched)[0]
-            k6 = closed_loop_rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                                          + _A65 * k5), ops, latched)[0]
-            ynew = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-            k7, ctrl_new, trig_new, V_new, sat_new = closed_loop_rhs(ynew, ops, latched)
-            err = (h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-                   / (atol + rtol * np.maximum(np.abs(y), np.abs(ynew))))
-            errnorm = np.sqrt((err @ err) / n)
-            if errnorm <= 1.0:
-                n_steps += 1
-                if sat_new:
-                    n_saturated += 1
-                if V_new > V * (1.0 + 1e-9) + atol * atol:
-                    n_v_increase += 1
-                t = t + h
-                y = ynew
-                V = V_new
-                k1 = k7
-                have_k1 = True
-                fac = 5.0
-                if errnorm > 1e-12:
-                    fac = 0.9 * errnorm ** -0.2
-                    if fac > 5.0:
-                        fac = 5.0
-                    if fac < 0.2:
-                        fac = 0.2
-                if (not latched) and trig_new < 10.0 * eps_dz and fac > 1.0:
-                    fac = 1.0  # no step growth while resolving the dead-zone approach
-                # a step truncated to land on a sample boundary must not shrink
-                # the controller step, or dt never recovers between samples
-                if truncated:
-                    if h * fac > dt:
-                        dt = h * fac
-                else:
-                    dt = h * fac
-                if controlled and trig_new <= eps_dz:
-                    if not latched:
-                        latched = True
-                        latch_time = t
-                        have_k1 = False  # slope changes once the control is latched off
-                    if not clamped:
-                        remaining = trig_new ** trig_exp / (2.0 * gamma_eff * mu)
-                        if remaining <= dt:
-                            y = y - C @ y
-                            clamped = True
-                            clamp_time = t
-                            have_k1 = False
-                if latched and trig_new > 2.0 * eps_dz:
-                    regrow = True
-            else:
-                n_rejected += 1
-                fac = 0.9 * errnorm ** -0.2
-                if fac < 0.1:
-                    fac = 0.1
-                new_dt = h * fac
-                if h <= dt_min * (1.0 + 1e-12):
-                    status = STATUS_STALLED
-                    bail = True
-                    break
-                dt = new_dt if new_dt > dt_min else dt_min
-                have_k1 = True  # k1 is still the slope at (t, y)
-        if bail:
-            reached = isamp - 1
-            break
-        dy, ctrl, trigger, V, sat = closed_loop_rhs(y, ops, latched)
-        ys[isamp] = y
-        us[isamp] = ctrl
-        Vs[isamp] = V
-        reached = isamp
-    return (ys, us, Vs, status, n_steps, n_rejected, n_saturated, n_v_increase,
-            latch_time, clamp_time, regrow, reached)
+    nxt = 1  # next sample to record
+    while nxt < ns:
+        h = dt if dt < dt_max else dt_max
+        if h > t_end - t:
+            h = t_end - t
+        if h < dt_min:
+            h = dt_min
+        k2 = closed_loop_rhs(y + h * _A21 * k1, ops, latched)[0]
+        k3 = closed_loop_rhs(y + h * (_A31 * k1 + _A32 * k2), ops, latched)[0]
+        k4 = closed_loop_rhs(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), ops, latched)[0]
+        k5 = closed_loop_rhs(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
+                             ops, latched)[0]
+        k6 = closed_loop_rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                                      + _A65 * k5), ops, latched)[0]
+        ynew = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7, ctrl_new, trig_new, V_new, sat_new = closed_loop_rhs(ynew, ops, latched)
+        rhs_calls += 6
+        err = (h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+               / (atol + rtol * np.maximum(np.abs(y), np.abs(ynew))))
+        errnorm = np.sqrt((err @ err) / n)
+        if errnorm > 1.0:
+            n_rejected += 1
+            if h <= dt_min * (1.0 + 1e-12):
+                status = STATUS_STALLED
+                break
+            fac = 0.9 * errnorm ** -0.2
+            dt = max(h * max(fac, 0.1), dt_min)
+            continue  # k1 is still the slope at (t, y)
+        n_steps += 1
+        dt_lo = min(dt_lo, h)
+        dt_hi = max(dt_hi, h)
+        if sat_new:
+            n_saturated += 1
+        if V_new > V * (1.0 + 1e-9) + atol * atol:
+            n_v_increase += 1
+        t_new = t + h
+        inner = nxt
+        while inner < ns and sample_ts[inner] < t_new - tol_t:
+            inner += 1
+        if inner > nxt:
+            # dense output (Hairer's dopri5 contd5), reusing k1..k7
+            ydiff = ynew - y
+            bspl = h * k1 - ydiff
+            r4 = ydiff - h * k7 - bspl
+            r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
+            theta = ((sample_ts[nxt:inner] - t) / h)[:, None]
+            ys[nxt:inner] = y + theta * (ydiff + (1.0 - theta)
+                                         * (bspl + theta * (r4 + (1.0 - theta) * r5)))
+            for i in range(nxt, inner):
+                _, us[i], _, Vs[i], _ = closed_loop_rhs(ys[i], ops, latched)
+            nxt = inner
+        t = t_new
+        y = ynew
+        V = V_new
+        k1 = k7
+        ctrl = ctrl_new
+        fac = 5.0
+        if errnorm > 1e-12:
+            fac = min(max(0.9 * errnorm ** -0.2, 0.2), 5.0)
+        if (not latched) and trig_new < 10.0 * eps_dz and fac > 1.0:
+            fac = 1.0  # no step growth while resolving the dead-zone approach
+        dt = h * fac
+        if controlled and trig_new <= eps_dz:
+            changed = False
+            if not latched:
+                latched = True
+                latch_time = float(t)
+                changed = True
+            if not clamped and trig_new ** trig_exp / (2.0 * gamma_eff * mu) <= dt:
+                y = y - C @ y
+                clamped = True
+                clamp_time = float(t)
+                changed = True
+            if changed:
+                # the slope, control and V change with the latch or the clamp
+                k1, ctrl, _, V, _ = closed_loop_rhs(y, ops, latched)
+                rhs_calls += 1
+        if latched and trig_new > 2.0 * eps_dz:
+            regrow = True
+        if nxt < ns and sample_ts[nxt] <= t + tol_t:
+            ys[nxt] = y
+            us[nxt] = ctrl
+            Vs[nxt] = V
+            nxt += 1
+    stats = {
+        "steps": n_steps,
+        "rejections": n_rejected,
+        "rhs_calls": rhs_calls,
+        "dt_min_accepted": float(dt_lo) if n_steps else None,
+        "dt_max_accepted": float(dt_hi) if n_steps else None,
+        "saturation_events": n_saturated,
+        "v_increase_events": n_v_increase,
+        "latch_time": latch_time,
+        "clamp_time": clamp_time,
+        "dead_zone_regrow": regrow,
+    }
+    return ys, us, Vs, status, nxt - 1, stats

@@ -7,7 +7,8 @@ summary.json, and plot.svg in the output directory; transport grids add
 psi_initial.csv / psi_final.csv.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
-configuration, 3 the adaptive integrator stalled.
+configuration or a model the structural solvers cannot decompose (a
+ModelError reaching the CLI), 3 the adaptive integrator stalled.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from . import svgplot
 from .controllers import (UNBOUNDED, ControllerSpec, controller_from_json,
                           controller_to_json, settling_bound_details,
                           validate_rank_one_data)
-from .decomposition import (NOT_NILPOTENT, DecompositionResult, check_H1, check_H2,
-                            compute_delta, compute_gamma, gamma_certificate,
+from .decomposition import (NOT_NILPOTENT, DecompositionResult, SolverError, check_H1,
+                            check_H2, compute_delta, compute_gamma, gamma_certificate,
                             unobservable_subspace)
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         build_frontend, hybrid_decay_check, hybrid_split_check, hybrid_v,
@@ -192,6 +193,8 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         gamma_error = None
         try:
             gamma = compute_gamma(model, dec0)
+        except SolverError:
+            raise  # no verdict on H3: the run cannot go on
         except ModelError as exc:
             gamma = None
             gamma_error = str(exc)

@@ -280,3 +280,23 @@ def test_h2_oscillator_cross_coupling_defeats_any_constant():
     assert not report.passed
     assert report.details["needed_phi"] == np.inf
     assert 0 <= report.details["worst_sample"] < 128
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+@pytest.mark.parametrize("target, call", [
+    ("numpy.linalg.svd", lambda m, d: unobservable_subspace(m)),
+    ("scipy.linalg.eigvalsh", lambda m, d: compute_gamma(m, d)),
+    ("scipy.linalg.eigh", lambda m, d: gamma_certificate(m, d, 1.0, samples=10)),
+    ("scipy.linalg.eigh", lambda m, d: check_H2(m, d, PhiSpec("Constant", value=0.5),
+                                                DEFAULT_DEAD_ZONE, samples=10)),
+])
+def test_solver_failure_is_a_model_error(monkeypatch, target, call):
+    model = bilinear(np.diag([-1.0, -2.0, -3.0]), np.diag([0.0, 1.0, 1.0]))
+    dec = unobservable_subspace(model)
+    monkeypatch.setattr(target, _no_convergence)
+    with pytest.raises(ModelError, match="did not converge") as info:
+        call(model, dec)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

@@ -3,10 +3,11 @@ import pytest
 import scipy.linalg
 from dataclasses import replace
 
-from finstab import (ControllerSpec, IntegrationOpts, IntegrationStalledError,
-                     ModalModel, ModelError, Trajectory, compute_delta, compute_gamma,
-                     simulate, unobservable_subspace, verify_decay,
-                     verify_lyapunov_stability, verify_split)
+from finstab import (ControllerSpec, FrontendSpec, IntegrationOpts, IntegrationStalledError,
+                     ModalModel, ModelError, Trajectory, build_frontend, build_scenario,
+                     compute_delta, compute_gamma, kernels, scenario_from_json, simulate,
+                     unobservable_subspace, verify_decay, verify_lyapunov_stability,
+                     verify_split)
 from finstab.integrator import clamp_projector
 
 
@@ -183,3 +184,130 @@ def test_clamp_projector_targets_the_controlled_range():
     full = bilinear(np.diag([-1.0, -2.0]), np.eye(2))
     Cf = clamp_projector(full, finished_dec(full))
     assert np.allclose(Cf, np.eye(2), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Dense output: the sample grid is filled from the continuous extension
+
+
+def heat_model():
+    bundle = build_frontend(FrontendSpec(kind="Heat1D", n_modes=8))
+    return bundle.model, bundle.dec
+
+
+def heat_closed_loop(sample_dt, t_max=0.5):
+    model, dec = heat_model()
+    y0 = np.zeros(8)
+    y0[1], y0[2] = 1.0, 0.5
+    spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
+    return simulate(model, dec, spec, y0, IntegrationOpts(t_max=t_max, sample_dt=sample_dt))
+
+
+def test_steps_do_not_depend_on_the_sample_grid():
+    fine = heat_closed_loop(1e-3)
+    coarse = heat_closed_loop(0.05)
+    assert fine.diagnostics["clamp_time"] is not None
+    for key in ("steps", "rejections", "rhs_calls", "dt_min_accepted", "dt_max_accepted",
+                "latch_time", "clamp_time"):
+        assert fine.diagnostics[key] == coarse.diagnostics[key], key
+    shared = np.arange(0, len(fine.times), 50)
+    assert np.allclose(fine.times[shared], coarse.times, rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(fine.states[shared] - coarse.states)) <= 1e-12
+
+
+def test_dense_output_matches_the_free_flow_between_steps():
+    model = bilinear(np.diag([-1.0, -3.0]), np.eye(2))
+    y0 = np.array([1.0, -2.0])
+    traj = simulate(model, finished_dec(model), ControllerSpec(variant="ZeroControl"), y0,
+                    IntegrationOpts(t_max=1.0, sample_dt=1e-4))
+    assert traj.diagnostics["steps"] * 20 < len(traj.times)  # nearly all samples are interior
+    exact = np.exp(np.outer(traj.times, np.diag(model.generator))) * y0
+    assert np.allclose(traj.states, exact, rtol=1e-8, atol=0.0)
+    assert np.all(traj.controls == 0.0)
+    assert np.allclose(traj.lyapunov, np.sum(exact * exact, axis=1), rtol=1e-8)
+
+
+def test_heat_settling_takes_few_steps_per_sample():
+    from finstab.suite import SCENARIOS
+    built = build_scenario(scenario_from_json(SCENARIOS["heat-settling"]))
+    traj = simulate(built.model, built.dec, built.spec, built.y0, built.opts)
+    assert traj.diagnostics["steps"] / (len(traj.times) - 1) < 0.2
+
+
+@pytest.mark.parametrize("event", ["latch_time", "clamp_time"])
+def test_sample_on_the_latch_or_clamp_step_end(event):
+    first = heat_closed_loop(0.05).diagnostics
+    assert first["latch_time"] < first["clamp_time"]   # two different steps
+    at = first[event]
+    # a grid on [0, 2 at] whose middle sample is that step's end
+    traj = heat_closed_loop(at / 1000.0, t_max=2.0 * at)
+    assert traj.diagnostics[event] == at
+    mid = 1000
+    assert abs(traj.times[mid] - at) <= 1e-14
+    if event == "latch_time":
+        assert traj.controls[mid - 1, 0] != 0.0    # interior sample, dead zone still open
+    assert np.all(traj.controls[mid:] == 0.0)
+    # V is that of the recorded state, after the clamp where there is one
+    model, dec = heat_model()
+    py = traj.states[mid] @ dec.projection.T
+    V = py @ model.metric @ model.control_op @ py
+    assert traj.lyapunov[mid] == pytest.approx(V, rel=1e-9, abs=1e-30)
+
+
+def test_rhs_calls_counts_every_stepper_evaluation(monkeypatch):
+    calls = []
+    rhs = kernels.closed_loop_rhs
+
+    def counting(*args):
+        calls.append(1)
+        return rhs(*args)
+
+    monkeypatch.setattr(kernels, "closed_loop_rhs", counting)
+    # one sample interval: t_max is a step end, so no interior sample is evaluated
+    traj = heat_closed_loop(0.5)
+    diag = traj.diagnostics
+    assert len(traj.times) == 2
+    assert diag["rhs_calls"] == len(calls)
+    assert diag["rhs_calls"] >= 6 * (diag["steps"] + diag["rejections"]) + 1
+    assert 1e-12 <= diag["dt_min_accepted"] <= diag["dt_max_accepted"] <= 0.05
+
+
+def _split_deviation_loop(model, dec, traj, forced):
+    """Per-sample reference for verify_split's max_deviation and tolerance."""
+    P, M = dec.projection, model.metric
+    IP = np.eye(model.dim) - P
+    dt = float(traj.times[1] - traj.times[0])
+    E = scipy.linalg.expm(model.generator * dt)
+    forcing = [IP @ (model.generator @ (P @ s)) for s in traj.states]
+    z = IP @ traj.states[0]
+    worst = 0.0
+    for i in range(len(traj.times)):
+        diff = IP @ traj.states[i] - z
+        worst = max(worst, float(np.sqrt(max(diff @ M @ diff, 0.0))))
+        if i + 1 < len(traj.times):
+            kick = 0.5 * dt * (E @ forcing[i] + forcing[i + 1]) if forced else 0.0
+            z = E @ z + kick
+    if not forced:
+        return worst, 1e-8 * max(1.0, float(np.sqrt(traj.states[0] @ M @ traj.states[0])))
+    peak = max(float(np.sqrt(max(f @ M @ f, 0.0))) for f in forcing)
+    return worst, 100.0 * dt * dt * max(1.0, peak)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_verify_split_matches_the_per_sample_loop(forced):
+    # the forced-split system in skewed coordinates with the matching metric,
+    # so P is a full matrix rather than a 0/1 mask
+    A = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]])
+    T = np.array([[1.0, 0.3, -0.2], [0.1, 1.0, 0.4], [0.0, -0.5, 1.0]])
+    Ti = np.linalg.inv(T)
+    model = ModalModel(dim=3, metric=Ti.T @ Ti, generator=T @ A @ Ti,
+                       control_op=T @ np.diag([0.0, 1.0, 1.0]) @ Ti)
+    dec = finished_dec(model)
+    assert np.max(np.abs(dec.projection - np.round(dec.projection))) > 1e-3
+    traj = simulate(model, dec, ControllerSpec(variant="BilinearPhi", mu=0.25),
+                    T @ np.array([0.5, 1.0, 1.0]), IntegrationOpts(t_max=1.0, sample_dt=0.01))
+    report = verify_split(model, dec, traj, forced=forced)
+    worst, tol = _split_deviation_loop(model, dec, traj, forced)
+    assert report.details["tolerance"] == pytest.approx(tol, rel=1e-12)
+    assert report.details["max_deviation"] == pytest.approx(worst, rel=1e-9, abs=1e-15)
+    assert worst > 1e-6   # the comparison is not between two zeros

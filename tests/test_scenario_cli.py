@@ -4,12 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from finstab import (ConfigError, build_scenario, check_scenario, load_scenario,
                      run_scenario, scenario_from_json)
-from finstab import cli
+from finstab import cli, decomposition
 from finstab.scenario import hybrid_initial_state, parse_initial_state, resolve_seed
 from finstab.frontends import transport_heat_model
 from finstab import FrontendSpec
@@ -311,6 +314,56 @@ def test_cli_check_rejects_non_finite_matrices(tmp_path, capsys, matrices):
     assert "NaN" in path.read_text() or "Infinity" in path.read_text()
     assert cli.main(["check", "--config", str(path)]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_cli_run_prints_the_stepper_line(tmp_path, capsys):
+    path = write_config(tmp_path, heat_doc())
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    diag = json.loads((out / "summary.json").read_text(encoding="utf-8"))["diagnostics"]
+    stepper = [i for i, line in enumerate(lines) if line.startswith("  stepper:")]
+    assert len(stepper) == 1
+    # after the check table, before the closing status line
+    assert lines[stepper[0] - 1].startswith("  [") and "status=ok" in lines[-1]
+    assert lines[stepper[0]] == (
+        f"  stepper: {diag['steps']} steps, {diag['rejections']} rejections, "
+        f"{diag['rhs_calls']} RHS calls, accepted dt "
+        f"[{diag['dt_min_accepted']:.3g}, {diag['dt_max_accepted']:.3g}]")
+    assert sorted(p.name for p in out.iterdir()) == ["plot.svg", "summary.json",
+                                                     "trajectory.csv"]
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+def solver_config(tmp_path):
+    return write_config(tmp_path, {
+        "name": "solver",
+        "matrices": {"dim": 2, "generator": {"diagonal": [-1.0, -2.0]},
+                     "control_op": "identity"},
+        "controller": {"variant": "BilinearPhi", "mu": 0.25},
+        "initial_state": [1.0, 1.0], "integration": {"t_max": 1.0}})
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_cli_solver_failure_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+    args = [command, "--config", str(solver_config(tmp_path))]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    assert "model error: unobservable_subspace: did not converge" in capsys.readouterr().err
+
+
+def test_cli_gamma_solver_failure_is_not_an_h3_verdict(tmp_path, capsys, monkeypatch):
+    # only the decomposition module's eigvalsh fails; the model checks keep theirs
+    linalg = SimpleNamespace(eigvalsh=_no_convergence, eigh=scipy.linalg.eigh,
+                             svd=scipy.linalg.svd)
+    monkeypatch.setattr(decomposition, "scipy", SimpleNamespace(linalg=linalg))
+    assert cli.main(["check", "--config", str(solver_config(tmp_path))]) == 2
+    assert "model error: compute_gamma: did not converge" in capsys.readouterr().err
 
 
 def test_cli_suite_prints_each_criterion_wall_time(capsys):
