@@ -30,7 +30,8 @@ from .scenario import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, EXIT_STALL
 
 __version__ = "0.1.0"
 
-# the integration kernels are plain numpy; benchmark records still read this flag
+# the integration kernels are plain numpy; benchmark records still read this
+# flag (ROADMAP item 1)
 USING_NUMBA = False
 
 __all__ = [
@@ -55,3 +56,8 @@ __all__ = [
     "ConfigError", "ScenarioConfig", "build_scenario", "check_scenario",
     "load_scenario", "run_scenario", "scenario_from_json",
 ]
+
+# Benchmark records read the version of the oracle's linear-algebra package
+# from sys.modules; the run path no longer imports it, the suite's c7 oracle
+# does (ROADMAP item 1).
+from . import suite  # noqa: E402,F401

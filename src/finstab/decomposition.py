@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .model import CheckReport, ModalModel, ModelError, validate_control_operator
@@ -33,18 +32,26 @@ class _NotNilpotent:
 
 NOT_NILPOTENT = _NotNilpotent()
 
+# every SVD and eigensolver here is looked up through this one name, so this
+# module's solvers can be replaced without touching the model checks' own
+linalg = np.linalg
+
 
 class SolverError(ModelError):
     """A decomposition (SVD or eigensolver) did not converge on finite input."""
 
 
 def _solver_errors(fn):
-    """Re-raise a LinAlgError from fn's numpy/scipy solvers as a SolverError."""
+    """Re-raise a LinAlgError from fn's solvers as a SolverError (a ModelError).
+
+    A solver that does not converge on finite input is a property of the
+    model, not a verdict on a hypothesis, so callers end with exit code 2.
+    """
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is the same class
+        except np.linalg.LinAlgError as exc:
             raise SolverError(f"{fn.__name__}: {exc}") from exc
     return wrapped
 
@@ -74,9 +81,19 @@ def _metric_orthonormalize(vecs: np.ndarray, metric: np.ndarray) -> np.ndarray:
     if vecs.shape[1] == 0:
         return vecs
     gram = vecs.T @ metric @ vecs
-    evals, evecs = scipy.linalg.eigh(gram)
+    evals, evecs = linalg.eigh(gram)
     keep = evals > 1e-14 * max(evals.max(), 1.0)
     return vecs @ (evecs[:, keep] / np.sqrt(evals[keep]))
+
+
+def _metric_normsq(rows: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """<x, M x> for each row x.
+
+    One BLAS product and a row-wise einsum: a three-operand einsum does the
+    n^2 work of every row in its own loop (9.5 ms against 0.2 ms for 1001
+    rows at n = 128 on a 2-vCPU x86 host).
+    """
+    return np.einsum("ij,ij->i", rows @ metric, rows)
 
 
 def _projector_from_basis(wperp: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -93,7 +110,7 @@ def _effective_control_matrix(model: ModalModel) -> np.ndarray:
 
 def _null_space(mat: np.ndarray, cutoff: float) -> np.ndarray:
     """Orthonormal basis of the right singular vectors with sigma <= cutoff."""
-    _, sv, vt = np.linalg.svd(mat)
+    _, sv, vt = linalg.svd(mat)
     return vt[int(np.sum(sv > cutoff)):].T
 
 
@@ -124,7 +141,7 @@ def unobservable_subspace(model: ModalModel) -> DecompositionResult:
         wperp_basis = _metric_orthonormalize(np.eye(n), model.metric)
     else:
         # W_perp = null space of (w_basis^T M): metric-orthogonality to W
-        _, sv2, vt2 = scipy.linalg.svd(w_basis.T @ model.metric, full_matrices=True)
+        _, sv2, vt2 = linalg.svd(w_basis.T @ model.metric)
         rank2 = int(np.sum(sv2 > KERNEL_RTOL * max(sv2[0], 1.0)))
         wperp_basis = _metric_orthonormalize(vt2[rank2:].T, model.metric)
     projection = _projector_from_basis(wperp_basis, model.metric)
@@ -193,7 +210,7 @@ def compute_gamma(model: ModalModel, dec: DecompositionResult) -> float:
     Q = dec.wperp_basis
     restricted = Q.T @ model.metric @ B @ Q
     restricted = 0.5 * (restricted + restricted.T)
-    evals = scipy.linalg.eigvalsh(restricted)
+    evals = linalg.eigvalsh(restricted)
     positive = evals[evals > 1e-12 * max(np.max(np.abs(evals)), 1.0)]
     if positive.size == 0:
         raise ModelError("control operator vanishes on W_perp")
@@ -234,7 +251,7 @@ def gamma_certificate(model: ModalModel, dec: DecompositionResult, gamma: float,
     # include the minimizing eigendirection so the bound is witnessed as tight
     restricted = Q.T @ M @ B @ Q
     restricted = 0.5 * (restricted + restricted.T)
-    evals, evecs = scipy.linalg.eigh(restricted)
+    evals, evecs = linalg.eigh(restricted)
     positive = np.where(evals > 1e-12 * max(np.max(np.abs(evals)), 1.0))[0]
     if positive.size:
         coeffs = np.vstack([coeffs, evecs[:, positive[0]]])
@@ -301,29 +318,21 @@ def check_H2(model: ModalModel, dec: DecompositionResult, phi, dead_zone: float,
     if k == 0:
         return CheckReport("H2", True, {"dim_wperp": 0})
     rng = np.random.default_rng(seed)
-    min_margin = np.inf
-    worst_sample = 0
-    prev = None
-    lipschitz = 0.0
-    for i in range(samples):
-        c = rng.standard_normal(k)
-        y = Q @ c
-        y = y / max(np.sqrt(y @ M @ y), 1e-300)
-        by = B @ y
-        pairing = float((A @ y) @ M @ by)
-        bnormsq = float(by @ M @ by)
-        phi_y = kernels.phi_value(phi, y, dead_zone)
-        margin = phi_y * bnormsq - pairing
-        if margin < min_margin:
-            min_margin, worst_sample = margin, i
-        cur = (y, phi_y * by)
-        if prev is not None:
-            dy = cur[0] - prev[0]
-            dist = float(np.sqrt(max(dy @ M @ dy, 0.0)))
-            if dist > 1e-12:
-                df = cur[1] - prev[1]
-                lipschitz = max(lipschitz, float(np.sqrt(max(df @ M @ df, 0.0))) / dist)
-        prev = cur
+    # one row per sample: y = Q c normalised in the metric
+    ys = rng.standard_normal((samples, k)) @ Q.T
+    ys /= np.maximum(np.sqrt(np.maximum(_metric_normsq(ys, M), 0.0)), 1e-300)[:, None]
+    bys = ys @ B.T
+    pairing = np.einsum("ij,ij->i", (ys @ A.T) @ M, bys)
+    phi_y = kernels.phi_value(phi, ys, dead_zone)
+    margins = phi_y * _metric_normsq(bys, M) - pairing
+    worst_sample = int(np.argmin(margins))
+    min_margin = margins[worst_sample]
+    # Lipschitz quotients of y -> phi(y) B y between consecutive draws
+    dist = np.sqrt(np.maximum(_metric_normsq(np.diff(ys, axis=0), M), 0.0))
+    dfs = np.diff((phi_y * bys.T).T, axis=0)
+    apart = dist > 1e-12
+    lipschitz = float(np.max(np.sqrt(np.maximum(_metric_normsq(dfs[apart], M), 0.0))
+                             / dist[apart], initial=0.0))
     details = {"min_margin": float(min_margin), "worst_sample": worst_sample,
                "lipschitz_estimate": lipschitz}
     if phi.kind in ("Zero", "Constant"):
@@ -344,7 +353,7 @@ def _exact_constant_phi(A: np.ndarray, B: np.ndarray, M: np.ndarray, Q: np.ndarr
     S_r = Q.T @ S @ Q
     G_r = Q.T @ G @ Q
     G_r = 0.5 * (G_r + G_r.T)
-    evals, evecs = scipy.linalg.eigh(G_r)
+    evals, evecs = linalg.eigh(G_r)
     tol = 1e-12 * max(np.max(np.abs(evals)), 1.0)
     pos = evals > tol
     if not np.any(pos):
@@ -358,5 +367,5 @@ def _exact_constant_phi(A: np.ndarray, B: np.ndarray, M: np.ndarray, Q: np.ndarr
             return np.inf
     reduced = (U_pos / np.sqrt(evals[pos])).T @ S_r @ (U_pos / np.sqrt(evals[pos]))
     reduced = 0.5 * (reduced + reduced.T)
-    lam = float(np.max(scipy.linalg.eigvalsh(reduced)))
+    lam = float(np.max(linalg.eigvalsh(reduced)))
     return max(lam, 0.0)

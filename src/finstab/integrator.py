@@ -8,16 +8,16 @@ pre-settling Lyapunov stability bound.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .controllers import ControllerSpec, assemble_kernel_args
 from .decomposition import (DecompositionResult, _effective_control_matrix,
-                            _metric_orthonormalize)
+                            _metric_normsq, _metric_orthonormalize)
 from .model import CheckReport, ModalModel, ModelError
 
 
@@ -81,20 +81,52 @@ def clamp_projector(model: ModalModel, dec: DecompositionResult) -> np.ndarray:
     shows up as regrowth instead of being hidden.
     """
     cols = _effective_control_matrix(model) @ dec.projection
-    u, sv, _ = scipy.linalg.svd(cols)
+    u, sv, _ = np.linalg.svd(cols)
     rank = int(np.sum(sv > 1e-12 * max(sv[0] if sv.size else 1.0, 1.0)))
     basis = _metric_orthonormalize(u[:, :rank], model.metric)
     return basis @ (basis.T @ model.metric)
 
 
-def _metric_normsq(rows: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """<x, M x> for each row x.
+# largest 1-norms for which the [m/m] Pade approximant of exp is accurate to
+# double precision (Higham 2005, SIAM J. Matrix Anal. Appl. 26, Table 2.3)
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+               (13, 5.371920351148152e0))
 
-    One BLAS product and a row-wise einsum: a three-operand einsum does the
-    n^2 work of every row in its own loop (9.5 ms against 0.2 ms for 1001
-    rows at n = 128 on a 2-vCPU x86 host).
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham 2005, Algorithm 2.3).
+
+    The lowest Pade degree m whose theta_m bounds ||A||_1 is used unscaled;
+    beyond theta_13, A is halved s times to within it, and the [13/13]
+    approximant is squared s times.
     """
-    return np.einsum("ij,ij->i", rows @ metric, rows)
+    norm1 = np.linalg.norm(A, 1)
+    s = 0
+    for m, theta in _PADE_THETA:
+        if norm1 <= theta:
+            break
+    else:
+        s = max(0, math.ceil(math.log2(norm1 / theta)))
+        A = A / 2.0 ** s
+    # [m/m] coefficients b_j = (2m - j)! m! / ((2m)! j! (m - j)!), split into
+    # the odd part U = A sum b_{2i+1} A^{2i} and the even part V = sum b_{2i} A^{2i}
+    b = [math.factorial(2 * m - j) * math.factorial(m)
+         / (math.factorial(2 * m) * math.factorial(j) * math.factorial(m - j))
+         for j in range(m + 1)]
+    power = np.eye(A.shape[0])
+    A2 = A @ A
+    odd = b[1] * power
+    even = b[0] * power
+    for i in range(1, m // 2 + 1):
+        power = power @ A2
+        odd += b[2 * i + 1] * power
+        even += b[2 * i] * power
+    U = A @ odd
+    E = np.linalg.solve(even - U, even + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def _sample_grid(opts: IntegrationOpts) -> np.ndarray:
@@ -190,7 +222,7 @@ def verify_split(model: ModalModel, dec: DecompositionResult, traj: Trajectory,
     IP = np.eye(model.dim) - P
     ns = len(traj.times)
     dt = float(traj.times[1] - traj.times[0]) if ns > 1 else 0.0
-    E = scipy.linalg.expm(model.generator * dt)
+    E = expm(model.generator * dt)
     # the reference path: z_0 = (I-P) y0, then one exact step per sample
     zs = np.empty_like(traj.states)
     zs[0] = IP @ traj.states[0]

@@ -32,19 +32,23 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (-12715105075.0 / 11282082432.0, 87487479700.0 / 
                                 -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0)
 
 
-def phi_value(phi, py: np.ndarray, eps_dz: float) -> float:
-    """Compensation phi(Py) for a PhiSpec.
+def phi_value(phi, py: np.ndarray, eps_dz: float):
+    """Compensation phi(Py) for a PhiSpec, at one state or at each row of a block.
 
     WaveK is min(cap, max_i |pos_i| / max(|vel_i|, eps_dz)) over the first q
-    oscillator blocks, pos_i = py[i] and vel_i = py[half + i].
+    oscillator blocks, pos_i = py[..., i] and vel_i = py[..., half + i].  Zero
+    and Constant give one scalar for a block too.
     """
     if phi.kind == "Zero":
         return 0.0
     if phi.kind == "Constant":
         return phi.value
-    pos = np.abs(py[:phi.q])
-    vel = np.maximum(np.abs(py[phi.half:phi.half + phi.q]), eps_dz)
-    return min(float(np.max(pos / vel)), phi.cap)
+    pos = np.abs(py[..., :phi.q])
+    vel = np.maximum(np.abs(py[..., phi.half:phi.half + phi.q]), eps_dz)
+    ratio = (pos / vel).max(axis=-1)
+    if py.ndim == 1:
+        return min(float(ratio), phi.cap)
+    return np.minimum(ratio, phi.cap)
 
 
 def closed_loop_rhs(y: np.ndarray, ops, latched: bool):

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 # States are plain coefficient vectors in the model basis.
 StateVec = np.ndarray
@@ -70,7 +69,7 @@ class ModalModel:
             raise ModelError("metric and generator must be finite")
         if np.max(np.abs(metric - metric.T)) > SYM_TOL * max(1.0, np.max(np.abs(metric))):
             raise ModelError("metric must be symmetric")
-        if np.min(scipy.linalg.eigvalsh(metric)) <= 0:
+        if np.min(np.linalg.eigvalsh(metric)) <= 0:
             raise ModelError("metric must be positive definite")
         if (self.control_op is None) == (self.input_map is None):
             raise ModelError("exactly one of control_op / input_map must be present")
@@ -118,6 +117,17 @@ def norm(model: ModalModel, x: StateVec) -> float:
     return float(np.sqrt(max(inner(model, x, x), 0.0)))
 
 
+def pencil_eigvalsh(S: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric-definite pencil (S, M), ascending.
+
+    With the Cholesky factor M = L L^T these are the eigenvalues of
+    L^-1 S L^-T, the reduction LAPACK's sygvd makes.
+    """
+    L = np.linalg.cholesky(M)
+    C = np.linalg.solve(L, np.linalg.solve(L, S).T)
+    return np.linalg.eigvalsh(0.5 * (C + C.T))
+
+
 def quasi_contraction_type(model: ModalModel) -> float:
     """Smallest omega with <Ax,x> <= omega <x,x> for all x.
 
@@ -126,7 +136,7 @@ def quasi_contraction_type(model: ModalModel) -> float:
     """
     M = model.metric
     S = 0.5 * (model.generator.T @ M + M @ model.generator)
-    return float(np.max(scipy.linalg.eigvalsh(S, M)))
+    return float(np.max(pencil_eigvalsh(S, M)))
 
 
 def validate_control_operator(model: ModalModel) -> CheckReport:
@@ -138,7 +148,7 @@ def validate_control_operator(model: ModalModel) -> CheckReport:
     # <Be_i, e_j> - <e_i, Be_j> = (B^T M - M B)_{ij}
     residual = float(np.max(np.abs(B.T @ M - M @ B)))
     S = 0.5 * (B.T @ M + M @ B)
-    min_quotient = float(np.min(scipy.linalg.eigvalsh(S, M)))
+    min_quotient = float(np.min(pencil_eigvalsh(S, M)))
     passed = residual < STRUCT_TOL and min_quotient > -STRUCT_TOL
     return CheckReport(
         "control_operator",

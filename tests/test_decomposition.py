@@ -8,6 +8,7 @@ from finstab import (DEFAULT_DEAD_ZONE, NOT_NILPOTENT, FrontendSpec, ModalModel,
                      PhiSpec, build_frontend, check_H1, check_H2, compute_delta,
                      compute_gamma, decomposition_from_axes, gamma_certificate,
                      model_from_json, model_to_json, unobservable_subspace)
+from finstab import kernels
 
 
 def bilinear(A, B, M=None):
@@ -232,6 +233,46 @@ def test_certificates_match_a_per_sample_loop():
         max(0.0, np.max(gamma * quad - normsq)), abs=1e-12)
 
 
+def _h2_loop(model, dec, phi, dead_zone, samples, seed):
+    """Per-sample reference for check_H2: (min_margin, worst_sample, lipschitz_estimate)."""
+    A, M, Q = model.generator, model.metric, dec.wperp_basis
+    B = model.control_op
+    rng = np.random.default_rng(seed)
+    margins, points = [], []
+    for _ in range(samples):
+        y = Q @ rng.standard_normal(Q.shape[1])
+        y = y / max(np.sqrt(y @ M @ y), 1e-300)
+        by = B @ y
+        phi_y = kernels.phi_value(phi, y, dead_zone)
+        margins.append(phi_y * (by @ M @ by) - (A @ y) @ M @ by)
+        points.append((y, phi_y * by))
+    lipschitz = 0.0
+    for (y0, f0), (y1, f1) in zip(points, points[1:]):
+        dist = np.sqrt(max((y1 - y0) @ M @ (y1 - y0), 0.0))
+        if dist > 1e-12:
+            lipschitz = max(lipschitz, np.sqrt(max((f1 - f0) @ M @ (f1 - f0), 0.0)) / dist)
+    return min(margins), int(np.argmin(margins)), lipschitz
+
+
+@pytest.mark.parametrize("phi", [PhiSpec("Zero"), PhiSpec("Constant", value=0.4),
+                                 PhiSpec("WaveK", cap=3.0, q=2, half=3)])
+def test_h2_matches_a_per_sample_loop(phi):
+    rng = np.random.default_rng(11)
+    R = rng.standard_normal((6, 6))
+    M = R @ R.T + 6.0 * np.eye(6)
+    Bsym = np.zeros((6, 6))
+    Bsym[1:, 1:] = np.diag([2.0, 1.0, 0.5, 1.5, 3.0])
+    B = scipy.linalg.solve(M, Bsym, assume_a="pos")
+    model = bilinear(rng.standard_normal((6, 6)), B, M=M)
+    dec = unobservable_subspace(bilinear(-np.eye(6), B, M=M))
+    min_margin, worst, lipschitz = _h2_loop(model, dec, phi, DEFAULT_DEAD_ZONE, 300, 5)
+    report = check_H2(model, dec, phi, DEFAULT_DEAD_ZONE, samples=300, seed=5)
+    assert report.details["min_margin"] == pytest.approx(min_margin, rel=1e-12)
+    assert report.details["worst_sample"] == worst
+    assert report.details["lipschitz_estimate"] == pytest.approx(lipschitz, rel=1e-12)
+    assert (lipschitz > 0.0) == (phi.kind != "Zero")
+
+
 def test_delta_semantics():
     observable = bilinear(np.diag([-1.0, -2.0]), np.eye(2))
     dec0 = unobservable_subspace(observable)
@@ -288,9 +329,9 @@ def _no_convergence(*args, **kwargs):
 
 @pytest.mark.parametrize("target, call", [
     ("numpy.linalg.svd", lambda m, d: unobservable_subspace(m)),
-    ("scipy.linalg.eigvalsh", lambda m, d: compute_gamma(m, d)),
-    ("scipy.linalg.eigh", lambda m, d: gamma_certificate(m, d, 1.0, samples=10)),
-    ("scipy.linalg.eigh", lambda m, d: check_H2(m, d, PhiSpec("Constant", value=0.5),
+    ("numpy.linalg.eigvalsh", lambda m, d: compute_gamma(m, d)),
+    ("numpy.linalg.eigh", lambda m, d: gamma_certificate(m, d, 1.0, samples=10)),
+    ("numpy.linalg.eigh", lambda m, d: check_H2(m, d, PhiSpec("Constant", value=0.5),
                                                 DEFAULT_DEAD_ZONE, samples=10)),
 ])
 def test_solver_failure_is_a_model_error(monkeypatch, target, call):

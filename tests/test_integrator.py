@@ -8,7 +8,7 @@ from finstab import (ControllerSpec, FrontendSpec, IntegrationOpts, IntegrationS
                      compute_delta, compute_gamma, kernels, scenario_from_json, simulate,
                      unobservable_subspace, verify_decay, verify_lyapunov_stability,
                      verify_split)
-from finstab.integrator import clamp_projector
+from finstab.integrator import clamp_projector, expm
 
 
 def finished_dec(model):
@@ -273,11 +273,14 @@ def test_rhs_calls_counts_every_stepper_evaluation(monkeypatch):
 
 
 def _split_deviation_loop(model, dec, traj, forced):
-    """Per-sample reference for verify_split's max_deviation and tolerance."""
+    """Per-sample reference for verify_split's max_deviation and tolerance.
+
+    It takes verify_split's own exponential, so only the summation order differs.
+    """
     P, M = dec.projection, model.metric
     IP = np.eye(model.dim) - P
     dt = float(traj.times[1] - traj.times[0])
-    E = scipy.linalg.expm(model.generator * dt)
+    E = expm(model.generator * dt)
     forcing = [IP @ (model.generator @ (P @ s)) for s in traj.states]
     z = IP @ traj.states[0]
     worst = 0.0
@@ -311,3 +314,26 @@ def test_verify_split_matches_the_per_sample_loop(forced):
     assert report.details["tolerance"] == pytest.approx(tol, rel=1e-12)
     assert report.details["max_deviation"] == pytest.approx(worst, rel=1e-9, abs=1e-15)
     assert worst > 1e-6   # the comparison is not between two zeros
+
+
+@pytest.mark.parametrize("norm1", [1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3])
+@pytest.mark.parametrize("kind", ["skew", "dissipative", "non-normal"])
+def test_expm_matches_scipy(kind, norm1):
+    rng = np.random.default_rng(7)
+    for n in (2, 5, 12):
+        G = rng.standard_normal((n, n))
+        if kind == "skew":
+            G = G - G.T
+        elif kind == "dissipative":
+            G = -G @ G.T
+        A = G * (norm1 / np.max(np.sum(np.abs(G), axis=0)))
+        ref = scipy.linalg.expm(A)
+        assert np.max(np.abs(expm(A) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_expm_trivial_cases():
+    assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+    assert expm(np.array([[0.0]]))[0, 0] == 1.0
+    for x in (-700.0, -3.0, 1e-3, 2.5, 300.0):
+        one = np.array([[x]])
+        assert expm(one)[0, 0] == pytest.approx(scipy.linalg.expm(one)[0, 0], rel=1e-11)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from finstab import (CheckReport, ModalModel, ModelError, inner, model_from_json,
                      model_to_json, norm, quasi_contraction_type,
                      validate_control_operator)
+from finstab.model import pencil_eigvalsh
 
 
 def bilinear(A, B, M=None, labels=()):
@@ -155,3 +157,15 @@ def test_check_report_as_dict_converts_numpy_values():
     assert doc == {"name": "demo", "passed": True, "x": 1.5, "v": [0, 1],
                    "nested": {"k": 3}}
     assert isinstance(doc["x"], float)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pencil_eigvalsh_matches_scipy(seed):
+    rng = np.random.default_rng(seed)
+    n = 3 + 4 * seed
+    R = rng.standard_normal((n, n))
+    M = R @ R.T + 0.1 * np.eye(n)
+    S = rng.standard_normal((n, n))
+    S = S + S.T
+    ref = scipy.linalg.eigvalsh(S, M)
+    assert np.allclose(pencil_eigvalsh(S, M), ref, rtol=1e-9, atol=1e-11 * np.max(np.abs(ref)))

@@ -359,9 +359,8 @@ def test_cli_solver_failure_exits_2(tmp_path, capsys, monkeypatch, command):
 
 def test_cli_gamma_solver_failure_is_not_an_h3_verdict(tmp_path, capsys, monkeypatch):
     # only the decomposition module's eigvalsh fails; the model checks keep theirs
-    linalg = SimpleNamespace(eigvalsh=_no_convergence, eigh=scipy.linalg.eigh,
-                             svd=scipy.linalg.svd)
-    monkeypatch.setattr(decomposition, "scipy", SimpleNamespace(linalg=linalg))
+    linalg = SimpleNamespace(eigvalsh=_no_convergence, eigh=np.linalg.eigh, svd=np.linalg.svd)
+    monkeypatch.setattr(decomposition, "linalg", linalg)
     assert cli.main(["check", "--config", str(solver_config(tmp_path))]) == 2
     assert "model error: compute_gamma: did not converge" in capsys.readouterr().err
 
@@ -418,3 +417,71 @@ def test_cli_seed_env_changes_the_run(tmp_path):
     csv = lambda d: (d / "trajectory.csv").read_bytes()
     assert csv(a) == csv(b)
     assert csv(a) != csv(c)
+
+
+def _metric_matrices_doc():
+    # a heat-like system in the metric-orthonormal basis L^-T e_i of M = L L^T,
+    # so A and B are M-self-adjoint but neither is symmetric
+    rng = np.random.default_rng(3)
+    R = rng.standard_normal((4, 4))
+    M = R @ R.T + 4.0 * np.eye(4)
+    L = np.linalg.cholesky(M)
+    Linv_T = np.linalg.inv(L).T
+    A = Linv_T @ np.diag([-1.0, -2.0, -3.0, -4.0]) @ L.T
+    B = Linv_T @ np.diag([0.0, 1.0, 1.0, 2.0]) @ L.T
+    y0 = Linv_T @ np.array([0.3, 1.0, 0.5, 0.2])
+    return {"name": "metric", "seed": 0,
+            "matrices": {"dim": 4, "metric": M.tolist(), "generator": A.tolist(),
+                         "control_op": B.tolist()},
+            "controller": {"variant": "BilinearPhi", "mu": 0.25},
+            "initial_state": y0.tolist(), "integration": {"t_max": 3.0}}
+
+
+def _planted_matrices_doc():
+    # W = the span of the first two columns of a random rotation: A-invariant
+    # and inside ker B
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    core = np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])
+    core[0, 1] = 0.7
+    A = Q @ core @ Q.T
+    B = Q @ np.diag([0.0, 0.0, 1.0, 2.0, 1.5, 3.0]) @ Q.T
+    return {"name": "planted", "seed": 0,
+            "matrices": {"dim": 6, "generator": A.tolist(), "control_op": B.tolist()},
+            "controller": {"variant": "BilinearPhi", "mu": 0.25},
+            "initial_state": Q[:, 2].tolist(), "integration": {"t_max": 1.0}}
+
+
+def test_run_path_needs_no_scipy_solver(tmp_path, monkeypatch):
+    # run and check do all their linear algebra in numpy: with scipy's
+    # eigensolvers, SVD and expm broken they give the same exit codes
+    from finstab.suite import SCENARIOS
+
+    def broken(*args, **kwargs):
+        raise AssertionError("scipy.linalg called on the run path")
+
+    for name in ("eigh", "eigvalsh", "svd", "expm"):
+        monkeypatch.setattr(scipy.linalg, name, broken)
+    expected = {"heat-settling": 0, "wave-conservation": 0, "wave-settling": 1,
+                "beam-rankone": 0}
+    for key, code in expected.items():
+        config = scenario_from_json(json.loads(json.dumps(SCENARIOS[key])))
+        assert run_scenario(config, tmp_path / key)[0] == code, key
+    metric_code, summary = run_scenario(scenario_from_json(_metric_matrices_doc()),
+                                        tmp_path / "metric")
+    assert metric_code == 0
+    assert summary["decomposition"]["dim_w"] == 1
+    planted_code, summary = check_scenario(scenario_from_json(_planted_matrices_doc()))
+    assert planted_code == 0
+    assert summary["decomposition"]["dim_w"] == 2
+
+
+def test_import_keeps_the_benchmark_contract():
+    # perfbench/worker.py records finstab.USING_NUMBA and scipy's version from
+    # sys.modules; both go once the worker stops reading them (ROADMAP item 1)
+    cp = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, finstab; print(finstab.USING_NUMBA, 'scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.split() == ["False", "True"]
