@@ -13,15 +13,16 @@ invariance under adding unobservable components holds bit-for-bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from .controllers import ControllerSpec, DEFAULT_WAVE_CAP, PhiSpec
 from .decomposition import NOT_NILPOTENT, DecompositionResult, decomposition_from_axes
-from .integrator import _settling_time
-from .model import ModalModel, ModelError
+from .integrator import Trajectory, _pre_settling_mask, _settling_time
+from .kernels import dead_zone_rule
+from .model import CheckReport, ModalModel, ModelError
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,10 @@ class FrontendSpec:
     def __post_init__(self):
         if self.kind not in ("Heat1D", "Wave1D", "Beam1D", "TransportHeat2D"):
             raise ModelError(f"unknown front-end kind: {self.kind}")
+        for name in ("n_modes", "q", "grid_n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
         if self.n_modes <= 0:
             raise ModelError("n_modes must be positive")
 
@@ -51,8 +56,6 @@ class FrontendBundle:
 
 def _finish_dec(dec: DecompositionResult, gamma: float,
                 delta) -> DecompositionResult:
-    from dataclasses import replace
-
     return replace(dec, gamma=gamma, delta=delta, h1_holds=True, h3_holds=True,
                    h4_holds=not (delta is NOT_NILPOTENT))
 
@@ -255,27 +258,21 @@ def heat_field_on_grid(c: np.ndarray, grid_n: int) -> np.ndarray:
     return basis.T @ c @ basis
 
 
-@dataclass
-class HybridTrajectory:
-    times: np.ndarray
-    states: np.ndarray          # (ns, n_heat) modal coefficients
+@dataclass(kw_only=True)
+class HybridTrajectory(Trajectory):
+    """Heat modal coefficients as states, norms over heat and grid, plus the grid."""
     psi_norms: np.ndarray       # (ns,)
-    controls: np.ndarray        # (ns, 1)
-    lyapunov: np.ndarray
-    norms: np.ndarray
-    settling_time: float | None
     psi_initial: np.ndarray
     psi_final: np.ndarray
-    diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
 def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
                     t_max: float, eps_settle: float = 1e-8) -> HybridTrajectory:
     """Frozen-control splitting: exact heat exponential + exact transport shift.
 
-    Apart from the macro time step, the latch semantics match the adaptive
-    integrator: the dead zone switches the control off, latches once entered,
-    and the state's observed part (all heat modes plus the in-patch transport
+    The dead zone follows the adaptive integrator's kernels.dead_zone_rule at
+    each macro step: the control latches off once V falls to the dead zone,
+    and the observed part (all heat modes plus the in-patch transport
     samples) is clamped to zero when the decay envelope predicts settling
     within one step.
     """
@@ -283,23 +280,25 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
         raise ModelError("hybrid simulation supports BilinearPhi or ZeroControl")
     dt = model.dt_macro
     n_steps = int(np.ceil(t_max / dt - 1e-9))
-    state = y0.copy()
-    times = [0.0]
-    heat_states = [state.c.ravel().copy()]
-    psi_norms = [float(np.sqrt(np.sum(state.psi ** 2))) / model.grid_n]
-    Vs = [hybrid_v(model, state)]
-    us = [0.0]
-    norms = [hybrid_norm(model, state)]
-    latched = False
+    controlled = spec.variant != "ZeroControl"
     latch_time = None
     clamp_time = None
     regrow = False
     k = model.n_omega
     mu = spec.mu
+    samples = []   # (t, heat coefficients, psi norm, V, u, norm) per macro step
+
+    def record(t: float, state: HybridState, V: float, u: float) -> None:
+        samples.append((t, state.c.ravel().copy(),
+                        float(np.sqrt(np.sum(state.psi ** 2))) / model.grid_n, V, u,
+                        hybrid_norm(model, state)))
+
+    state = y0.copy()
+    record(0.0, state, hybrid_v(model, state), 0.0)
     for step in range(n_steps):
         V = hybrid_v(model, state)
         u = 0.0
-        if spec.variant == "BilinearPhi" and not latched and V > spec.dead_zone:
+        if controlled and latch_time is None and V > spec.dead_zone:
             u = -(V ** (-mu))
         state = HybridState(
             c=state.c * np.exp((model.eigenvalues + u) * dt),
@@ -307,28 +306,22 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
         )
         t = (step + 1) * dt
         V_new = hybrid_v(model, state)
-        if spec.variant != "ZeroControl" and V_new <= spec.dead_zone:
-            if not latched:
-                latched = True
+        if controlled:
+            latch_now, clamp_now, regrown = dead_zone_rule(
+                V_new, latch_time is not None, clamp_time is not None, dt, spec.dead_zone,
+                mu, 2.0 * mu)
+            if latch_now:
                 latch_time = t
-            if clamp_time is None and V_new ** mu / (2.0 * mu) <= dt:
+            if clamp_now:
                 state.c[:] = 0.0
                 state.psi[:k, :k] = 0.0
                 clamp_time = t
-        if latched and V_new > 2.0 * spec.dead_zone:
-            regrow = True
-        times.append(t)
-        heat_states.append(state.c.ravel().copy())
-        psi_norms.append(float(np.sqrt(np.sum(state.psi ** 2))) / model.grid_n)
-        Vs.append(V_new)
-        us.append(u)
-        norms.append(hybrid_norm(model, state))
-    times_arr = np.asarray(times)
-    norms_arr = np.asarray(norms)
+            regrow = regrow or regrown
+        record(t, state, V_new, u)
+    times, heat, psi_norms, Vs, us, norms = (np.asarray(col) for col in zip(*samples))
     return HybridTrajectory(
-        times=times_arr, states=np.asarray(heat_states), psi_norms=np.asarray(psi_norms),
-        controls=np.asarray(us).reshape(-1, 1), lyapunov=np.asarray(Vs), norms=norms_arr,
-        settling_time=_settling_time(times_arr, norms_arr, eps_settle),
+        times=times, states=heat, psi_norms=psi_norms, controls=us.reshape(-1, 1),
+        lyapunov=Vs, norms=norms, settling_time=_settling_time(times, norms, eps_settle),
         psi_initial=y0.psi.copy(), psi_final=state.psi.copy(),
         diagnostics={"latch_time": latch_time, "clamp_time": clamp_time,
                      "dead_zone_regrow": regrow, "steps": n_steps},
@@ -344,10 +337,7 @@ def hybrid_decay_check(model: HybridModel, traj: HybridTrajectory, mu: float,
     ~ (V^mu)'' dt^2 / 2 summed along the run), so the check is
     V(t)^mu <= V(0)^mu - 2 mu t + allowance(t) + tol.
     """
-    from .model import CheckReport
-
-    mask = traj.times <= (traj.settling_time if traj.settling_time is not None
-                          else np.inf) + 1e-15
+    mask = _pre_settling_mask(traj)
     t = traj.times[mask]
     V = traj.lyapunov[mask]
     V0m = V[0] ** mu
@@ -362,7 +352,7 @@ def hybrid_decay_check(model: HybridModel, traj: HybridTrajectory, mu: float,
 
 
 def hybrid_split_check(model: HybridModel, y0: HybridState,
-                       traj: HybridTrajectory) -> bool:
+                       traj: HybridTrajectory) -> CheckReport:
     """Cells never damped by the control must follow the pure shift exactly.
 
     A cell is marked as touched when its characteristic sits in the damped
@@ -384,7 +374,9 @@ def hybrid_split_check(model: HybridModel, y0: HybridState,
         clamp_time = traj.diagnostics.get("clamp_time")
         if clamp_time is not None and abs(traj.times[step + 1] - clamp_time) < 1e-12:
             touched[: model.n_omega, : model.n_omega] = True
-    return bool(np.array_equal(psi[~touched], traj.psi_final[~touched]))
+    return CheckReport("split_free_flow",
+                       bool(np.array_equal(psi[~touched], traj.psi_final[~touched])),
+                       {"comparison": "undamped cells vs exact shift"})
 
 
 def build_frontend(spec: FrontendSpec):

@@ -33,15 +33,17 @@ class IntegrationOpts:
     sample_dt: float | None = None  # defaults to t_max / 2000
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ModelError("t_max must be positive")
+        if not 0 < self.t_max < math.inf:
+            raise ModelError("t_max must be positive and finite")
+        if not self.eps_settle >= 0:
+            raise ModelError("eps_settle must be nonnegative")
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ModelError("need 0 < dt_min <= dt_init <= dt_max")
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.rtol > 0 and self.atol > 0):
             raise ModelError("tolerances must be positive")
         if self.sample_dt is None:
             object.__setattr__(self, "sample_dt", self.t_max / 2000.0)
-        if self.sample_dt <= 0:
+        if not self.sample_dt > 0:
             raise ModelError("sample_dt must be positive")
 
 

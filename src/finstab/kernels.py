@@ -109,17 +109,32 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool):
     return dy, control, trigger, V, saturated
 
 
+def dead_zone_rule(trigger, latched: bool, clamped: bool, dt: float, eps_dz: float,
+                   trig_exp: float, rate: float) -> tuple[bool, bool, bool]:
+    """The dead-zone latch at the end of an accepted step: (latch_now, clamp_now, regrown).
+
+    The control latches off once the trigger falls to eps_dz.  While it stays
+    there, the observed component is clamped once, when the decay envelope
+    predicts settling within the next step: trigger^trig_exp / rate <= dt,
+    with rate = 2 gamma mu.  A trigger above 2 eps_dz after the latch is
+    regrowth.  The caller applies its own clamp and keeps its own times.
+    """
+    below = trigger <= eps_dz
+    latch_now = bool(below and not latched)
+    clamp_now = bool(below and not clamped and trigger ** trig_exp / rate <= dt)
+    return latch_now, clamp_now, bool(latched and trigger > 2.0 * eps_dz)
+
+
 def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     """Adaptive Dormand-Prince 5(4) recorded on a fixed sample grid.
 
     The error control alone sets the steps; only the last one is cut short,
     to land on t_max.  Samples inside an accepted step are filled from the
     free 4th-order continuous extension (dense output); a sample on a step
-    end takes the end state.  The dead zone latches at the first accepted
-    step end whose trigger falls below the dead zone; if the decay envelope
-    then predicts settling within one step, the observed component is
-    clamped to zero via the projector C.  opts supplies rtol, atol, dt_init,
-    dt_min and dt_max.
+    end takes the end state.  At each accepted step end dead_zone_rule
+    decides the latch and the clamp; the clamp zeroes the observed component
+    via the projector C.  opts supplies rtol, atol, dt_init, dt_min and
+    dt_max.
 
     Returns (states, controls, lyapunov, status, reached_index, stats); stats
     holds the deterministic counters: steps, rejections, rhs_calls,
@@ -131,7 +146,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     """
     rtol, atol, dt_min, dt_max = opts.rtol, opts.atol, opts.dt_min, opts.dt_max
     eps_dz = ops.spec.dead_zone
-    mu = ops.spec.mu
+    rate = 2.0 * gamma_eff * ops.spec.mu
     controlled = ops.spec.variant != "ZeroControl"
     n = y0.shape[0]
     ns = sample_ts.shape[0]
@@ -225,23 +240,21 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
         if (not latched) and trig_new < 10.0 * eps_dz and fac > 1.0:
             fac = 1.0  # no step growth while resolving the dead-zone approach
         dt = h * fac
-        if controlled and trig_new <= eps_dz:
-            changed = False
-            if not latched:
+        if controlled:
+            latch_now, clamp_now, regrown = dead_zone_rule(
+                trig_new, latched, clamped, dt, eps_dz, trig_exp, rate)
+            if latch_now:
                 latched = True
                 latch_time = float(t)
-                changed = True
-            if not clamped and trig_new ** trig_exp / (2.0 * gamma_eff * mu) <= dt:
+            if clamp_now:
                 y = y - C @ y
                 clamped = True
                 clamp_time = float(t)
-                changed = True
-            if changed:
+            if latch_now or clamp_now:
                 # the slope, control and V change with the latch or the clamp
                 k1, ctrl, _, V, _ = closed_loop_rhs(y, ops, latched)
                 rhs_calls += 1
-        if latched and trig_new > 2.0 * eps_dz:
-            regrow = True
+            regrow = regrow or regrown
         if nxt < ns and sample_ts[nxt] <= t + tol_t:
             ys[nxt] = y
             us[nxt] = ctrl

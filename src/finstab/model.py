@@ -157,15 +157,22 @@ def validate_control_operator(model: ModalModel) -> CheckReport:
     )
 
 
+def _float_array(obj: Any, what: str) -> np.ndarray:
+    try:
+        return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{what}: expected a rectangular array of numbers") from exc
+
+
 def _matrix_from_json(obj: Any, n: int, what: str) -> np.ndarray:
     if obj == "identity":
         return np.eye(n)
     if isinstance(obj, dict) and "diagonal" in obj:
-        d = np.asarray(obj["diagonal"], dtype=float)
+        d = _float_array(obj["diagonal"], what)
         if d.shape != (n,):
             raise ModelError(f"{what}: diagonal length must equal dim")
         return np.diag(d)
-    mat = np.asarray(obj, dtype=float)
+    mat = _float_array(obj, what)
     if mat.ndim != 2:
         raise ModelError(f"{what}: expected a matrix")
     return mat
@@ -186,7 +193,7 @@ def model_from_json(doc: dict[str, Any]) -> ModalModel:
     if "control_op" in doc:
         control_op = _matrix_from_json(doc["control_op"], n, "control_op")
     if "input_map" in doc:
-        input_map = np.asarray(doc["input_map"], dtype=float)
+        input_map = _float_array(doc["input_map"], "input_map")
     labels = tuple(doc.get("basis_labels", ()))
     return ModalModel(dim=n, metric=metric, generator=generator, control_op=control_op,
                       input_map=input_map, basis_labels=labels)

@@ -34,7 +34,7 @@ from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         simulate_hybrid)
 from .integrator import (IntegrationOpts, IntegrationStalledError, decay_envelope, simulate,
                          verify_decay, verify_lyapunov_stability, verify_split)
-from .model import (CheckReport, ModalModel, ModelError, model_from_json,
+from .model import (CheckReport, ModalModel, ModelError, _jsonify, model_from_json,
                     quasi_contraction_type, validate_control_operator)
 
 EXIT_OK = 0
@@ -124,17 +124,12 @@ class BuiltScenario:
     kind: str                                   # "modal" | "hybrid"
     spec: ControllerSpec
     seed: int
-    model: ModalModel | None = None
-    dec: DecompositionResult | None = None
-    y0: np.ndarray | None = None
-    opts: IntegrationOpts | None = None
-    bundle: FrontendBundle | None = None
+    model: ModalModel | HybridModel
+    y0: np.ndarray | HybridState
+    opts: IntegrationOpts
+    dec: DecompositionResult | None = None      # modal only, as are the fields below
     gamma_error: str | None = None
     h1: CheckReport | None = None               # computed once, while building
-    hybrid: HybridModel | None = None
-    hybrid_y0: HybridState | None = None
-    t_max: float = 0.0
-    eps_settle: float = 1e-8
 
 
 def _integration_opts(doc: dict[str, Any]) -> IntegrationOpts:
@@ -143,10 +138,18 @@ def _integration_opts(doc: dict[str, Any]) -> IntegrationOpts:
         raise ConfigError(f"unknown integration keys: {sorted(unknown)}")
     if "t_max" not in doc:
         raise ConfigError("integration requires 't_max'")
+    values = {}
+    for key, value in doc.items():
+        if key == "sample_dt" and value is None:
+            continue  # the default grid
+        try:
+            values[key] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"integration option {key!r} must be a number, "
+                              f"got {value!r}") from exc
     try:
-        return IntegrationOpts(**{k: (None if v is None else float(v))
-                                  for k, v in doc.items()})
-    except (TypeError, ValueError, ModelError) as exc:
+        return IntegrationOpts(**values)
+    except ModelError as exc:
         raise ConfigError(f"invalid integration options: {exc}") from exc
 
 
@@ -169,16 +172,12 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     seed = resolve_seed(config)
     if config.frontend is not None:
         try:
-            fspec = FrontendSpec(**{**config.frontend,
-                                    "h_coeffs": tuple(config.frontend.get("h_coeffs", ()))})
-        except (TypeError, ModelError) as exc:
+            bundle = build_frontend(FrontendSpec(**{
+                **config.frontend, "h_coeffs": tuple(config.frontend.get("h_coeffs", ()))}))
+        except (TypeError, ValueError) as exc:   # ModelError is a ValueError
             raise ConfigError(f"invalid frontend: {exc}") from exc
-        if fspec.kind == "TransportHeat2D":
-            return _build_hybrid(config, fspec, seed)
-        try:
-            bundle = build_frontend(fspec)
-        except ModelError as exc:
-            raise ConfigError(f"invalid frontend: {exc}") from exc
+        if isinstance(bundle, HybridModel):
+            return _build_hybrid(config, bundle, seed)
         model, dec = bundle.model, bundle.dec
         h1 = check_H1(model, dec)
         gamma_error = None
@@ -215,32 +214,20 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         raise ConfigError(f"{spec.variant} requires a bilinear model")
     y0 = parse_initial_state(config.initial_state, model, dec, seed)
     opts = _integration_opts(config.integration)
-    return BuiltScenario(kind="modal", spec=spec, seed=seed, model=model, dec=dec,
-                         y0=y0, opts=opts, bundle=bundle, gamma_error=gamma_error, h1=h1,
-                         t_max=opts.t_max, eps_settle=opts.eps_settle)
+    return BuiltScenario(kind="modal", spec=spec, seed=seed, model=model, y0=y0, opts=opts,
+                         dec=dec, gamma_error=gamma_error, h1=h1)
 
 
-def _build_hybrid(config: ScenarioConfig, fspec: FrontendSpec, seed: int) -> BuiltScenario:
-    try:
-        hybrid = build_frontend(fspec)
-    except ModelError as exc:
-        raise ConfigError(f"invalid frontend: {exc}") from exc
+def _build_hybrid(config: ScenarioConfig, hybrid: HybridModel, seed: int) -> BuiltScenario:
     spec = _controller_spec(config, None)
     if spec.variant not in ("BilinearPhi", "ZeroControl"):
         raise ConfigError("the transport-heat front-end supports BilinearPhi or ZeroControl")
-    doc = config.integration
-    unknown = set(doc) - {"t_max", "eps_settle"}
+    unknown = set(config.integration) - {"t_max", "eps_settle"}
     if unknown:
         raise ConfigError(f"hybrid integration accepts t_max/eps_settle only, got {sorted(unknown)}")
-    if "t_max" not in doc:
-        raise ConfigError("integration requires 't_max'")
-    t_max = float(doc["t_max"])
-    if t_max <= 0:
-        raise ConfigError("t_max must be positive")
-    eps_settle = float(doc.get("eps_settle", 1e-8))
+    opts = _integration_opts(config.integration)
     y0 = hybrid_initial_state(config.initial_state, hybrid)
-    return BuiltScenario(kind="hybrid", spec=spec, seed=seed, hybrid=hybrid,
-                         hybrid_y0=y0, t_max=t_max, eps_settle=eps_settle)
+    return BuiltScenario(kind="hybrid", spec=spec, seed=seed, model=hybrid, y0=y0, opts=opts)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +336,10 @@ def _h4_report(dec: DecompositionResult) -> CheckReport:
 
 def assumption_reports(built: BuiltScenario) -> list[CheckReport]:
     if built.kind == "hybrid":
-        hy = built.hybrid
         return [
             CheckReport("H1", True, {"coupling": "transport mass leaves the observable "
                                                  "patch and never re-enters"}),
-            CheckReport("H4", True, {"nilpotent": True, "delta": hy.delta,
+            CheckReport("H4", True, {"nilpotent": True, "delta": built.model.delta,
                                      "validated_by": "zero-control grid flow"}),
         ]
     model, dec, spec = built.model, built.dec, built.spec
@@ -385,8 +371,11 @@ def _bound_json(bound) -> Any:
     return bound
 
 
-def _float_str(x: float) -> str:
-    return repr(float(x))
+def _csv_lines(table: np.ndarray):
+    # one row at a time: tolist() gives Python floats, whose repr is the
+    # shortest round-trip form
+    for row in np.asarray(table, dtype=float):
+        yield ",".join(map(repr, row.tolist())) + "\n"
 
 
 def write_trajectory_csv(path: Path, times: np.ndarray, states: np.ndarray,
@@ -397,21 +386,14 @@ def write_trajectory_csv(path: Path, times: np.ndarray, states: np.ndarray,
     header = ["t"] + [f"y_{i + 1}" for i in range(n)]
     header += ["u"] if bilinear and m == 1 else [f"v_{j + 1}" for j in range(m)]
     header += ["V"]
-    lines = [",".join(header)]
-    for i in range(len(times)):
-        row = [_float_str(times[i])]
-        row += [_float_str(v) for v in states[i]]
-        row += [_float_str(v) for v in controls[i]]
-        row.append(_float_str(lyapunov[i]))
-        lines.append(",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(_csv_lines(np.column_stack((times, states, controls, lyapunov))))
 
 
 def write_grid_csv(path: Path, grid: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in grid:
-            fh.write(",".join(_float_str(v) for v in row) + "\n")
+        fh.writelines(_csv_lines(grid))
 
 
 def write_summary(path: Path, summary: dict[str, Any]) -> None:
@@ -420,180 +402,137 @@ def write_summary(path: Path, summary: dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def _plot_run(path: Path, title: str, times: np.ndarray, lyapunov: np.ndarray,
-              norms: np.ndarray, envelope: np.ndarray | None) -> None:
-    series = [("V(t)", times, lyapunov)]
-    if envelope is not None:
-        series.append(("envelope", times, envelope))
-    series.append(("||y(t)||", times, norms))
-    svgplot.write_svg(path, svgplot.render_line_chart(title, series, xlabel="t", logy=True))
-
-
 # ---------------------------------------------------------------------------
-# Run pipelines
+# Run pipeline
+
+
+def _decomposition_json(dec: DecompositionResult) -> dict[str, Any]:
+    return {"dim_w": dec.dim_w, "dim_wperp": dec.dim_wperp, "gamma": dec.gamma,
+            "delta": _delta_json(dec.delta)}
+
+
+def simulate_scenario(built: BuiltScenario):
+    """The closed-loop trajectory of a built scenario (a HybridTrajectory for hybrids).
+
+    Modal runs raise IntegrationStalledError, carrying the partial run, when
+    the stepper stalls.
+    """
+    if built.kind == "hybrid":
+        return simulate_hybrid(built.model, built.spec, built.y0, built.opts.t_max,
+                               eps_settle=built.opts.eps_settle)
+    return simulate(built.model, built.dec, built.spec, built.y0, built.opts)
+
+
+def _trajectory_checks(built: BuiltScenario, traj, rate: float | None,
+                       omega: float) -> list[CheckReport]:
+    """The kind's checks of a completed run: decay envelope (when a law acts),
+    free-flow split, Lyapunov stability, then the transport exit or the free
+    wave's norm conservation."""
+    model, spec = built.model, built.spec
+    hybrid = built.kind == "hybrid"
+    reports = []
+    if rate is not None:
+        reports.append(hybrid_decay_check(model, traj, spec.mu, spec.dead_zone) if hybrid
+                       else verify_decay(traj, rate, spec.mu))
+    reports.append(hybrid_split_check(model, built.y0, traj) if hybrid
+                   else verify_split(model, built.dec, traj))
+    reports.append(verify_lyapunov_stability(traj, omega))
+    if hybrid:
+        after = traj.psi_norms[traj.times >= model.delta - 1e-12]
+        reports.append(CheckReport("transport_exit", bool(np.all(after == 0.0)),
+                                   {"horizon": model.delta, "max_psi_after": float(np.max(after))}))
+    elif spec.variant == "ZeroControl" and built.h1.details["generator_skew"]:
+        drift = float(np.max(np.abs(traj.norms - traj.norms[0])))
+        budget = 1e-9 * max(1.0, built.opts.t_max)
+        reports.append(CheckReport("norm_conservation", drift <= budget,
+                                   {"max_drift": drift, "budget": budget}))
+    return reports
+
+
+def _finish(out: Path, summary: dict[str, Any], checks: list[CheckReport], status: str,
+            code: int) -> tuple[int, dict[str, Any]]:
+    summary["status"] = status
+    summary["checks"] = [r.as_dict() for r in checks]
+    summary["exit_code"] = code
+    write_summary(out / "summary.json", summary)
+    return code, summary
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict[str, Any]]:
     built = build_scenario(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if built.kind == "hybrid":
-        return _run_hybrid(config, built, out)
-    return _run_modal(config, built, out)
-
-
-def _run_modal(config: ScenarioConfig, built: BuiltScenario,
-               out: Path) -> tuple[int, dict[str, Any]]:
-    model, dec, spec, opts = built.model, built.dec, built.spec, built.opts
+    model, spec = built.model, built.spec
     checks = assumption_reports(built)
-    omega = quasi_contraction_type(model)
-    summary: dict[str, Any] = {
-        "name": config.name,
-        "kind": "modal",
-        "seed": built.seed,
-        "frontend": config.frontend,
-        "matrices_dim": None if config.matrices is None else model.dim,
-        "controller": controller_to_json(spec),
-        "decomposition": {
-            "dim_w": dec.dim_w,
-            "dim_wperp": dec.dim_wperp,
-            "gamma": dec.gamma,
-            "delta": _delta_json(dec.delta),
-            "h1_holds": dec.h1_holds,
-        },
-        "quasi_contraction_omega": omega,
-        "initial_state": config.initial_state if isinstance(config.initial_state, str)
-        else np.asarray(built.y0).tolist(),
-    }
-    fatal = built.gamma_error is not None or not checks[0].passed
-    if fatal:
-        summary["status"] = "invalid"
-        summary["checks"] = [r.as_dict() for r in checks]
-        summary["exit_code"] = EXIT_CHECK_FAILED
-        write_summary(out / "summary.json", summary)
-        return EXIT_CHECK_FAILED, summary
-    bound, extras = settling_bound_details(spec, model, dec, built.y0)
+    summary: dict[str, Any] = {"name": config.name, "kind": built.kind, "seed": built.seed,
+                               "frontend": config.frontend,
+                               "controller": controller_to_json(spec)}
+    # each kind: its header keys, the bound, the slack of its time grid and the
+    # rate of its decay envelope (None when no law acts)
+    if built.kind == "hybrid":
+        V0 = hybrid_v(model, built.y0)
+        summary["lyapunov_initial"] = V0
+        controlled = spec.variant == "BilinearPhi"
+        bound = max(V0 ** spec.mu / (2.0 * spec.mu), model.delta) if controlled else None
+        grid_slack, rate, omega = model.dt_macro, 1.0 if controlled else None, 0.0
+    else:
+        dec = built.dec
+        omega = quasi_contraction_type(model)
+        summary.update({
+            "matrices_dim": None if config.matrices is None else model.dim,
+            "decomposition": {**_decomposition_json(dec), "h1_holds": dec.h1_holds},
+            "quasi_contraction_omega": omega,
+            "initial_state": config.initial_state if isinstance(config.initial_state, str)
+            else np.asarray(built.y0).tolist(),
+        })
+        if built.gamma_error is not None or not checks[0].passed:
+            return _finish(out, summary, checks, "invalid", EXIT_CHECK_FAILED)
+        bound, extras = settling_bound_details(spec, model, dec, built.y0)
+        summary["bound_extras"] = {k: float(v) for k, v in extras.items()
+                                   if isinstance(v, (int, float))}
+        grid_slack = built.opts.sample_dt
+        rate = None if spec.variant == "ZeroControl" else dec.gamma
+        if spec.variant == "RankOne":
+            rate = float(spec.zeta @ model.metric @ spec.zeta) ** (1.0 - spec.mu)
     summary["settling_bound"] = _bound_json(bound)
-    summary["bound_extras"] = {k: float(v) for k, v in extras.items()
-                               if isinstance(v, (int, float))}
     stalled = False
     try:
-        traj = simulate(model, dec, spec, built.y0, opts)
+        traj = simulate_scenario(built)
     except IntegrationStalledError as exc:
         traj = exc.trajectory
         stalled = True
-    gamma_decay = None
-    if spec.variant != "ZeroControl":
-        if spec.variant == "RankOne":
-            zn2 = float(spec.zeta @ model.metric @ spec.zeta)
-            gamma_decay = zn2 ** (1.0 - spec.mu)
-        else:
-            gamma_decay = dec.gamma
     if not stalled:
-        if gamma_decay is not None:
-            checks.append(verify_decay(traj, gamma_decay, spec.mu))
-        checks.append(verify_split(model, dec, traj))
-        checks.append(verify_lyapunov_stability(traj, omega))
-        if spec.variant == "ZeroControl" and built.h1.details["generator_skew"]:
-            drift = float(np.max(np.abs(traj.norms - traj.norms[0])))
-            budget = 1e-9 * max(1.0, opts.t_max)
-            checks.append(CheckReport("norm_conservation", drift <= budget,
-                                      {"max_drift": drift, "budget": budget}))
+        checks += _trajectory_checks(built, traj, rate, omega)
         if isinstance(bound, float):
-            sdt = opts.sample_dt if opts.sample_dt is not None else opts.t_max / 2000.0
             settled = (traj.settling_time is not None
-                       and traj.settling_time <= bound + sdt + 1e-9)
+                       and traj.settling_time <= bound + grid_slack + 1e-9)
             checks.append(CheckReport(
                 "settled_within_bound", settled,
                 {"settling_time": traj.settling_time, "bound": bound,
-                 "grid_slack": sdt}))
+                 "grid_slack": grid_slack}))
     summary["settling_time"] = traj.settling_time
-    summary["status"] = "stalled" if stalled else "ok"
-    summary["checks"] = [r.as_dict() for r in checks]
-    summary["diagnostics"] = {k: (v if not isinstance(v, (np.floating, np.integer))
-                                  else v.item())
-                              for k, v in traj.diagnostics.items()}
+    summary["diagnostics"] = _jsonify(traj.diagnostics)
     write_trajectory_csv(out / "trajectory.csv", traj.times, traj.states, traj.controls,
-                         traj.lyapunov, model.is_bilinear())
+                         traj.lyapunov, built.kind == "hybrid" or model.is_bilinear())
     artifacts = ["trajectory.csv", "summary.json"]
+    if built.kind == "hybrid":
+        write_grid_csv(out / "psi_initial.csv", traj.psi_initial)
+        write_grid_csv(out / "psi_final.csv", traj.psi_final)
+        artifacts += ["psi_initial.csv", "psi_final.csv"]
     if config.make_plot:
-        envelope = None
-        if gamma_decay is not None and len(traj.times):
-            envelope = decay_envelope(traj.lyapunov[0], gamma_decay, spec.mu,
-                                      traj.times) ** (1.0 / spec.mu)
-        _plot_run(out / "plot.svg", config.name, traj.times, traj.lyapunov, traj.norms,
-                  envelope)
+        series = [("V(t)", traj.times, traj.lyapunov)]
+        if rate is not None and len(traj.times):
+            envelope = decay_envelope(traj.lyapunov[0], rate, spec.mu, traj.times)
+            series.append(("envelope", traj.times, envelope ** (1.0 / spec.mu)))
+        series.append(("||y(t)||", traj.times, traj.norms))
+        svgplot.write_svg(out / "plot.svg", svgplot.render_line_chart(
+            config.name, series, xlabel="t", logy=True))
         artifacts.append("plot.svg")
     summary["artifacts"] = sorted(artifacts)
     if stalled:
-        code = EXIT_STALLED
-    elif all(r.passed for r in checks):
-        code = EXIT_OK
-    else:
-        code = EXIT_CHECK_FAILED
-    summary["exit_code"] = code
-    write_summary(out / "summary.json", summary)
-    return code, summary
-
-
-def _run_hybrid(config: ScenarioConfig, built: BuiltScenario,
-                out: Path) -> tuple[int, dict[str, Any]]:
-    hy, spec = built.hybrid, built.spec
-    y0 = built.hybrid_y0
-    checks = assumption_reports(built)
-    V0 = hybrid_v(hy, y0)
-    if spec.variant == "BilinearPhi":
-        bound = max(V0 ** spec.mu / (2.0 * spec.mu), hy.delta)
-    else:
-        bound = None
-    traj = simulate_hybrid(hy, spec, y0, built.t_max, eps_settle=built.eps_settle)
-    if spec.variant == "BilinearPhi":
-        checks.append(hybrid_decay_check(hy, traj, spec.mu, spec.dead_zone))
-    split_ok = hybrid_split_check(hy, y0, traj)
-    checks.append(CheckReport("split_free_flow", split_ok,
-                              {"comparison": "undamped cells vs exact shift"}))
-    checks.append(verify_lyapunov_stability(traj, 0.0))
-    exit_mask = traj.times >= hy.delta - 1e-12
-    gone = bool(np.all(traj.psi_norms[exit_mask] == 0.0))
-    checks.append(CheckReport("transport_exit", gone,
-                              {"horizon": hy.delta,
-                               "max_psi_after": float(np.max(traj.psi_norms[exit_mask]))}))
-    if bound is not None:
-        settled = (traj.settling_time is not None
-                   and traj.settling_time <= bound + hy.dt_macro + 1e-9)
-        checks.append(CheckReport("settled_within_bound", settled,
-                                  {"settling_time": traj.settling_time, "bound": bound,
-                                   "grid_slack": hy.dt_macro}))
-    summary: dict[str, Any] = {
-        "name": config.name,
-        "kind": "hybrid",
-        "seed": built.seed,
-        "frontend": config.frontend,
-        "controller": controller_to_json(spec),
-        "lyapunov_initial": V0,
-        "settling_bound": bound,
-        "settling_time": traj.settling_time,
-        "status": "ok",
-        "checks": [r.as_dict() for r in checks],
-        "diagnostics": traj.diagnostics,
-    }
-    write_trajectory_csv(out / "trajectory.csv", traj.times, traj.states, traj.controls,
-                         traj.lyapunov, bilinear=True)
-    write_grid_csv(out / "psi_initial.csv", traj.psi_initial)
-    write_grid_csv(out / "psi_final.csv", traj.psi_final)
-    artifacts = ["psi_final.csv", "psi_initial.csv", "summary.json", "trajectory.csv"]
-    if config.make_plot:
-        envelope = None
-        if spec.variant == "BilinearPhi":
-            envelope = decay_envelope(V0, 1.0, spec.mu, traj.times) ** (1.0 / spec.mu)
-        _plot_run(out / "plot.svg", config.name, traj.times, traj.lyapunov, traj.norms,
-                  envelope)
-        artifacts.append("plot.svg")
-    summary["artifacts"] = sorted(artifacts)
-    code = EXIT_OK if all(r.passed for r in checks) else EXIT_CHECK_FAILED
-    summary["exit_code"] = code
-    write_summary(out / "summary.json", summary)
-    return code, summary
+        return _finish(out, summary, checks, "stalled", EXIT_STALLED)
+    return _finish(out, summary, checks, "ok",
+                   EXIT_OK if all(r.passed for r in checks) else EXIT_CHECK_FAILED)
 
 
 def check_scenario(config: ScenarioConfig) -> tuple[int, dict[str, Any]]:
@@ -606,12 +545,7 @@ def check_scenario(config: ScenarioConfig) -> tuple[int, dict[str, Any]]:
         "checks": [r.as_dict() for r in checks],
     }
     if built.kind == "modal":
-        summary["decomposition"] = {
-            "dim_w": built.dec.dim_w,
-            "dim_wperp": built.dec.dim_wperp,
-            "gamma": built.dec.gamma,
-            "delta": _delta_json(built.dec.delta),
-        }
+        summary["decomposition"] = _decomposition_json(built.dec)
     code = EXIT_OK if all(r.passed for r in checks) else EXIT_CHECK_FAILED
     summary["exit_code"] = code
     return code, summary

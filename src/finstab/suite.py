@@ -17,10 +17,9 @@ from .controllers import ControllerSpec, PhiSpec, control_value
 from .decomposition import gamma_certificate, unobservable_subspace
 from .frontends import (FrontendSpec, HybridState, build_frontend, hybrid_v,
                         transport_heat_model)
-from .integrator import simulate, verify_decay, verify_lyapunov_stability
+from .integrator import verify_decay, verify_lyapunov_stability
 from .model import ModalModel, quasi_contraction_type
-from .scenario import BuiltScenario, build_scenario, scenario_from_json
-from .frontends import simulate_hybrid
+from .scenario import BuiltScenario, build_scenario, scenario_from_json, simulate_scenario
 
 _BEAM_A0 = -2.0 * np.pi ** 2 / 3.0
 
@@ -127,12 +126,7 @@ _run_cache: dict[str, _Run] = {}
 def _get_run(key: str) -> _Run:
     if key not in _run_cache:
         built = build_scenario(scenario_from_json(SCENARIOS[key]))
-        if built.kind == "hybrid":
-            traj = simulate_hybrid(built.hybrid, built.spec, built.hybrid_y0,
-                                   built.t_max, eps_settle=built.eps_settle)
-        else:
-            traj = simulate(built.model, built.dec, built.spec, built.y0, built.opts)
-        _run_cache[key] = _Run(built=built, traj=traj)
+        _run_cache[key] = _Run(built=built, traj=simulate_scenario(built))
     return _run_cache[key]
 
 
@@ -211,7 +205,7 @@ def criterion_transport_heat() -> CriterionResult:
     traj = run.traj
     mu = run.built.spec.mu
     V0 = float(traj.lyapunov[0])
-    bound = max(V0 ** mu / (2.0 * mu), run.built.hybrid.delta)
+    bound = max(V0 ** mu / (2.0 * mu), run.built.model.delta)
     free = _get_run("transport-heat-free")
     ft = free.traj
     after = ft.times >= 1.0 - 1e-12
@@ -443,10 +437,7 @@ def criterion_stability_sweep() -> CriterionResult:
     clauses = []
     for key in SCENARIOS:
         run = _get_run(key)
-        if run.built.kind == "hybrid":
-            omega = 0.0
-        else:
-            omega = quasi_contraction_type(run.built.model)
+        omega = 0.0 if run.built.kind == "hybrid" else quasi_contraction_type(run.built.model)
         report = verify_lyapunov_stability(run.traj, omega)
         clauses.append(_clause(f"stability of {key}",
                                "norm within the quasi-contraction bound",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from finstab import (NOT_NILPOTENT, ControllerSpec, FrontendSpec, HybridState,
                      heat_model, hybrid_decay_check, hybrid_norm, hybrid_split_check,
                      hybrid_v, quasi_contraction_type, rank_one_controller,
                      simulate_hybrid, transport_heat_model, transport_step,
-                     validate_rank_one_data, wave_model)
+                     Trajectory, validate_rank_one_data, wave_model)
 
 PI2 = 9.869604401089358  # pi^2
 
@@ -204,8 +206,17 @@ def test_hybrid_settles_and_transport_exits():
     after = traj.times >= model.delta - 1e-12
     assert np.all(traj.psi_norms[after] == 0.0)
     assert hybrid_decay_check(model, traj, spec.mu, spec.dead_zone).passed
-    assert hybrid_split_check(model, y0, traj)
+    assert hybrid_split_check(model, y0, traj).passed
     assert np.array_equal(traj.psi_initial, y0.psi)
+
+
+def test_hybrid_trajectory_is_a_validated_trajectory():
+    model, y0 = hybrid_setup(grid_n=16)
+    traj = simulate_hybrid(model, ControllerSpec(variant="BilinearPhi", mu=0.25), y0,
+                           t_max=0.5)
+    assert isinstance(traj, Trajectory)
+    with pytest.raises(ModelError, match="equal length"):
+        dataclasses.replace(traj, norms=traj.norms[:-1])
 
 
 def test_hybrid_zero_control_keeps_heat_alive():
@@ -217,4 +228,4 @@ def test_hybrid_zero_control_keeps_heat_alive():
     assert traj.lyapunov[-1] == pytest.approx(1.0, rel=1e-12)
     after = traj.times >= model.delta - 1e-12
     assert np.all(traj.psi_norms[after] == 0.0)
-    assert hybrid_split_check(model, y0, traj)
+    assert hybrid_split_check(model, y0, traj).passed

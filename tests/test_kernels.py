@@ -5,7 +5,7 @@ import pytest
 from finstab import (ControllerSpec, FrontendSpec, ModalModel, PhiSpec, build_frontend,
                      unobservable_subspace)
 from finstab.controllers import assemble_kernel_args
-from finstab.kernels import closed_loop_rhs
+from finstab.kernels import closed_loop_rhs, dead_zone_rule
 
 
 def rhs(spec, model, dec, y, latched=False):
@@ -126,3 +126,22 @@ def test_latch_switches_the_bilinear_law_off():
     dy, control, _, _, _ = rhs(spec, model, dec, y, latched=True)
     assert control[0] == 0.0
     assert np.allclose(dy, model.generator @ y, rtol=1e-15, atol=0.0)
+
+
+def test_dead_zone_rule_boundaries():
+    # powers of two keep trigger^exp / rate exact: (2^-40)^(1/4) / 2^-1 = 2^-9
+    eps, exp, rate = 2.0 ** -40, 0.25, 0.5
+    dt = 2.0 ** -9
+    above = np.nextafter(eps, 1.0)
+    assert dead_zone_rule(eps, False, False, dt, eps, exp, rate) == (True, True, False)
+    assert dead_zone_rule(above, False, False, dt, eps, exp, rate) == (False, False, False)
+    assert dead_zone_rule(eps, False, False, np.nextafter(dt, 0.0), eps, exp,
+                          rate) == (True, False, False)
+    # latched and clamped once: nothing fires again
+    assert dead_zone_rule(eps, True, True, dt, eps, exp, rate) == (False, False, False)
+    assert dead_zone_rule(eps, True, False, dt, eps, exp, rate) == (False, True, False)
+    # regrowth is a trigger above twice the dead zone after the latch
+    assert dead_zone_rule(2.0 * eps, True, True, dt, eps, exp, rate) == (False, False, False)
+    assert dead_zone_rule(np.nextafter(2.0 * eps, 1.0), True, True, dt, eps, exp,
+                          rate) == (False, False, True)
+    assert dead_zone_rule(1.0, False, False, dt, eps, exp, rate) == (False, False, False)
