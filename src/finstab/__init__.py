@@ -8,22 +8,19 @@ the decay envelopes and settling-time bounds those laws promise.
 """
 from .controllers import (DEFAULT_DEAD_ZONE, DEFAULT_U_MAX, DEFAULT_WAVE_CAP, UNBOUNDED,
                           ControllerSpec, PhiSpec, control_value, controller_from_json,
-                          controller_to_json, settling_bound, settling_bound_details,
-                          validate_rank_one_data)
+                          controller_to_json, settling_bound_details, validate_rank_one_data)
 from .decomposition import (NOT_NILPOTENT, DecompositionResult, check_H1, check_H2,
                             compute_delta, compute_gamma, decomposition_from_axes,
                             gamma_certificate, unobservable_subspace)
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
-                        HybridTrajectory, beam_model, build_frontend, heat_field_on_grid,
-                        heat_model, hybrid_decay_check, hybrid_norm, hybrid_split_check,
-                        hybrid_v, rank_one_controller, simulate_hybrid, transport_heat_model,
-                        transport_step, wave_model)
+                        HybridTrajectory, beam_model, build_frontend, heat_model,
+                        hybrid_decay_check, hybrid_norm, hybrid_split_check, hybrid_v,
+                        simulate_hybrid, transport_heat_model, transport_step, wave_model)
 from .integrator import (IntegrationOpts, IntegrationStalledError, Trajectory,
                          simulate, verify_decay,
                          verify_lyapunov_stability, verify_split)
-from .model import (CheckReport, ModalModel, ModelError, inner, model_from_json,
-                    model_to_json, norm, quasi_contraction_type,
-                    validate_control_operator)
+from .model import (CheckReport, ModalModel, ModelError, model_from_json,
+                    quasi_contraction_type, validate_control_operator)
 from .scenario import (EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, EXIT_STALLED,
                        ConfigError, ScenarioConfig, build_scenario, check_scenario,
                        load_scenario, run_scenario, scenario_from_json)
@@ -39,19 +36,18 @@ __all__ = [
     "ControllerSpec", "PhiSpec", "UNBOUNDED",
     "DEFAULT_DEAD_ZONE", "DEFAULT_U_MAX", "DEFAULT_WAVE_CAP",
     "control_value", "controller_from_json", "controller_to_json",
-    "settling_bound", "settling_bound_details", "validate_rank_one_data",
+    "settling_bound_details", "validate_rank_one_data",
     "NOT_NILPOTENT", "DecompositionResult", "check_H1", "check_H2", "compute_delta",
     "compute_gamma", "decomposition_from_axes", "gamma_certificate",
     "unobservable_subspace",
     "FrontendBundle", "FrontendSpec", "HybridModel", "HybridState", "HybridTrajectory",
-    "beam_model", "build_frontend", "heat_field_on_grid", "heat_model",
+    "beam_model", "build_frontend", "heat_model",
     "hybrid_decay_check", "hybrid_norm", "hybrid_split_check", "hybrid_v",
-    "rank_one_controller", "simulate_hybrid", "transport_heat_model", "transport_step",
-    "wave_model",
+    "simulate_hybrid", "transport_heat_model", "transport_step", "wave_model",
     "IntegrationOpts", "IntegrationStalledError", "Trajectory",
     "simulate", "verify_decay", "verify_lyapunov_stability", "verify_split",
-    "CheckReport", "ModalModel", "ModelError", "inner", "model_from_json",
-    "model_to_json", "norm", "quasi_contraction_type", "validate_control_operator",
+    "CheckReport", "ModalModel", "ModelError", "model_from_json",
+    "quasi_contraction_type", "validate_control_operator",
     "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_CONFIG_ERROR", "EXIT_STALLED",
     "ConfigError", "ScenarioConfig", "build_scenario", "check_scenario",
     "load_scenario", "run_scenario", "scenario_from_json",

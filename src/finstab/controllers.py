@@ -175,16 +175,10 @@ def control_value(spec: ControllerSpec, model: ModalModel, dec: DecompositionRes
     return kernels.closed_loop_rhs(y, assemble_kernel_args(spec, model, dec), False)[1]
 
 
-def settling_bound(spec: ControllerSpec, model: ModalModel, dec: DecompositionResult,
-                   y0: np.ndarray) -> float | _Unbounded | None:
-    """Variant-specific settling-time bound, or Unbounded/None when not applicable."""
-    bound, _ = settling_bound_details(spec, model, dec, y0)
-    return bound
-
-
 def settling_bound_details(spec: ControllerSpec, model: ModalModel,
                            dec: DecompositionResult, y0: np.ndarray):
-    """Bound plus reporting extras (the rank-one law has two published formulas)."""
+    """Variant-specific settling-time bound (Unbounded, or None for no law) plus
+    reporting extras (the rank-one law has two published formulas)."""
     if spec.variant == "ZeroControl":
         return None, {}
     y0 = np.asarray(y0, dtype=float)
@@ -236,6 +230,8 @@ def controller_from_json(doc: dict[str, Any]) -> ControllerSpec:
     phi_doc = doc.get("phi", {"kind": "Zero"})
     if isinstance(phi_doc, str):
         phi_doc = {"kind": phi_doc}
+    if not isinstance(phi_doc, dict):
+        raise ModelError(f"phi must be a kind name or an object, got {phi_doc!r}")
     phi = PhiSpec(kind=phi_doc.get("kind", "Zero"), value=float(phi_doc.get("value", 0.0)),
                   cap=float(phi_doc.get("cap", DEFAULT_WAVE_CAP)),
                   q=int(phi_doc.get("q", 0)), half=int(phi_doc.get("half", 0)))

@@ -63,9 +63,6 @@ class DecompositionResult:
     projection: np.ndarray     # (n, n) metric-orthogonal projector onto W_perp
     gamma: float | None = None
     delta: float | _NotNilpotent | None = None
-    h1_holds: bool | None = None
-    h3_holds: bool | None = None
-    h4_holds: bool | None = None
 
     @property
     def dim_w(self) -> int:
@@ -201,8 +198,8 @@ def compute_gamma(model: ModalModel, dec: DecompositionResult) -> float:
     For a self-adjoint PSD B this is the smallest strictly positive eigenvalue
     of B restricted to W_perp.
     """
-    report = validate_control_operator(_as_bilinear(model))
-    if not report.passed:
+    # an input-map model's B = L L* is self-adjoint and PSD by construction
+    if not validate_control_operator(model).passed:
         raise ModelError("compute_gamma requires a self-adjoint PSD control operator")
     if dec.dim_wperp == 0:
         return 1.0
@@ -215,19 +212,6 @@ def compute_gamma(model: ModalModel, dec: DecompositionResult) -> float:
     if positive.size == 0:
         raise ModelError("control operator vanishes on W_perp")
     return float(positive[0])
-
-
-def _as_bilinear(model: ModalModel) -> ModalModel:
-    """View a linear model through its induced B = L L* for operator checks."""
-    if model.control_op is not None:
-        return model
-    return ModalModel(
-        dim=model.dim,
-        metric=model.metric,
-        generator=model.generator,
-        control_op=_effective_control_matrix(model),
-        basis_labels=model.basis_labels,
-    )
 
 
 @_solver_errors
@@ -279,21 +263,14 @@ def gamma_certificate(model: ModalModel, dec: DecompositionResult, gamma: float,
     )
 
 
-def compute_delta(model: ModalModel, dec: DecompositionResult,
-                  analytic_delta: float | None = None) -> float | _NotNilpotent:
-    """Nilpotency horizon of the flow on W; NotNilpotent for pure matrix models.
+def compute_delta(model: ModalModel, dec: DecompositionResult) -> float | _NotNilpotent:
+    """Nilpotency horizon of the flow on W: 0 when W = {0}, else NotNilpotent.
 
     A matrix exponential restricted to a nontrivial invariant subspace is
     injective for every t, so a finite horizon can only come from a front-end
-    with a genuinely nilpotent flow, supplied as analytic_delta.
+    with a genuinely nilpotent flow, which sets delta itself.
     """
-    if dec.dim_w == 0:
-        return 0.0
-    if analytic_delta is None:
-        return NOT_NILPOTENT
-    if analytic_delta < 0:
-        raise ModelError("analytic_delta must be nonnegative")
-    return float(analytic_delta)
+    return 0.0 if dec.dim_w == 0 else NOT_NILPOTENT
 
 
 @_solver_errors

@@ -20,9 +20,9 @@ import numpy as np
 
 from .controllers import ControllerSpec, DEFAULT_WAVE_CAP, PhiSpec
 from .decomposition import NOT_NILPOTENT, DecompositionResult, decomposition_from_axes
-from .integrator import Trajectory, _pre_settling_mask, _settling_time
+from .integrator import DECAY_TOL, Trajectory, _pre_settling_mask, _settling_time
 from .kernels import dead_zone_rule
-from .model import CheckReport, ModalModel, ModelError
+from .model import CheckReport, ModalModel, ModelError, _is_int
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class FrontendSpec:
             raise ModelError(f"unknown front-end kind: {self.kind}")
         for name in ("n_modes", "q", "grid_n"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ModelError(f"{name} must be an integer, got {value!r}")
         if self.n_modes <= 0:
             raise ModelError("n_modes must be positive")
@@ -54,12 +54,6 @@ class FrontendBundle:
     info: dict[str, Any] = field(default_factory=dict)
 
 
-def _finish_dec(dec: DecompositionResult, gamma: float,
-                delta) -> DecompositionResult:
-    return replace(dec, gamma=gamma, delta=delta, h1_holds=True, h3_holds=True,
-                   h4_holds=not (delta is NOT_NILPOTENT))
-
-
 def heat_model(spec: FrontendSpec) -> FrontendBundle:
     """Diagonal decay -(j pi)^2 with the first mode unobservable."""
     if spec.kind != "Heat1D":
@@ -72,7 +66,7 @@ def heat_model(spec: FrontendSpec) -> FrontendBundle:
     B[0, 0] = 0.0
     model = ModalModel(dim=n, metric=np.eye(n), generator=np.diag(lam), control_op=B,
                        basis_labels=tuple(f"mode{j}" for j in range(1, n + 1)))
-    dec = _finish_dec(decomposition_from_axes(model, (0,)), gamma=1.0, delta=NOT_NILPOTENT)
+    dec = replace(decomposition_from_axes(model, (0,)), gamma=1.0, delta=NOT_NILPOTENT)
     return FrontendBundle(model=model, dec=dec, phi=PhiSpec("Zero"), w_axes=(0,),
                           info={"eigenvalues": lam.tolist()})
 
@@ -98,7 +92,7 @@ def wave_model(spec: FrontendSpec) -> FrontendBundle:
                        basis_labels=labels)
     w_axes = tuple(range(q, n)) + tuple(range(n + q, 2 * n))
     delta = 0.0 if q == n else NOT_NILPOTENT
-    dec = _finish_dec(decomposition_from_axes(model, w_axes), gamma=1.0, delta=delta)
+    dec = replace(decomposition_from_axes(model, w_axes), gamma=1.0, delta=delta)
     phi = PhiSpec("WaveK", cap=DEFAULT_WAVE_CAP, q=q, half=n)
     return FrontendBundle(model=model, dec=dec, phi=phi, w_axes=w_axes,
                           info={"frequencies": om.tolist(), "q": q})
@@ -138,18 +132,10 @@ def beam_model(spec: FrontendSpec) -> FrontendBundle:
     w_axes = tuple(off) + tuple(n + j for j in off)
     dec = decomposition_from_axes(model, w_axes)
     delta = 0.0 if dec.dim_w == 0 else NOT_NILPOTENT
-    dec = _finish_dec(dec, gamma=float(h @ h), delta=delta)
+    dec = replace(dec, gamma=float(h @ h), delta=delta)
     return FrontendBundle(model=model, dec=dec, phi=PhiSpec("Zero"), w_axes=w_axes,
                           info={"frequencies": om.tolist(), "zeta": zeta, "varpi": varpi,
                                 "h": h.tolist()})
-
-
-def rank_one_controller(bundle: FrontendBundle, mu: float = 0.25,
-                        dead_zone: float = 1e-12) -> ControllerSpec:
-    """The beam's preset rank-one feedback built from the bundle's (zeta, varpi)."""
-    return ControllerSpec(variant="RankOne", mu=mu, dead_zone=dead_zone,
-                          zeta=np.asarray(bundle.info["zeta"], dtype=float),
-                          varpi=np.asarray(bundle.info["varpi"], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +233,6 @@ def hybrid_norm(model: HybridModel, state: HybridState) -> float:
     return float(np.sqrt(np.sum(state.c ** 2) + np.sum(state.psi ** 2) / model.grid_n ** 2))
 
 
-def heat_field_on_grid(c: np.ndarray, grid_n: int) -> np.ndarray:
-    """Reconstruct the heat field from cosine-mode coefficients at cell centers."""
-    nm = c.shape[0]
-    x = (np.arange(grid_n) + 0.5) / grid_n
-    basis = np.empty((nm, grid_n))
-    basis[0] = 1.0
-    for j in range(1, nm):
-        basis[j] = np.sqrt(2.0) * np.cos(j * np.pi * x)
-    return basis.T @ c @ basis
-
-
 @dataclass(kw_only=True)
 class HybridTrajectory(Trajectory):
     """Heat modal coefficients as states, norms over heat and grid, plus the grid."""
@@ -329,13 +304,13 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
 
 
 def hybrid_decay_check(model: HybridModel, traj: HybridTrajectory, mu: float,
-                       dead_zone: float, tol: float = 1e-6):
+                       dead_zone: float):
     """Decay envelope for the macro-stepped loop, with the splitting allowance.
 
     Freezing the control over a step of length dt loses at most
     mu * dt * log(V(0)^mu / V(t)^mu) of envelope headroom (one-step excess
     ~ (V^mu)'' dt^2 / 2 summed along the run), so the check is
-    V(t)^mu <= V(0)^mu - 2 mu t + allowance(t) + tol.
+    V(t)^mu <= V(0)^mu - 2 mu t + allowance(t) + DECAY_TOL.
     """
     mask = _pre_settling_mask(traj)
     t = traj.times[mask]
@@ -346,7 +321,7 @@ def hybrid_decay_check(model: HybridModel, traj: HybridTrajectory, mu: float,
     allowance = mu * model.dt_macro * np.log(np.maximum(V0m, floor) / np.maximum(Vm, floor))
     excess = Vm - (V0m - 2.0 * mu * t) - allowance
     worst = float(np.max(excess))
-    return CheckReport("decay_envelope", worst <= tol,
+    return CheckReport("decay_envelope", worst <= DECAY_TOL,
                        {"max_violation": worst, "allowance_final": float(allowance[-1]),
                         "splitting_dt": model.dt_macro})
 

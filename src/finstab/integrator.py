@@ -3,7 +3,7 @@
 The adaptive stepper lives in kernels.py; this module assembles its inputs,
 interprets its outputs (settling time, dead-zone latch diagnostics), and
 provides the three trajectory checks: the comparison-principle decay
-envelope, the free/forced evolution of the unobservable component, and the
+envelope, the free evolution of the unobservable component, and the
 pre-settling Lyapunov stability bound.
 """
 from __future__ import annotations
@@ -19,6 +19,9 @@ from .controllers import ControllerSpec, assemble_kernel_args
 from .decomposition import (DecompositionResult, _effective_control_matrix,
                             _metric_normsq, _metric_orthonormalize)
 from .model import CheckReport, ModalModel, ModelError
+
+DECAY_TOL = 1e-6    # allowed excess of V(t)^mu over its decay envelope
+SPLIT_TOL = 1e-8    # allowed deviation of (I-P) y(t), relative to max(1, ||y0||)
 
 
 @dataclass(frozen=True)
@@ -188,15 +191,14 @@ def decay_envelope(v0: float, gamma: float, mu: float, times: np.ndarray) -> np.
     return np.maximum(max(v0, 0.0) ** mu - 2.0 * gamma * mu * times, 0.0)
 
 
-def verify_decay(traj: Trajectory, gamma: float, mu: float,
-                 tol_decay: float = 1e-6) -> CheckReport:
-    """Comparison-principle envelope: V(t)^mu <= max(V(0)^mu - 2 gamma mu t, 0) + tol."""
+def verify_decay(traj: Trajectory, gamma: float, mu: float) -> CheckReport:
+    """Comparison-principle envelope: V(t)^mu <= max(V(0)^mu - 2 gamma mu t, 0) + DECAY_TOL."""
     mask = _pre_settling_mask(traj)
     V = traj.lyapunov[mask]
     t = traj.times[mask]
     envelope = decay_envelope(V[0], gamma, mu, t)
     deviation = V ** mu - envelope
-    max_violation = float(np.max(deviation - tol_decay))
+    max_violation = float(np.max(deviation - DECAY_TOL))
     worst_index = int(np.argmax(deviation))
     positive_t = t > 0
     strict_margin = float(np.min(-deviation[positive_t])) if np.any(positive_t) else 0.0
@@ -204,46 +206,33 @@ def verify_decay(traj: Trajectory, gamma: float, mu: float,
         "decay_envelope",
         max_violation <= 0.0,
         {"max_violation": max_violation, "worst_sample": worst_index,
-         "strict_margin_after_zero": strict_margin, "tol_decay": tol_decay},
+         "strict_margin_after_zero": strict_margin, "tol_decay": DECAY_TOL},
     )
 
 
-def verify_split(model: ModalModel, dec: DecompositionResult, traj: Trajectory,
-                 forced: bool = False, tol_split: float = 1e-8,
-                 split_constant: float = 100.0) -> CheckReport:
-    """Evolution of the unobservable component along the recorded trajectory.
+def verify_split(model: ModalModel, dec: DecompositionResult, traj: Trajectory) -> CheckReport:
+    """Free evolution of the unobservable component along the recorded trajectory.
 
-    Free laws: (I-P) y(t) must equal expm(tA) (I-P) y0.  Gradient-compensated
-    runs (forced=True) satisfy a variation-of-constants identity instead,
-    checked by trapezoidal quadrature with tolerance ~ sample_dt^2.
+    (I-P) y(t) must equal expm(tA) (I-P) y0.  Under H1, (I-P) A P = 0 and the
+    control enters through range(B) or range(L) inside W_perp, so the control
+    never forces the unobservable component; callers skip the check when H1
+    fails.
     """
-    if dec.h1_holds is False:
-        return CheckReport("split", True, {"applicable": False, "reason": "H1 not certified"})
-    P = dec.projection
     M = model.metric
-    IP = np.eye(model.dim) - P
+    IP = np.eye(model.dim) - dec.projection
     ns = len(traj.times)
     dt = float(traj.times[1] - traj.times[0]) if ns > 1 else 0.0
     E = expm(model.generator * dt)
     # the reference path: z_0 = (I-P) y0, then one exact step per sample
     zs = np.empty_like(traj.states)
     zs[0] = IP @ traj.states[0]
-    if not forced:
-        for i in range(1, ns):
-            zs[i] = E @ zs[i - 1]
-        scale = max(1.0, float(np.sqrt(max(traj.states[0] @ M @ traj.states[0], 0.0))))
-        tol = tol_split * scale
-    else:
-        forcing = traj.states @ (IP @ model.generator @ P).T   # row i: (I-P) A P y_i
-        peak = float(np.sqrt(max(np.max(_metric_normsq(forcing, M)), 0.0)))
-        kicks = 0.5 * dt * (forcing[:-1] @ E.T + forcing[1:])
-        for i in range(1, ns):
-            zs[i] = E @ zs[i - 1] + kicks[i - 1]
-        tol = split_constant * dt * dt * max(1.0, peak)
+    for i in range(1, ns):
+        zs[i] = E @ zs[i - 1]
+    tol = SPLIT_TOL * max(1.0, float(np.sqrt(max(traj.states[0] @ M @ traj.states[0], 0.0))))
     zs -= traj.states @ IP.T   # in place: minus the deviation, one (ns, n) array fewer
     worst = float(np.sqrt(max(np.max(_metric_normsq(zs, M)), 0.0)))
     return CheckReport("split", worst <= tol,
-                       {"max_deviation": worst, "tolerance": tol, "forced": forced})
+                       {"max_deviation": worst, "tolerance": tol, "forced": False})
 
 
 def verify_lyapunov_stability(traj: Trajectory, omega: float) -> CheckReport:

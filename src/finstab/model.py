@@ -11,9 +11,6 @@ from typing import Any
 
 import numpy as np
 
-# States are plain coefficient vectors in the model basis.
-StateVec = np.ndarray
-
 SYM_TOL = 1e-12
 STRUCT_TOL = 1e-10
 
@@ -96,25 +93,8 @@ class ModalModel:
         else:
             object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
-    @property
-    def n_inputs(self) -> int:
-        return 0 if self.input_map is None else self.input_map.shape[1]
-
     def is_bilinear(self) -> bool:
         return self.control_op is not None
-
-
-def inner(model: ModalModel, x: StateVec, y: StateVec) -> float:
-    """Weighted inner product x^T M y of two coefficient vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (model.dim,) or y.shape != (model.dim,):
-        raise ModelError("state dimension mismatch")
-    return float(x @ model.metric @ y)
-
-
-def norm(model: ModalModel, x: StateVec) -> float:
-    return float(np.sqrt(max(inner(model, x, x), 0.0)))
 
 
 def pencil_eigvalsh(S: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -157,6 +137,11 @@ def validate_control_operator(model: ModalModel) -> CheckReport:
     )
 
 
+def _is_int(value: Any) -> bool:
+    """An integer, but not a bool: a size or seed read as 2.5 must not become 2."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _float_array(obj: Any, what: str) -> np.ndarray:
     try:
         return np.asarray(obj, dtype=float)
@@ -181,9 +166,11 @@ def _matrix_from_json(obj: Any, n: int, what: str) -> np.ndarray:
 def model_from_json(doc: dict[str, Any]) -> ModalModel:
     """Build a model from {dim, metric, generator, control_op | input_map, basis_labels}."""
     try:
-        n = int(doc["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n = doc["dim"]
+    except (KeyError, TypeError) as exc:
         raise ModelError("model JSON requires an integer 'dim'") from exc
+    if not _is_int(n):
+        raise ModelError(f"model JSON requires an integer 'dim', got {n!r}")
     metric = _matrix_from_json(doc.get("metric", "identity"), n, "metric")
     if "generator" not in doc:
         raise ModelError("model JSON requires 'generator'")
@@ -197,17 +184,3 @@ def model_from_json(doc: dict[str, Any]) -> ModalModel:
     labels = tuple(doc.get("basis_labels", ()))
     return ModalModel(dim=n, metric=metric, generator=generator, control_op=control_op,
                       input_map=input_map, basis_labels=labels)
-
-
-def model_to_json(model: ModalModel) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "dim": model.dim,
-        "metric": model.metric.tolist(),
-        "generator": model.generator.tolist(),
-        "basis_labels": list(model.basis_labels),
-    }
-    if model.control_op is not None:
-        doc["control_op"] = model.control_op.tolist()
-    if model.input_map is not None:
-        doc["input_map"] = model.input_map.tolist()
-    return doc

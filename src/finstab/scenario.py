@@ -34,7 +34,7 @@ from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         simulate_hybrid)
 from .integrator import (IntegrationOpts, IntegrationStalledError, decay_envelope, simulate,
                          verify_decay, verify_lyapunov_stability, verify_split)
-from .model import (CheckReport, ModalModel, ModelError, _jsonify, model_from_json,
+from .model import (CheckReport, ModalModel, ModelError, _is_int, _jsonify, model_from_json,
                     quasi_contraction_type, validate_control_operator)
 
 EXIT_OK = 0
@@ -78,10 +78,9 @@ def scenario_from_json(doc: Any) -> ScenarioConfig:
     integration = doc.get("integration", {})
     if not isinstance(integration, dict):
         raise ConfigError("'integration' must be an object")
-    try:
-        seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("'seed' must be an integer") from exc
+    seed = doc.get("seed", 0)
+    if not _is_int(seed):
+        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
     return ScenarioConfig(
         name=str(doc.get("name", "scenario")),
         controller=controller,
@@ -197,11 +196,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         except ModelError as exc:
             gamma = None
             gamma_error = str(exc)
-        delta = compute_delta(model, dec0)
-        dec = dataclasses.replace(dec0, gamma=gamma, delta=delta,
-                                  h1_holds=h1.passed,
-                                  h3_holds=gamma is not None,
-                                  h4_holds=not (delta is NOT_NILPOTENT) or dec0.dim_w == 0)
+        dec = dataclasses.replace(dec0, gamma=gamma, delta=compute_delta(model, dec0))
     spec = _controller_spec(config, bundle)
     if spec.variant == "RankOne":
         try:
@@ -237,10 +232,17 @@ _TERM_RE = re.compile(r"([+-]?)((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\*)?([A-
 _WPERP_RE = re.compile(r"wperp-random(?:\((\d+)\))?")
 
 
+def _config_floats(obj: Any, what: str) -> np.ndarray:
+    try:
+        return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a rectangular array of numbers") from exc
+
+
 def parse_initial_state(value: Any, model: ModalModel, dec: DecompositionResult,
                         seed: int) -> np.ndarray:
     if isinstance(value, (list, tuple, np.ndarray)):
-        vec = np.asarray(value, dtype=float)
+        vec = _config_floats(value, "initial_state")
         if vec.shape != (model.dim,):
             raise ConfigError(f"initial_state length {vec.shape} does not match dim {model.dim}")
         return vec
@@ -317,7 +319,7 @@ def hybrid_initial_state(value: Any, model: HybridModel) -> HybridState:
     elif psi_doc == "bump":
         psi = _psi_bump(G, model.n_omega)
     else:
-        psi = np.asarray(psi_doc, dtype=float)
+        psi = _config_floats(psi_doc, "psi")
         if psi.shape != (G, G):
             raise ConfigError(f"psi grid must be {G}x{G}")
     return HybridState(c=c, psi=psi)
@@ -434,8 +436,13 @@ def _trajectory_checks(built: BuiltScenario, traj, rate: float | None,
     if rate is not None:
         reports.append(hybrid_decay_check(model, traj, spec.mu, spec.dead_zone) if hybrid
                        else verify_decay(traj, rate, spec.mu))
-    reports.append(hybrid_split_check(model, built.y0, traj) if hybrid
-                   else verify_split(model, built.dec, traj))
+    if hybrid:
+        reports.append(hybrid_split_check(model, built.y0, traj))
+    elif built.h1.passed:
+        reports.append(verify_split(model, built.dec, traj))
+    else:
+        reports.append(CheckReport("split", True, {"applicable": False,
+                                                   "reason": "H1 not certified"}))
     reports.append(verify_lyapunov_stability(traj, omega))
     if hybrid:
         after = traj.psi_norms[traj.times >= model.delta - 1e-12]
@@ -480,7 +487,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
         omega = quasi_contraction_type(model)
         summary.update({
             "matrices_dim": None if config.matrices is None else model.dim,
-            "decomposition": {**_decomposition_json(dec), "h1_holds": dec.h1_holds},
+            "decomposition": {**_decomposition_json(dec), "h1_holds": built.h1.passed},
             "quasi_contraction_omega": omega,
             "initial_state": config.initial_state if isinstance(config.initial_state, str)
             else np.asarray(built.y0).tolist(),

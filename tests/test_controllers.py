@@ -4,16 +4,14 @@ import pytest
 from finstab import (DEFAULT_DEAD_ZONE, UNBOUNDED, ControllerSpec, ModalModel,
                      ModelError, PhiSpec, control_value, controller_from_json,
                      controller_to_json, compute_delta, compute_gamma,
-                     decomposition_from_axes, settling_bound,
-                     settling_bound_details, unobservable_subspace,
+                     decomposition_from_axes, settling_bound_details, unobservable_subspace,
                      validate_rank_one_data)
 from dataclasses import replace
 
 
-def finished_dec(model, analytic_delta=None):
+def finished_dec(model):
     dec = unobservable_subspace(model)
-    return replace(dec, gamma=compute_gamma(model, dec),
-                   delta=compute_delta(model, dec, analytic_delta))
+    return replace(dec, gamma=compute_gamma(model, dec), delta=compute_delta(model, dec))
 
 
 def diag_bilinear():
@@ -175,8 +173,8 @@ def test_control_ignores_the_unobservable_component():
 def test_settling_bound_zero_control_is_none():
     model = diag_bilinear()
     dec = finished_dec(model)
-    assert settling_bound(ControllerSpec(variant="ZeroControl"), model, dec,
-                          np.array([1.0, 1.0])) is None
+    assert settling_bound_details(ControllerSpec(variant="ZeroControl"), model, dec,
+                                  np.array([1.0, 1.0]))[0] is None
 
 
 def test_settling_bound_bilinear_phi():
@@ -184,14 +182,14 @@ def test_settling_bound_bilinear_phi():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     # V0 = 2, gamma = 1: bound = 2^{1/4} / (2 * 1 * 1/4) = 2^{5/4}
-    bound = settling_bound(spec, model, dec, np.array([1.0, 1.0]))
+    bound = settling_bound_details(spec, model, dec, np.array([1.0, 1.0]))[0]
     assert bound == pytest.approx(2.378414230005442, rel=1e-14)
 
 
 def test_settling_bound_grad_adds_the_nilpotency_horizon():
     model = ModalModel(dim=2, metric=np.eye(2), generator=np.diag([-1.0, -4.0]),
                        control_op=np.diag([0.0, 1.0]))
-    dec = finished_dec(model, analytic_delta=0.75)
+    dec = replace(finished_dec(model), delta=0.75)
     spec = ControllerSpec(variant="BilinearGrad", mu=0.25)
     bound, extras = settling_bound_details(spec, model, dec, np.array([0.3, 1.0]))
     assert bound == pytest.approx(extras["t1"] + 0.75, rel=1e-14)
@@ -206,7 +204,7 @@ def test_settling_bound_unbounded_without_nilpotency():
     assert bound is UNBOUNDED
     assert "reason" in extras
     # the same data restricted to W_perp is still covered by the bound
-    assert isinstance(settling_bound(spec, model, dec, np.array([0.0, 1.0])), float)
+    assert isinstance(settling_bound_details(spec, model, dec, np.array([0.0, 1.0]))[0], float)
 
 
 def test_settling_bound_linear_phi():
@@ -214,7 +212,7 @@ def test_settling_bound_linear_phi():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="LinearPhi", mu=0.25)
     # ||w0|| = 3: bound = 3^{1/2} / (2 * 1 * 1/4) = 2 sqrt(3)
-    bound = settling_bound(spec, model, dec, np.array([0.0, 3.0]))
+    bound = settling_bound_details(spec, model, dec, np.array([0.0, 3.0]))[0]
     assert bound == pytest.approx(3.4641016151377544, rel=1e-14)
 
 

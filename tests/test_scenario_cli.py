@@ -220,6 +220,25 @@ def test_invalid_control_operator_short_circuits(tmp_path):
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
+def test_h1_failing_matrix_run_skips_the_split_check(tmp_path):
+    # W = span(e2) is A-invariant, but A e1 leaks into W, so H1 fails
+    doc = {
+        "name": "h1-fail",
+        "matrices": {"dim": 2, "generator": [[-1.0, 0.0], [1.0, -2.0]],
+                     "control_op": {"diagonal": [1.0, 0.0]}},
+        "controller": {"variant": "BilinearPhi", "mu": 0.25},
+        "initial_state": [1.0, 1.0],
+        "integration": {"t_max": 2.0, "sample_dt": 0.01},
+    }
+    code, summary = run_scenario(scenario_from_json(doc), tmp_path / "out")
+    checks = {r["name"]: r for r in summary["checks"]}
+    assert code == 1
+    assert not checks["H1"]["passed"]
+    assert summary["decomposition"]["h1_holds"] is False
+    assert checks["split"] == {"name": "split", "passed": True, "applicable": False,
+                               "reason": "H1 not certified"}
+
+
 def test_stalled_run_exits_3(tmp_path):
     doc = {
         "name": "stall",
@@ -352,6 +371,15 @@ def _matrices_doc(**matrices):
     ({**_matrices_doc(input_map=[[1.0], [0.0, 1.0]]),
       "controller": {"variant": "LinearPhi", "mu": 0.25}},
      "input_map: expected a rectangular array"),
+    ({"initial_state": ["a", 1, 2, 3]}, "initial_state must be a rectangular array"),
+    ({**_hybrid_doc(t_max=1.0), "initial_state": {"psi": "x"}},
+     "psi must be a rectangular array"),
+    ({**_hybrid_doc(t_max=1.0), "initial_state": {"psi": [[0.0] * 16] * 15 + [[0.0]]}},
+     "psi must be a rectangular array"),
+    (_matrices_doc(dim=2.5, control_op="identity"), "integer 'dim', got 2.5"),
+    ({"seed": 2.5}, "'seed' must be an integer, got 2.5"),
+    ({"controller": {"variant": "BilinearPhi", "phi": [1]}},
+     "phi must be a kind name or an object"),
 ])
 def test_cli_check_rejects_malformed_documents(tmp_path, capsys, overrides, cause):
     doc = {**heat_doc(), **overrides}
@@ -554,3 +582,16 @@ def test_traced_functions_resolve_on_a_fresh_import():
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == ""
+
+
+def test_star_import_resolves_every_public_name():
+    # a name deleted from a module but left in __all__ breaks "import *"
+    code = "\n".join([
+        "import finstab",
+        "namespace = {}",
+        "exec('from finstab import *', namespace)",
+        "print(sorted(set(finstab.__all__) - set(namespace)))",
+    ])
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "[]\n"
