@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .decomposition import NOT_NILPOTENT, DecompositionResult, _effective_control_matrix
-from .model import ModalModel, ModelError
+from .model import ModalModel, ModelError, _is_int
 
 VARIANTS = ("ZeroControl", "BilinearPhi", "BilinearGrad", "LinearPhi", "RankOne")
 
@@ -108,14 +108,14 @@ def validate_rank_one_data(spec: ControllerSpec, model: ModalModel) -> None:
 
 @dataclass(frozen=True)
 class KernelOps:
-    """Constant operators of one law, assembled once per run for kernels.closed_loop_rhs.
+    """Constant operators of one law, assembled once per run for the kernels.
 
-    stack holds the rows of A over the law's own rows, so one mat-vec gives
-    A y and every linear quantity the law reads from P y:
+    stack holds the rows of A, then B for the bilinear laws (not for
+    ZeroControl), then the law's own rows from row law_from on, so one
+    mat-vec gives A y and every linear quantity the law reads from P y:
 
-    - BilinearPhi, BilinearGrad, ZeroControl: Q = P* M B P (V = <y, Q y>), then B
-      (not for ZeroControl); BilinearGrad adds the Gram form P* B* M B P and
-      the pairing P* A* M B P.
+    - BilinearPhi, BilinearGrad, ZeroControl: Q = P* M B P (V = <y, Q y>);
+      BilinearGrad adds the Gram form P* B* M B P and the pairing P* A* M B P.
     - LinearPhi: L* M P.
     - RankOne: (P* M zeta)^T and (P* A* M zeta)^T.
     - a WaveK phi appends the rows of P.
@@ -125,6 +125,7 @@ class KernelOps:
     stack: np.ndarray
     input_map: np.ndarray | None
     width: int                 # control components (1 for bilinear laws)
+    law_from: int              # first row of the law's own rows in stack
     zeta_normsq: float = 1.0
 
 
@@ -137,31 +138,33 @@ def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
     L = model.input_map
     width = 1 if L is None else L.shape[1]
     zeta_normsq = 1.0
+    rows = [A]
     if spec.variant == "RankOne":
         validate_rank_one_data(spec, model)
         m_zeta = M @ spec.zeta
-        rows = [A, (P.T @ m_zeta)[None, :], (P.T @ (A.T @ m_zeta))[None, :]]
+        rows += [(P.T @ m_zeta)[None, :], (P.T @ (A.T @ m_zeta))[None, :]]
         width = spec.varpi.shape[0]
         zeta_normsq = float(spec.zeta @ m_zeta)
     elif spec.variant == "LinearPhi":
         if L is None:
             raise ModelError("LinearPhi requires a model with an input_map")
-        rows = [A, L.T @ M @ P]
+        rows.append(L.T @ M @ P)
     else:
         if spec.variant != "ZeroControl" and model.control_op is None:
             raise ModelError(f"{spec.variant} requires a control operator")
         B = _effective_control_matrix(model)
         BP = B @ P
-        rows = [A, P.T @ M @ BP]
         if spec.variant != "ZeroControl":
             rows.append(B)
+        rows.append(P.T @ M @ BP)
         if spec.variant == "BilinearGrad":
             MBP = M @ BP
             rows += [BP.T @ MBP, P.T @ A.T @ MBP]
+    law_from = (2 if spec.variant in ("BilinearPhi", "BilinearGrad") else 1) * model.dim
     if spec.variant in ("BilinearPhi", "LinearPhi") and spec.phi.kind == "WaveK":
         rows.append(P)
     return KernelOps(spec=spec, stack=np.vstack(rows), input_map=L, width=width,
-                     zeta_normsq=zeta_normsq)
+                     law_from=law_from, zeta_normsq=zeta_normsq)
 
 
 def control_value(spec: ControllerSpec, model: ModalModel, dec: DecompositionResult,
@@ -232,9 +235,12 @@ def controller_from_json(doc: dict[str, Any]) -> ControllerSpec:
         phi_doc = {"kind": phi_doc}
     if not isinstance(phi_doc, dict):
         raise ModelError(f"phi must be a kind name or an object, got {phi_doc!r}")
+    for key in ("q", "half"):
+        if not _is_int(phi_doc.get(key, 0)):
+            raise ModelError(f"phi.{key} must be an integer, got {phi_doc[key]!r}")
     phi = PhiSpec(kind=phi_doc.get("kind", "Zero"), value=float(phi_doc.get("value", 0.0)),
                   cap=float(phi_doc.get("cap", DEFAULT_WAVE_CAP)),
-                  q=int(phi_doc.get("q", 0)), half=int(phi_doc.get("half", 0)))
+                  q=phi_doc.get("q", 0), half=phi_doc.get("half", 0))
     zeta = doc.get("zeta")
     varpi = doc.get("varpi")
     return ControllerSpec(

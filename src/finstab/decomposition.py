@@ -253,7 +253,9 @@ def gamma_certificate(model: ModalModel, dec: DecompositionResult, gamma: float,
     ratios[seen] = normsq[seen] / quad[seen]
     worst_sample = int(np.argmin(ratios))  # the row where the bound is tightest
     min_ratio = float(ratios[worst_sample])
-    holds = worst_violation <= 1e-9
+    # relative to the sampled scale: the violation scales as ||Bx||^2, so the
+    # verdict does not change when B is scaled up (roundoff) or down
+    holds = worst_violation <= 1e-9 * float(np.max(normsq))
     attained = min_ratio <= gamma * (1.0 + 1e-6)
     return CheckReport(
         "gamma_certificate",

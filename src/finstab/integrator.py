@@ -141,12 +141,18 @@ def _sample_grid(opts: IntegrationOpts) -> np.ndarray:
 
 def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
              y0: np.ndarray, opts: IntegrationOpts) -> Trajectory:
-    """Integrate the closed loop over [0, t_max], recording on the sample grid."""
+    """Integrate the closed loop over [0, t_max], recording on the sample grid.
+
+    Samples between step ends come from the stepper's dense output, and the
+    law gives them their control and V a block at a time
+    (kernels.integrate_adaptive).
+    """
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (model.dim,):
         raise ModelError("initial state dimension mismatch")
     ops = assemble_kernel_args(spec, model, dec)
-    C = clamp_projector(model, dec)
+    # the free flow never latches, so it has nothing to clamp
+    C = clamp_projector(model, dec) if spec.variant != "ZeroControl" else None
     if spec.variant == "RankOne":
         gamma_eff = ops.zeta_normsq
         trig_exp = 2.0 * spec.mu
@@ -216,20 +222,25 @@ def verify_split(model: ModalModel, dec: DecompositionResult, traj: Trajectory) 
     (I-P) y(t) must equal expm(tA) (I-P) y0.  Under H1, (I-P) A P = 0 and the
     control enters through range(B) or range(L) inside W_perp, so the control
     never forces the unobservable component; callers skip the check when H1
-    fails.
+    fails.  A run started in W_perp, (I-P) y0 = 0 exactly, has the zero
+    reference path, so no exponential is formed.
     """
     M = model.metric
     IP = np.eye(model.dim) - dec.projection
     ns = len(traj.times)
-    dt = float(traj.times[1] - traj.times[0]) if ns > 1 else 0.0
-    E = expm(model.generator * dt)
-    # the reference path: z_0 = (I-P) y0, then one exact step per sample
-    zs = np.empty_like(traj.states)
-    zs[0] = IP @ traj.states[0]
-    for i in range(1, ns):
-        zs[i] = E @ zs[i - 1]
     tol = SPLIT_TOL * max(1.0, float(np.sqrt(max(traj.states[0] @ M @ traj.states[0], 0.0))))
-    zs -= traj.states @ IP.T   # in place: minus the deviation, one (ns, n) array fewer
+    z0 = IP @ traj.states[0]
+    if z0.any():
+        # the reference path: z_0 = (I-P) y0, then one exact step per sample
+        dt = float(traj.times[1] - traj.times[0]) if ns > 1 else 0.0
+        E = expm(model.generator * dt)
+        zs = np.empty_like(traj.states)
+        zs[0] = z0
+        for i in range(1, ns):
+            zs[i] = E @ zs[i - 1]
+        zs -= traj.states @ IP.T   # in place: minus the deviation, one (ns, n) array fewer
+    else:
+        zs = traj.states @ IP.T    # a run started in W_perp has the zero reference path
     worst = float(np.sqrt(max(np.max(_metric_normsq(zs, M)), 0.0)))
     return CheckReport("split", worst <= tol,
                        {"max_deviation": worst, "tolerance": tol, "forced": False})

@@ -4,32 +4,49 @@ A law only ever reads P y, so its field is a fixed linear map of y plus one
 scalar law.  controllers.assemble_kernel_args folds that map into one stacked
 matrix per run (rows of A over the law's own rows); closed_loop_rhs applies
 it with one mat-vec and evaluates the law named by the variant.
-integrate_adaptive steps by the error control alone and fills the sample
-grid from the Dormand-Prince continuous extension, so the step count does
-not grow with the number of samples.
+integrate_adaptive keeps the seven stage slopes of a step as the rows of one
+block, so every stage state, the new state, the error estimate and the
+dense-output term is one small product of a coefficient row with that block.
+It steps by the error control alone and fills the sample grid from the
+Dormand-Prince continuous extension, so the step count does not grow with
+the number of samples; closed_loop_law then gives the filled samples their
+control and V a block of rows at a time.
 Status codes: 0 completed, 3 stalled at dt_min.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 STATUS_OK = 0
 STATUS_STALLED = 3
 
-# Dormand-Prince 5(4) tableau
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
-                                49.0 / 176.0, -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                                -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-# its free 4th-order continuous extension (Hairer, Norsett, Wanner, Solving ODEs I, II.6)
-_D1, _D3, _D4, _D5, _D6, _D7 = (-12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
-                                -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
-                                -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0)
+# Dormand-Prince 5(4) tableau.  Row i of _STAGE holds the weights of k1..k7
+# in the state where stage i + 1 is evaluated; its last row is the 5th-order
+# solution b, because k7 is the slope at the new state (first same as last).
+_STAGE = np.array([
+    [0.0] * 7,
+    [1.0 / 5.0] + [0.0] * 6,
+    [3.0 / 40.0, 9.0 / 40.0] + [0.0] * 5,
+    [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0] + [0.0] * 4,
+    [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0] + [0.0] * 3,
+    [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0,
+     0.0, 0.0],
+    [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0],
+])
+# the 5th- minus the embedded 4th-order weights
+_ERR = np.array([71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+                 22.0 / 525.0, -1.0 / 40.0])
+# the r5 term of the free 4th-order continuous extension (Hairer's dopri5
+# contd5; Hairer, Norsett, Wanner, Solving ODEs I, II.6)
+_DENSE = np.array([-12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
+                   -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+                   -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0])
+_COEF = np.vstack([_STAGE, _ERR, _DENSE])   # scaled by the step once per attempt
+_ROW_ERR, _ROW_DENSE = 7, 8
+# filled samples whose law is evaluated together; bounds the block temporaries
+_FILL_ROWS = 256
 
 
 def phi_value(phi, py: np.ndarray, eps_dz: float):
@@ -45,25 +62,29 @@ def phi_value(phi, py: np.ndarray, eps_dz: float):
         return phi.value
     pos = np.abs(py[..., :phi.q])
     vel = np.maximum(np.abs(py[..., phi.half:phi.half + phi.q]), eps_dz)
-    ratio = (pos / vel).max(axis=-1)
+    ratio = np.maximum.reduce(pos / vel, axis=-1)   # ndarray.max's Python wrapper costs more
     if py.ndim == 1:
         return min(float(ratio), phi.cap)
     return np.minimum(ratio, phi.cap)
 
 
-def closed_loop_rhs(y: np.ndarray, ops, latched: bool):
-    """Field A y plus the law's contribution; returns (dy, control, trigger, V, saturated).
+def closed_loop_rhs(y: np.ndarray, ops, latched: bool, field_only: bool = False):
+    """Field A y plus the law's contribution; returns (dy, control, trigger, V, saturated),
+    or dy alone when field_only is set.
 
     ops is a controllers.KernelOps.  trigger is the dead-zone variable (V,
     ||B P y||^2, ||w||^2 or |s| by variant); latched switches the singular
-    control terms off for good.
+    control terms off for good.  The inner stages of a step need only dy,
+    so field_only skips the control vector, V where the field does not need
+    it, and the flags.
     """
     n = y.shape[0]
     spec = ops.spec
     law = spec.variant
+    if field_only and law == "ZeroControl":
+        return ops.stack[:n] @ y   # the free flow reads no law row
     z = ops.stack @ y
     dy = z[:n]
-    control = np.zeros(ops.width)
     if law == "RankOne":
         # rows: A, (P* M zeta)^T giving s, (P* A* M zeta)^T giving <Py, A* zeta>
         s, comp = z[n], z[n + 1]
@@ -71,20 +92,30 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool):
         if (not latched) and abs(s) > spec.dead_zone:
             first = -s * abs(s) ** (-2.0 * spec.mu)
         control = (first - comp / ops.zeta_normsq) * spec.varpi
-        return dy + ops.input_map @ control, control, abs(s), s * s / ops.zeta_normsq, False
+        dy = dy + ops.input_map @ control
+        if field_only:
+            return dy
+        return dy, control, abs(s), s * s / ops.zeta_normsq, False
     if law == "LinearPhi":
         # rows: A, L* M P giving w; the rows of P follow for WaveK
         w = z[n:n + ops.width]
         wnormsq = w @ w
+        control = None
         if (not latched) and wnormsq > spec.dead_zone:
             scale = wnormsq ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone)
             control = -scale * w
             dy = dy + ops.input_map @ control
+        if field_only:
+            return dy
+        if control is None:
+            control = np.zeros(ops.width)
         return dy, control, wnormsq, wnormsq, False
-    # bilinear family, rows: A, Q = P* M B P giving V = <y, Q y>, then B
-    V = y @ z[n:2 * n]
     if law == "ZeroControl":
-        return dy, control, V, V, False
+        # rows: A, Q = P* M B P giving V = <y, Q y>
+        V = y @ z[n:2 * n]
+        return dy, np.zeros(ops.width), V, V, False
+    # bilinear laws, rows: A, B, Q; the rows of P follow for WaveK
+    V = y @ z[2 * n:3 * n]
     trigger = V
     u = 0.0
     saturated = False
@@ -101,12 +132,62 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool):
                 u = -spec.u_max
                 saturated = True
     elif (not latched) and V > spec.dead_zone:
-        # BilinearPhi; the rows of P follow for WaveK
         u = -(V ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone))
-    control[0] = u
     if u != 0.0:
-        dy = dy + u * z[2 * n:3 * n]
+        dy = dy + u * z[n:2 * n]
+    if field_only:
+        return dy
+    control = np.zeros(ops.width)
+    control[0] = u
     return dy, control, trigger, V, saturated
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def closed_loop_law(ys: np.ndarray, ops, latched) -> tuple[np.ndarray, np.ndarray]:
+    """The law's (control, V) at one state or at each row of a block.
+
+    The row-wise form of closed_loop_rhs's law, with one latched flag per
+    row; the field itself is not formed, so only the rows of ops.stack from
+    ops.law_from on are applied.  controls has shape (..., width).
+    """
+    spec = ops.spec
+    law = spec.variant
+    n = ys.shape[-1]
+    eps_dz = spec.dead_zone
+    z = ys @ ops.stack[ops.law_from:].T
+    live = np.logical_not(latched)
+    if law == "RankOne":
+        s = z[..., 0]
+        first = np.zeros(s.shape)
+        on = live & (np.abs(s) > eps_dz)
+        first[on] = -s[on] * np.abs(s[on]) ** (-2.0 * spec.mu)
+        controls = (first - z[..., 1] / ops.zeta_normsq)[..., None] * spec.varpi
+        return controls, s * s / ops.zeta_normsq
+    if law == "LinearPhi":
+        w = z[..., :ops.width]
+        wnormsq = _rowdot(w, w)
+        on = live & (wnormsq > eps_dz)
+        controls = np.zeros(w.shape)
+        scale = wnormsq[on] ** (-spec.mu) + phi_value(spec.phi, z[on][:, -n:], eps_dz)
+        controls[on] = -scale[:, None] * w[on]
+        return controls, wnormsq
+    # the bilinear laws: Q first, then Gram and pairing for BilinearGrad
+    V = _rowdot(ys, z[..., :n])
+    u = np.zeros(V.shape)
+    if law == "BilinearGrad":
+        bnormsq = _rowdot(ys, z[..., n:2 * n])
+        on = live & (bnormsq > eps_dz)
+        u[on] = -(V[on] ** (-spec.mu) + _rowdot(ys[on], z[on][:, 2 * n:3 * n]) / bnormsq[on])
+        np.clip(u, -spec.u_max, spec.u_max, out=u)
+    elif law == "BilinearPhi":
+        on = live & (V > eps_dz)
+        u[on] = -(V[on] ** (-spec.mu) + phi_value(spec.phi, z[on][:, -n:], eps_dz))
+    controls = np.zeros(V.shape + (ops.width,))
+    controls[..., 0] = u
+    return controls, V
 
 
 def dead_zone_rule(trigger, latched: bool, clamped: bool, dt: float, eps_dz: float,
@@ -136,13 +217,19 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     via the projector C.  opts supplies rtol, atol, dt_init, dt_min and
     dt_max.
 
+    The stage slopes are the rows of one (7, n) block K, and a stage state is
+    y + (h a_i) @ K.  A filled sample keeps the latch flag of its step, and
+    once the run ends closed_loop_law gives the filled samples their control
+    and V, _FILL_ROWS rows at a time; a step-end sample takes the control
+    and V of k7, or of the re-evaluation after a latch or clamp.
+
     Returns (states, controls, lyapunov, status, reached_index, stats); stats
     holds the deterministic counters: steps, rejections, rhs_calls,
     dt_min_accepted, dt_max_accepted, saturation_events, v_increase_events,
     latch_time, clamp_time and dead_zone_regrow.  rhs_calls counts the
-    stages and the re-evaluation after a latch or clamp; the one call that
-    gives an interior sample its control and V is left out, so every counter
-    is independent of the sample grid.
+    closed_loop_rhs calls: the stages and the re-evaluation after a latch or
+    clamp.  The fill makes none, so every counter is independent of the
+    sample grid.
     """
     rtol, atol, dt_min, dt_max = opts.rtol, opts.atol, opts.dt_min, opts.dt_max
     eps_dz = ops.spec.dead_zone
@@ -153,14 +240,18 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     ys = np.zeros((ns, n))
     us = np.zeros((ns, ops.width))
     Vs = np.zeros(ns)
+    filled = np.zeros(ns, dtype=bool)   # interior samples, given u and V at the end
+    K = np.empty((7, n))
     y = y0.copy()
-    t = sample_ts[0]
-    t_end = sample_ts[-1]
+    grid = sample_ts.tolist()   # Python floats: the step loop does scalar work only
+    t = grid[0]
+    t_end = grid[-1]
     tol_t = 1e-14 * max(abs(t_end), 1.0)   # a sample this close to a step end lies on it
     clamped = False
     regrow = False
     latch_time = None
     clamp_time = None
+    latch_from = ns   # samples from this index on are recorded after the latch
     n_steps = 0
     n_rejected = 0
     n_saturated = 0
@@ -169,7 +260,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     dt_hi = 0.0
     status = STATUS_OK
 
-    k1, ctrl, trigger, V, _ = closed_loop_rhs(y, ops, False)
+    K[0], ctrl, trigger, V, _ = closed_loop_rhs(y, ops, False)
     rhs_calls = 1
     ys[0] = y
     us[0] = ctrl
@@ -177,6 +268,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     latched = controlled and trigger <= eps_dz
     if latched:
         latch_time = float(t)
+        latch_from = 1
     dt = opts.dt_init
     nxt = 1  # next sample to record
     while nxt < ns:
@@ -185,19 +277,14 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
             h = t_end - t
         if h < dt_min:
             h = dt_min
-        k2 = closed_loop_rhs(y + h * _A21 * k1, ops, latched)[0]
-        k3 = closed_loop_rhs(y + h * (_A31 * k1 + _A32 * k2), ops, latched)[0]
-        k4 = closed_loop_rhs(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), ops, latched)[0]
-        k5 = closed_loop_rhs(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
-                             ops, latched)[0]
-        k6 = closed_loop_rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                                      + _A65 * k5), ops, latched)[0]
-        ynew = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7, ctrl_new, trig_new, V_new, sat_new = closed_loop_rhs(ynew, ops, latched)
+        hc = h * _COEF
+        for i in range(1, 6):
+            K[i] = closed_loop_rhs(y + hc[i, :i] @ K[:i], ops, latched, True)
+        ynew = y + hc[6, :6] @ K[:6]
+        K[6], ctrl_new, trig_new, V_new, sat_new = closed_loop_rhs(ynew, ops, latched)
         rhs_calls += 6
-        err = (h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-               / (atol + rtol * np.maximum(np.abs(y), np.abs(ynew))))
-        errnorm = np.sqrt((err @ err) / n)
+        err = (hc[_ROW_ERR] @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(ynew)))
+        errnorm = math.sqrt(float(err @ err) / n)
         if errnorm > 1.0:
             n_rejected += 1
             if h <= dt_min * (1.0 + 1e-12):
@@ -205,7 +292,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
                 break
             fac = 0.9 * errnorm ** -0.2
             dt = max(h * max(fac, 0.1), dt_min)
-            continue  # k1 is still the slope at (t, y)
+            continue  # K[0] is still the slope at (t, y)
         n_steps += 1
         dt_lo = min(dt_lo, h)
         dt_hi = max(dt_hi, h)
@@ -215,24 +302,23 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
             n_v_increase += 1
         t_new = t + h
         inner = nxt
-        while inner < ns and sample_ts[inner] < t_new - tol_t:
+        while inner < ns and grid[inner] < t_new - tol_t:
             inner += 1
         if inner > nxt:
-            # dense output (Hairer's dopri5 contd5), reusing k1..k7
+            # dense output (Hairer's dopri5 contd5)
             ydiff = ynew - y
-            bspl = h * k1 - ydiff
-            r4 = ydiff - h * k7 - bspl
-            r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
+            bspl = h * K[0] - ydiff
+            r4 = ydiff - h * K[6] - bspl
+            r5 = hc[_ROW_DENSE] @ K
             theta = ((sample_ts[nxt:inner] - t) / h)[:, None]
             ys[nxt:inner] = y + theta * (ydiff + (1.0 - theta)
                                          * (bspl + theta * (r4 + (1.0 - theta) * r5)))
-            for i in range(nxt, inner):
-                _, us[i], _, Vs[i], _ = closed_loop_rhs(ys[i], ops, latched)
+            filled[nxt:inner] = True
             nxt = inner
         t = t_new
         y = ynew
         V = V_new
-        k1 = k7
+        K[0] = K[6]
         ctrl = ctrl_new
         fac = 5.0
         if errnorm > 1e-12:
@@ -246,20 +332,25 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
             if latch_now:
                 latched = True
                 latch_time = float(t)
+                latch_from = nxt
             if clamp_now:
                 y = y - C @ y
                 clamped = True
                 clamp_time = float(t)
             if latch_now or clamp_now:
                 # the slope, control and V change with the latch or the clamp
-                k1, ctrl, _, V, _ = closed_loop_rhs(y, ops, latched)
+                K[0], ctrl, _, V, _ = closed_loop_rhs(y, ops, latched)
                 rhs_calls += 1
             regrow = regrow or regrown
-        if nxt < ns and sample_ts[nxt] <= t + tol_t:
+        if nxt < ns and grid[nxt] <= t + tol_t:
             ys[nxt] = y
             us[nxt] = ctrl
             Vs[nxt] = V
             nxt += 1
+    fill = np.flatnonzero(filled)
+    for lo in range(0, fill.size, _FILL_ROWS):
+        rows = fill[lo:lo + _FILL_ROWS]
+        us[rows], Vs[rows] = closed_loop_law(ys[rows], ops, rows >= latch_from)
     stats = {
         "steps": n_steps,
         "rejections": n_rejected,

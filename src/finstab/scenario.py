@@ -307,9 +307,11 @@ def hybrid_initial_state(value: Any, model: HybridModel) -> HybridState:
     c = np.zeros((nm, nm))
     for entry in value.get("phi_modes", []):
         try:
-            j, k, coeff = int(entry[0]), int(entry[1]), float(entry[2])
-        except (TypeError, ValueError, IndexError) as exc:
+            j, k, coeff = entry[0], entry[1], float(entry[2])
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
             raise ConfigError("phi_modes entries must be [j, k, coeff]") from exc
+        if not (_is_int(j) and _is_int(k)):
+            raise ConfigError(f"phi_modes indices must be integers, got [{j!r}, {k!r}]")
         if not (0 <= j < nm and 0 <= k < nm):
             raise ConfigError(f"phi mode ({j},{k}) out of range for n_modes={nm}")
         c[j, k] += coeff

@@ -197,6 +197,25 @@ def test_gamma_scales_with_the_square_of_the_input_map():
     assert gamma(1e3) == pytest.approx(1e6 * gamma(1.0), rel=1e-10)
 
 
+def test_gamma_certificate_verdict_does_not_depend_on_the_scale_of_the_input_map():
+    # at L -> 1e3 L, ||Bx||^2 reaches ~1e14 and its roundoff alone is far
+    # above an absolute violation bound of 1e-9; at L -> 1e-3 L a too large
+    # gamma violates the bound by less than that
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        R = rng.standard_normal((4, 4))
+        M = R @ R.T + 4.0 * np.eye(4)
+        L = rng.standard_normal((4, 2))
+        for s in (1.0, 1e3, 1e-3):
+            model = ModalModel(dim=4, metric=M, generator=-np.diag([1.0, 2.0, 3.0, 4.0]),
+                               input_map=s * L)
+            dec = unobservable_subspace(model)
+            gamma = compute_gamma(model, dec)
+            assert gamma_certificate(model, dec, gamma, samples=500).passed, (seed, s)
+            # and it still fails for a gamma that is too large
+            assert not gamma_certificate(model, dec, 1.5 * gamma, samples=500).passed
+
+
 def test_gamma_rejects_bad_control_operators():
     model = bilinear(np.diag([-1.0, -2.0]), np.diag([1.0, -1.0]))
     with pytest.raises(ModelError):

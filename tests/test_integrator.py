@@ -252,6 +252,12 @@ def test_rhs_calls_counts_every_stepper_evaluation(monkeypatch):
     assert diag["rhs_calls"] == len(calls)
     assert diag["rhs_calls"] >= 6 * (diag["steps"] + diag["rejections"]) + 1
     assert 1e-12 <= diag["dt_min_accepted"] <= diag["dt_max_accepted"] <= 0.05
+    # 500 sample intervals hold far more samples than step ends, and the fill
+    # of the interior ones makes no per-state call
+    calls.clear()
+    fine = heat_closed_loop(1e-3).diagnostics
+    assert fine["steps"] < 400
+    assert fine["rhs_calls"] == len(calls) == diag["rhs_calls"]
 
 
 def _split_deviation_loop(model, dec, traj):
@@ -290,6 +296,26 @@ def test_verify_split_matches_the_per_sample_loop():
     assert report.details["tolerance"] == pytest.approx(tol, rel=1e-12)
     assert report.details["max_deviation"] == pytest.approx(worst, rel=1e-9, abs=1e-15)
     assert worst > 1e-6   # the comparison is not between two zeros
+
+
+@pytest.mark.parametrize("y0", [[0.0, 1.0, 1.0], [0.5, 1.0, 1.0]], ids=["wperp", "with-w"])
+def test_verify_split_from_wperp_matches_the_per_sample_loop(y0):
+    # P = diag(0, 1, 1) exactly, and W_perp leaks into W through A[0, 1]
+    # (H1 fails), so the deviation is not zero; a run started in W_perp has
+    # (I-P) y0 = 0 exactly and the zero reference path
+    model = bilinear([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]],
+                     np.diag([0.0, 1.0, 1.0]))
+    dec = finished_dec(model)
+    assert np.array_equal(dec.projection, np.diag([0.0, 1.0, 1.0]))
+    traj = simulate(model, dec, ControllerSpec(variant="BilinearPhi", mu=0.25),
+                    np.array(y0), IntegrationOpts(t_max=1.0, sample_dt=0.01))
+    assert (not ((np.eye(3) - dec.projection) @ traj.states[0]).any()) == (y0[0] == 0.0)
+    report = verify_split(model, dec, traj)
+    worst, tol = _split_deviation_loop(model, dec, traj)
+    assert report.details["tolerance"] == pytest.approx(tol, rel=1e-12)
+    assert report.details["max_deviation"] == pytest.approx(worst, rel=1e-9, abs=1e-15)
+    assert worst > 1e-3
+    assert sorted(report.details) == ["forced", "max_deviation", "tolerance"]
 
 
 @pytest.mark.parametrize("norm1", [1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3])

@@ -1,11 +1,12 @@
-"""closed_loop_rhs against the closed-loop field written out from the model matrices."""
+"""closed_loop_rhs against the closed-loop field written out from the model matrices,
+its row-wise law against it, and the stepper's tableau."""
 import numpy as np
 import pytest
 
 from finstab import (ControllerSpec, FrontendSpec, ModalModel, PhiSpec, build_frontend,
-                     unobservable_subspace)
+                     kernels, unobservable_subspace)
 from finstab.controllers import assemble_kernel_args
-from finstab.kernels import closed_loop_rhs, dead_zone_rule
+from finstab.kernels import closed_loop_law, closed_loop_rhs, dead_zone_rule
 
 
 def rhs(spec, model, dec, y, latched=False):
@@ -145,3 +146,87 @@ def test_dead_zone_rule_boundaries():
     assert dead_zone_rule(np.nextafter(2.0 * eps, 1.0), True, True, dt, eps, exp,
                           rate) == (False, False, True)
     assert dead_zone_rule(1.0, False, False, dt, eps, exp, rate) == (False, False, False)
+
+
+def wave_k_input_map_case():
+    # two oscillators, positions first; the input map drives both velocities
+    omega = np.array([1.0, 2.5])
+    A = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.diag(omega ** 2), -0.1 * np.eye(2)]])
+    L = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [0.3, 1.0]])
+    model = ModalModel(dim=4, metric=np.diag([1.0, 6.25, 1.0, 1.0]), generator=A, input_map=L)
+    return model, unobservable_subspace(model)
+
+
+def row_law_cases():
+    heat, heat_dec = coupled_bilinear()
+    wave = build_frontend(FrontendSpec(kind="Wave1D", n_modes=8, q=3))
+    lin, lin_dec = wave_k_input_map_case()
+    beam, beam_dec, rank_one = rank_one_case()
+    return {
+        "ZeroControl": (heat, heat_dec, ControllerSpec(variant="ZeroControl")),
+        "BilinearPhi-Zero": (heat, heat_dec, ControllerSpec(variant="BilinearPhi", mu=0.25)),
+        "BilinearPhi-Constant": (heat, heat_dec, ControllerSpec(
+            variant="BilinearPhi", mu=0.3, phi=PhiSpec("Constant", value=0.5))),
+        "BilinearPhi-WaveK": (wave.model, wave.dec, ControllerSpec(
+            variant="BilinearPhi", mu=0.25, phi=wave.phi)),
+        # u_max low enough that part of the rows saturate, on either side
+        "BilinearGrad": (heat, heat_dec, ControllerSpec(variant="BilinearGrad", mu=0.4,
+                                                        u_max=0.8)),
+        "LinearPhi-WaveK": (lin, lin_dec, ControllerSpec(
+            variant="LinearPhi", mu=0.3, phi=PhiSpec("WaveK", cap=50.0, q=2, half=2))),
+        "RankOne": (beam, beam_dec, rank_one),
+    }
+
+
+@pytest.mark.parametrize("case", list(row_law_cases()))
+def test_row_law_matches_the_per_state_law(case):
+    model, dec, spec = row_law_cases()[case]
+    ops = assemble_kernel_args(spec, model, dec)
+    rng = np.random.default_rng(11)
+    ys = rng.standard_normal((40, model.dim))
+    ys[::4] *= 1e-13          # triggers below the dead zone
+    latched = rng.random(40) < 0.3
+    controls, V = closed_loop_law(ys, ops, latched)
+    assert controls.shape == (40, ops.width) and V.shape == (40,)
+    below = []
+    for i in range(40):
+        _, control, trigger, V_i, _ = closed_loop_rhs(ys[i], ops, bool(latched[i]))
+        np.testing.assert_allclose(controls[i], control, rtol=1e-14, atol=0.0)
+        assert V[i] == pytest.approx(V_i, rel=1e-14, abs=0.0)
+        # one state gives the same as its row
+        one_control, one_V = closed_loop_law(ys[i], ops, latched[i])
+        np.testing.assert_allclose(one_control, control, rtol=1e-14, atol=0.0)
+        assert one_V == pytest.approx(V_i, rel=1e-14, abs=0.0)
+        below.append(trigger <= spec.dead_zone)
+    assert any(below) and not all(below)
+    if spec.variant != "ZeroControl":
+        live = ~latched & ~np.array(below)
+        assert np.all(controls[live] != 0.0)
+    if spec.variant == "BilinearGrad":
+        saturated = np.abs(controls[:, 0]) == spec.u_max
+        assert np.any(controls[:, 0] == spec.u_max) and np.any(controls[:, 0] == -spec.u_max)
+        assert np.any(~saturated & (controls[:, 0] != 0.0))
+
+
+def test_field_only_is_the_field_of_the_full_evaluation():
+    for model, dec, spec in row_law_cases().values():
+        ops = assemble_kernel_args(spec, model, dec)
+        y = np.random.default_rng(5).standard_normal(model.dim)
+        for latched in (False, True):
+            dy = closed_loop_rhs(y, ops, latched, True)
+            assert np.array_equal(dy, closed_loop_rhs(y, ops, latched)[0])
+
+
+def test_tableau_rows():
+    # row i of the stage block weighs k1..k_i at the node c_i; the last row is b
+    c = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+    stage = kernels._STAGE
+    assert np.allclose(stage[1:].sum(axis=1), c, rtol=0.0, atol=1e-15)
+    assert np.all(np.triu(stage) == 0.0)                  # explicit: a_ij = 0 for j >= i
+    assert stage[6].sum() == pytest.approx(1.0, abs=1e-15)
+    assert stage[6, 1] == 0.0 and stage[6, 6] == 0.0      # b2 = b7 = 0
+    assert kernels._ERR.sum() == pytest.approx(0.0, abs=1e-16)
+    assert kernels._DENSE.sum() == pytest.approx(0.0, abs=1e-15)
+    assert np.array_equal(kernels._COEF, np.vstack([stage, kernels._ERR, kernels._DENSE]))
+    assert np.array_equal(kernels._COEF[kernels._ROW_ERR], kernels._ERR)
+    assert np.array_equal(kernels._COEF[kernels._ROW_DENSE], kernels._DENSE)

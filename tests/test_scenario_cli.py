@@ -380,6 +380,12 @@ def _matrices_doc(**matrices):
     ({"seed": 2.5}, "'seed' must be an integer, got 2.5"),
     ({"controller": {"variant": "BilinearPhi", "phi": [1]}},
      "phi must be a kind name or an object"),
+    ({"controller": {"variant": "BilinearPhi", "phi": {"kind": "WaveK", "q": 2.5, "half": 4}}},
+     "phi.q must be an integer, got 2.5"),
+    ({"controller": {"variant": "BilinearPhi", "phi": {"kind": "WaveK", "q": 2, "half": 4.9}}},
+     "phi.half must be an integer, got 4.9"),
+    ({**_hybrid_doc(t_max=1.0), "initial_state": {"phi_modes": [[1.7, 0.2, 1.0]]}},
+     "phi_modes indices must be integers, got [1.7, 0.2]"),
 ])
 def test_cli_check_rejects_malformed_documents(tmp_path, capsys, overrides, cause):
     doc = {**heat_doc(), **overrides}
