@@ -6,6 +6,12 @@ an unobservable part W and its metric-orthogonal complement, builds singular
 feedback laws on the observable part, integrates the closed loop, and checks
 the decay envelopes and settling-time bounds those laws promise.
 """
+# This line exists only so that benchmark records can read
+# sys.modules["scipy"].__version__.  No finstab module uses scipy, and the bare
+# package loads none of its submodules (no scipy.linalg).  ROADMAP item 1
+# deletes it.
+import scipy  # noqa: F401
+
 from .controllers import (DEFAULT_DEAD_ZONE, DEFAULT_U_MAX, DEFAULT_WAVE_CAP, UNBOUNDED,
                           ControllerSpec, PhiSpec, control_value, controller_from_json,
                           controller_to_json, settling_bound_details, validate_rank_one_data)
@@ -52,8 +58,3 @@ __all__ = [
     "ConfigError", "ScenarioConfig", "build_scenario", "check_scenario",
     "load_scenario", "run_scenario", "scenario_from_json",
 ]
-
-# Benchmark records read the version of the oracle's linear-algebra package
-# from sys.modules; the run path no longer imports it, the suite's c7 oracle
-# does (ROADMAP item 1).
-from . import suite  # noqa: E402,F401

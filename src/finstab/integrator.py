@@ -4,7 +4,8 @@ The adaptive stepper lives in kernels.py; this module assembles its inputs,
 interprets its outputs (settling time, dead-zone latch diagnostics), and
 provides the three trajectory checks: the comparison-principle decay
 envelope, the free evolution of the unobservable component, and the
-pre-settling Lyapunov stability bound.
+pre-settling Lyapunov stability bound.  A run with no law (ZeroControl) is
+the linear flow y' = Ay, which free_flow samples exactly instead of stepping.
 """
 from __future__ import annotations
 
@@ -134,6 +135,23 @@ def expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
+def free_flow(A: np.ndarray, dt: float, y0: np.ndarray, ns: int) -> np.ndarray:
+    """Samples y_k = e^{k dt A} y0 for k < ns: one exponential E = e^{dt A}, then
+    y_k = E y_{k-1}, exact up to the roundoff of E and of the products."""
+    E = expm(A * dt)
+    ys = np.empty((ns, y0.shape[0]))
+    ys[0] = y0
+    for i in range(1, ns):
+        ys[i] = E @ ys[i - 1]
+    return ys
+
+
+# the stepper's counters for a run that takes no step
+_NO_STEPS = {"steps": 0, "rejections": 0, "rhs_calls": 0, "dt_min_accepted": None,
+             "dt_max_accepted": None, "saturation_events": 0, "v_increase_events": 0,
+             "latch_time": None, "clamp_time": None, "dead_zone_regrow": False}
+
+
 def _sample_grid(opts: IntegrationOpts) -> np.ndarray:
     ns = max(int(np.ceil(opts.t_max / opts.sample_dt - 1e-9)), 1) + 1
     return np.linspace(0.0, opts.t_max, ns)
@@ -145,23 +163,32 @@ def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
 
     Samples between step ends come from the stepper's dense output, and the
     law gives them their control and V a block at a time
-    (kernels.integrate_adaptive).
+    (kernels.integrate_adaptive).  ZeroControl has no law, so its closed loop
+    is y' = Ay: free_flow samples it exactly, with u = 0 and V from
+    kernels.fill_law.  Such a run takes no step, so it cannot stall, and its
+    diagnostics count zero steps, rejections and RHS calls, with no dt range.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (model.dim,):
         raise ModelError("initial state dimension mismatch")
     ops = assemble_kernel_args(spec, model, dec)
-    # the free flow never latches, so it has nothing to clamp
-    C = clamp_projector(model, dec) if spec.variant != "ZeroControl" else None
-    if spec.variant == "RankOne":
-        gamma_eff = ops.zeta_normsq
-        trig_exp = 2.0 * spec.mu
-    else:
-        gamma_eff = dec.gamma if dec.gamma is not None else 1.0
-        trig_exp = spec.mu
     sample_ts = _sample_grid(opts)
-    ys, us, Vs, status, reached, diagnostics = kernels.integrate_adaptive(
-        y0, sample_ts, ops, C, gamma_eff, trig_exp, opts)
+    if spec.variant == "ZeroControl":
+        ns = sample_ts.shape[0]
+        ys = free_flow(model.generator, float(sample_ts[1] - sample_ts[0]), y0, ns)
+        us = np.empty((ns, ops.width))
+        Vs = np.empty(ns)
+        kernels.fill_law(ys, us, Vs, np.arange(ns), ops, ns)
+        status, reached, diagnostics = kernels.STATUS_OK, ns - 1, dict(_NO_STEPS)
+    else:
+        if spec.variant == "RankOne":
+            gamma_eff = ops.zeta_normsq
+            trig_exp = 2.0 * spec.mu
+        else:
+            gamma_eff = dec.gamma if dec.gamma is not None else 1.0
+            trig_exp = spec.mu
+        ys, us, Vs, status, reached, diagnostics = kernels.integrate_adaptive(
+            y0, sample_ts, ops, clamp_projector(model, dec), gamma_eff, trig_exp, opts)
     end = reached + 1
     norms = np.sqrt(np.maximum(_metric_normsq(ys[:end], model.metric), 0.0))
     traj = Trajectory(
@@ -219,11 +246,12 @@ def verify_decay(traj: Trajectory, gamma: float, mu: float) -> CheckReport:
 def verify_split(model: ModalModel, dec: DecompositionResult, traj: Trajectory) -> CheckReport:
     """Free evolution of the unobservable component along the recorded trajectory.
 
-    (I-P) y(t) must equal expm(tA) (I-P) y0.  Under H1, (I-P) A P = 0 and the
-    control enters through range(B) or range(L) inside W_perp, so the control
-    never forces the unobservable component; callers skip the check when H1
-    fails.  A run started in W_perp, (I-P) y0 = 0 exactly, has the zero
-    reference path, so no exponential is formed.
+    (I-P) y(t) must equal expm(tA) (I-P) y0, which free_flow samples on the
+    trajectory's grid, as it samples a law-free run.  Under H1, (I-P) A P = 0
+    and the control enters through range(B) or range(L) inside W_perp, so the
+    control never forces the unobservable component; callers skip the check
+    when H1 fails.  A run started in W_perp, (I-P) y0 = 0 exactly, has the
+    zero reference path, so no exponential is formed.
     """
     M = model.metric
     IP = np.eye(model.dim) - dec.projection
@@ -233,11 +261,7 @@ def verify_split(model: ModalModel, dec: DecompositionResult, traj: Trajectory) 
     if z0.any():
         # the reference path: z_0 = (I-P) y0, then one exact step per sample
         dt = float(traj.times[1] - traj.times[0]) if ns > 1 else 0.0
-        E = expm(model.generator * dt)
-        zs = np.empty_like(traj.states)
-        zs[0] = z0
-        for i in range(1, ns):
-            zs[i] = E @ zs[i - 1]
+        zs = free_flow(model.generator, dt, z0, ns)
         zs -= traj.states @ IP.T   # in place: minus the deviation, one (ns, n) array fewer
     else:
         zs = traj.states @ IP.T    # a run started in W_perp has the zero reference path

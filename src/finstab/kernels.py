@@ -10,7 +10,9 @@ dense-output term is one small product of a coefficient row with that block.
 It steps by the error control alone and fills the sample grid from the
 Dormand-Prince continuous extension, so the step count does not grow with
 the number of samples; closed_loop_law then gives the filled samples their
-control and V a block of rows at a time.
+control and V a block of rows at a time (fill_law).  A run with no law
+(ZeroControl) never comes here: integrator.free_flow samples its linear flow
+exactly, and fill_law gives it V.
 Status codes: 0 completed, 3 stalled at dt_min.
 """
 from __future__ import annotations
@@ -60,11 +62,19 @@ def phi_value(phi, py: np.ndarray, eps_dz: float):
         return 0.0
     if phi.kind == "Constant":
         return phi.value
+    if py.ndim == 1:
+        # on Python floats: one state's q ratios cost less than seven ufunc calls
+        vals = py.tolist()
+        ratio = 0.0
+        for i in range(phi.q):
+            vel = abs(vals[phi.half + i])
+            r = abs(vals[i]) / (vel if vel > eps_dz else eps_dz)
+            if r > ratio:
+                ratio = r
+        return min(ratio, phi.cap)
     pos = np.abs(py[..., :phi.q])
     vel = np.maximum(np.abs(py[..., phi.half:phi.half + phi.q]), eps_dz)
     ratio = np.maximum.reduce(pos / vel, axis=-1)   # ndarray.max's Python wrapper costs more
-    if py.ndim == 1:
-        return min(float(ratio), phi.cap)
     return np.minimum(ratio, phi.cap)
 
 
@@ -81,8 +91,6 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool, field_only: bool = False)
     n = y.shape[0]
     spec = ops.spec
     law = spec.variant
-    if field_only and law == "ZeroControl":
-        return ops.stack[:n] @ y   # the free flow reads no law row
     z = ops.stack @ y
     dy = z[:n]
     if law == "RankOne":
@@ -112,6 +120,8 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool, field_only: bool = False)
         return dy, control, wnormsq, wnormsq, False
     if law == "ZeroControl":
         # rows: A, Q = P* M B P giving V = <y, Q y>
+        if field_only:
+            return dy
         V = y @ z[n:2 * n]
         return dy, np.zeros(ops.width), V, V, False
     # bilinear laws, rows: A, B, Q; the rows of P follow for WaveK
@@ -190,6 +200,17 @@ def closed_loop_law(ys: np.ndarray, ops, latched) -> tuple[np.ndarray, np.ndarra
     return controls, V
 
 
+def fill_law(ys, us, Vs, rows, ops, latch_from: int) -> None:
+    """Write the law's control and V at the given rows of ys into us and Vs.
+
+    Rows from index latch_from on are recorded after the latch.  The law is
+    evaluated _FILL_ROWS rows at a time, which bounds its block temporaries.
+    """
+    for lo in range(0, rows.size, _FILL_ROWS):
+        chunk = rows[lo:lo + _FILL_ROWS]
+        us[chunk], Vs[chunk] = closed_loop_law(ys[chunk], ops, chunk >= latch_from)
+
+
 def dead_zone_rule(trigger, latched: bool, clamped: bool, dt: float, eps_dz: float,
                    trig_exp: float, rate: float) -> tuple[bool, bool, bool]:
     """The dead-zone latch at the end of an accepted step: (latch_now, clamp_now, regrown).
@@ -234,7 +255,6 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     rtol, atol, dt_min, dt_max = opts.rtol, opts.atol, opts.dt_min, opts.dt_max
     eps_dz = ops.spec.dead_zone
     rate = 2.0 * gamma_eff * ops.spec.mu
-    controlled = ops.spec.variant != "ZeroControl"
     n = y0.shape[0]
     ns = sample_ts.shape[0]
     ys = np.zeros((ns, n))
@@ -265,7 +285,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     ys[0] = y
     us[0] = ctrl
     Vs[0] = V
-    latched = controlled and trigger <= eps_dz
+    latched = trigger <= eps_dz
     if latched:
         latch_time = float(t)
         latch_from = 1
@@ -326,31 +346,27 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
         if (not latched) and trig_new < 10.0 * eps_dz and fac > 1.0:
             fac = 1.0  # no step growth while resolving the dead-zone approach
         dt = h * fac
-        if controlled:
-            latch_now, clamp_now, regrown = dead_zone_rule(
-                trig_new, latched, clamped, dt, eps_dz, trig_exp, rate)
-            if latch_now:
-                latched = True
-                latch_time = float(t)
-                latch_from = nxt
-            if clamp_now:
-                y = y - C @ y
-                clamped = True
-                clamp_time = float(t)
-            if latch_now or clamp_now:
-                # the slope, control and V change with the latch or the clamp
-                K[0], ctrl, _, V, _ = closed_loop_rhs(y, ops, latched)
-                rhs_calls += 1
-            regrow = regrow or regrown
+        latch_now, clamp_now, regrown = dead_zone_rule(
+            trig_new, latched, clamped, dt, eps_dz, trig_exp, rate)
+        if latch_now:
+            latched = True
+            latch_time = float(t)
+            latch_from = nxt
+        if clamp_now:
+            y = y - C @ y
+            clamped = True
+            clamp_time = float(t)
+        if latch_now or clamp_now:
+            # the slope, control and V change with the latch or the clamp
+            K[0], ctrl, _, V, _ = closed_loop_rhs(y, ops, latched)
+            rhs_calls += 1
+        regrow = regrow or regrown
         if nxt < ns and grid[nxt] <= t + tol_t:
             ys[nxt] = y
             us[nxt] = ctrl
             Vs[nxt] = V
             nxt += 1
-    fill = np.flatnonzero(filled)
-    for lo in range(0, fill.size, _FILL_ROWS):
-        rows = fill[lo:lo + _FILL_ROWS]
-        us[rows], Vs[rows] = closed_loop_law(ys[rows], ops, rows >= latch_from)
+    fill_law(ys, us, Vs, np.flatnonzero(filled), ops, latch_from)
     stats = {
         "steps": n_steps,
         "rejections": n_rejected,

@@ -380,3 +380,20 @@ def test_solver_failure_is_a_model_error(monkeypatch, target, call):
     with pytest.raises(ModelError, match="did not converge") as info:
         call(model, dec)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (3, 3), (2, 4), (4, 2)])
+def test_suite_principal_angles_match_scipy(p, q):
+    # c7's oracle angles: sines where cos^2 >= 1/2, cosines elsewhere, so both
+    # branches and a near-coincident pair are compared
+    from finstab.suite import _principal_angles
+
+    rng = np.random.default_rng(p + 10 * q)
+    for scale in (1.0, 1e-3, 1e-11):
+        U = rng.standard_normal((7, p))
+        V = U[:, :min(p, q)] + scale * rng.standard_normal((7, min(p, q)))
+        V = np.hstack([V, rng.standard_normal((7, q - min(p, q)))])
+        ref = np.sort(scipy.linalg.subspace_angles(U, V))
+        ours = _principal_angles(U, V)
+        assert ours.shape == ref.shape
+        np.testing.assert_allclose(ours, ref, rtol=1e-8, atol=1e-15)

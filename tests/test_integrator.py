@@ -108,7 +108,7 @@ def test_unobservable_component_is_left_alone():
 def test_stall_carries_the_partial_trajectory():
     model = bilinear(np.diag([-200.0]), np.eye(1))
     dec = finished_dec(model)
-    spec = ControllerSpec(variant="ZeroControl")
+    spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     opts = IntegrationOpts(t_max=5.0, rtol=1e-12, atol=1e-15,
                            dt_min=0.5, dt_init=0.5, dt_max=0.5, sample_dt=0.5)
     with pytest.raises(IntegrationStalledError) as info:
@@ -198,15 +198,18 @@ def test_steps_do_not_depend_on_the_sample_grid():
 
 
 def test_dense_output_matches_the_free_flow_between_steps():
-    model = bilinear(np.diag([-1.0, -3.0]), np.eye(2))
-    y0 = np.array([1.0, -2.0])
-    traj = simulate(model, finished_dec(model), ControllerSpec(variant="ZeroControl"), y0,
-                    IntegrationOpts(t_max=1.0, sample_dt=1e-4))
-    assert traj.diagnostics["steps"] * 20 < len(traj.times)  # nearly all samples are interior
+    # y0 lies in W = span(e1, e2), so V = 0 latches the law at t = 0: u = 0
+    # throughout, and the stepper integrates y' = Ay
+    model = bilinear(np.diag([-1.0, -3.0, -2.0]), np.diag([0.0, 0.0, 1.0]))
+    y0 = np.array([1.0, -2.0, 0.0])
+    traj = simulate(model, finished_dec(model), ControllerSpec(variant="BilinearPhi", mu=0.25),
+                    y0, IntegrationOpts(t_max=1.0, sample_dt=1e-4))
+    assert traj.diagnostics["latch_time"] == 0.0
+    assert 0 < traj.diagnostics["steps"] * 20 < len(traj.times)  # most samples are interior
     exact = np.exp(np.outer(traj.times, np.diag(model.generator))) * y0
     assert np.allclose(traj.states, exact, rtol=1e-8, atol=0.0)
     assert np.all(traj.controls == 0.0)
-    assert np.allclose(traj.lyapunov, np.sum(exact * exact, axis=1), rtol=1e-8)
+    assert np.all(traj.lyapunov == 0.0)
 
 
 def test_heat_settling_takes_few_steps_per_sample():

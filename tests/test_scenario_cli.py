@@ -243,7 +243,7 @@ def test_stalled_run_exits_3(tmp_path):
     doc = {
         "name": "stall",
         "matrices": {"dim": 1, "generator": [[-200.0]], "control_op": "identity"},
-        "controller": {"variant": "ZeroControl"},
+        "controller": {"variant": "BilinearPhi", "mu": 0.25},
         "initial_state": [1.0],
         "integration": {"t_max": 5.0, "rtol": 1e-12, "atol": 1e-15,
                         "dt_min": 0.5, "dt_init": 0.5, "dt_max": 0.5,
@@ -252,6 +252,57 @@ def test_stalled_run_exits_3(tmp_path):
     code, summary = run_scenario(scenario_from_json(doc), tmp_path / "out")
     assert code == 3
     assert summary["status"] == "stalled"
+
+
+def test_zero_control_run_is_the_exact_free_flow(tmp_path, capsys):
+    # no law acts, so the run samples y' = Ay exactly instead of stepping it:
+    # a non-normal A under a non-identity metric, against scipy's exponential
+    rng = np.random.default_rng(4)
+    R = rng.standard_normal((4, 4))
+    M = R @ R.T + 4.0 * np.eye(4)
+    A = np.triu(rng.standard_normal((4, 4)), 1) * 3.0 - np.diag([0.5, 1.0, 1.5, 2.0])
+    C = rng.standard_normal((4, 4))
+    B = np.linalg.solve(M, C @ C.T + np.eye(4))    # M-self-adjoint, definite
+    y0 = rng.standard_normal(4)
+    doc = {"name": "free", "matrices": {"dim": 4, "metric": M.tolist(), "generator": A.tolist(),
+                                        "control_op": B.tolist()},
+           "controller": {"variant": "ZeroControl"}, "initial_state": y0.tolist(),
+           "integration": {"t_max": 2.0, "sample_dt": 2.0 / 256}}
+    out = tmp_path / "free"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    assert "  stepper: 0 steps, 0 rejections, 0 RHS calls, accepted dt none" in \
+        capsys.readouterr().out.splitlines()
+    header, data = (out / "trajectory.csv").read_text(encoding="utf-8").split("\n", 1)
+    assert header == "t,y_1,y_2,y_3,y_4,u,V"
+    data = np.loadtxt(data.splitlines(), delimiter=",")   # repr round-trips every float
+    assert data.shape == (257, 7)    # V by two law blocks, the second one row
+    worst = max(np.linalg.norm(row[1:5] - scipy.linalg.expm(row[0] * A) @ y0)
+                / np.linalg.norm(scipy.linalg.expm(row[0] * A) @ y0) for row in data)
+    assert worst <= 1e-12
+    assert np.all(data[:, 5] == 0.0)
+    # W is trivial, so V = <B y, y>_M
+    V = np.einsum("ki,ij,kj->k", data[:, 1:5], M @ B, data[:, 1:5])
+    np.testing.assert_allclose(data[:, 6], V, rtol=1e-12, atol=0.0)
+    diag = json.loads((out / "summary.json").read_text(encoding="utf-8"))["diagnostics"]
+    assert diag == {"steps": 0, "rejections": 0, "rhs_calls": 0, "dt_min_accepted": None,
+                    "dt_max_accepted": None, "saturation_events": 0, "v_increase_events": 0,
+                    "latch_time": None, "clamp_time": None, "dead_zone_regrow": False}
+    # the same counters as a stepped run
+    stepped = run_scenario(scenario_from_json(heat_doc()), tmp_path / "heat")[1]
+    assert sorted(stepped["diagnostics"]) == sorted(diag)
+
+
+def test_free_wave_at_128_modes_conserves_the_norm(tmp_path):
+    # a draw on which stepping the free flow drifted by 1.06e-9 per unit time,
+    # above the 1e-9 budget; the exact samples drift by roundoff only
+    doc = {"name": "wave-n128", "frontend": {"kind": "Wave1D", "n_modes": 128, "q": 3},
+           "controller": {"variant": "ZeroControl"}, "initial_state": "wperp-random",
+           "integration": {"t_max": 1.0, "sample_dt": 0.0015}, "seed": 1613193520}
+    code, summary = run_scenario(scenario_from_json(doc), tmp_path / "wave")
+    assert code == 0
+    conservation = [r for r in summary["checks"] if r["name"] == "norm_conservation"][0]
+    assert conservation["passed"]
+    assert conservation["max_drift"] <= 1e-12   # per unit time: t_max is 1
 
 
 def test_check_scenario_heat_passes_and_wave_reports_h2():
@@ -305,7 +356,7 @@ def test_cli_stall_exit_code(tmp_path):
     doc = {
         "name": "stall",
         "matrices": {"dim": 1, "generator": [[-200.0]], "control_op": "identity"},
-        "controller": {"variant": "ZeroControl"},
+        "controller": {"variant": "BilinearPhi", "mu": 0.25},
         "initial_state": [1.0],
         "integration": {"t_max": 5.0, "rtol": 1e-12, "atol": 1e-15,
                         "dt_min": 0.5, "dt_init": 0.5, "dt_max": 0.5,
@@ -557,6 +608,27 @@ def test_run_path_needs_no_scipy_solver(tmp_path, monkeypatch):
     planted_code, summary = check_scenario(scenario_from_json(_planted_matrices_doc()))
     assert planted_code == 0
     assert summary["decomposition"]["dim_w"] == 2
+    # nor is scipy.linalg loaded: a fresh interpreter reports it after the
+    # import and after each entry point; sys.modules only grows, so the first
+    # report that finds it names the step that loaded it
+    config = write_config(tmp_path, heat_doc())
+    report = "print('loaded after {}:', 'scipy.linalg' in sys.modules)"
+    code = "\n".join([
+        "import sys",
+        "from finstab import cli",
+        report.format("import"),
+        f"cli.main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path / 'cli')!r}])",
+        report.format("run"),
+        f"cli.main(['check', '--config', {str(config)!r}])",
+        report.format("check"),
+        "cli.main(['suite', '--filter', 'c7*'])",
+        report.format("suite"),
+    ])
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    reports = [line for line in cp.stdout.splitlines() if line.startswith("loaded after ")]
+    assert reports == [f"loaded after {step}: False"
+                       for step in ("import", "run", "check", "suite")]
 
 
 def test_import_keeps_the_benchmark_contract():
