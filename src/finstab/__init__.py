@@ -15,9 +15,9 @@ import scipy  # noqa: F401
 from .controllers import (DEFAULT_DEAD_ZONE, DEFAULT_U_MAX, DEFAULT_WAVE_CAP, UNBOUNDED,
                           ControllerSpec, PhiSpec, control_value, controller_from_json,
                           controller_to_json, settling_bound_details, validate_rank_one_data)
-from .decomposition import (NOT_NILPOTENT, DecompositionResult, check_H1, check_H2,
-                            compute_delta, compute_gamma, decomposition_from_axes,
-                            gamma_certificate, unobservable_subspace)
+from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gamma,
+                            decomposition_from_axes, gamma_certificate,
+                            unobservable_subspace)
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         HybridTrajectory, beam_model, build_frontend, heat_model,
                         hybrid_decay_check, hybrid_norm, hybrid_split_check, hybrid_v,
@@ -43,9 +43,8 @@ __all__ = [
     "DEFAULT_DEAD_ZONE", "DEFAULT_U_MAX", "DEFAULT_WAVE_CAP",
     "control_value", "controller_from_json", "controller_to_json",
     "settling_bound_details", "validate_rank_one_data",
-    "NOT_NILPOTENT", "DecompositionResult", "check_H1", "check_H2", "compute_delta",
-    "compute_gamma", "decomposition_from_axes", "gamma_certificate",
-    "unobservable_subspace",
+    "DecompositionResult", "check_H1", "check_H2", "compute_gamma",
+    "decomposition_from_axes", "gamma_certificate", "unobservable_subspace",
     "FrontendBundle", "FrontendSpec", "HybridModel", "HybridState", "HybridTrajectory",
     "beam_model", "build_frontend", "heat_model",
     "hybrid_decay_check", "hybrid_norm", "hybrid_split_check", "hybrid_v",

@@ -18,8 +18,8 @@ from typing import Any
 import numpy as np
 
 from . import kernels
-from .decomposition import NOT_NILPOTENT, DecompositionResult, _effective_control_matrix
-from .model import ModalModel, ModelError, _is_int
+from .decomposition import DecompositionResult, _effective_control_matrix
+from .model import ModalModel, ModelError, _float, _is_int
 
 VARIANTS = ("ZeroControl", "BilinearPhi", "BilinearGrad", "LinearPhi", "RankOne")
 
@@ -192,13 +192,9 @@ def settling_bound_details(spec: ControllerSpec, model: ModalModel,
     resid_norm = float(np.sqrt(max(resid @ M @ resid, 0.0)))
     y0_norm = float(np.sqrt(max(y0 @ M @ y0, 0.0)))
     in_wperp = resid_norm <= 1e-12 * max(1.0, y0_norm)
-    delta = dec.delta
-    if delta is NOT_NILPOTENT or delta is None:
-        if not in_wperp:
-            return UNBOUNDED, {"reason": "unobservable component present, flow not nilpotent"}
-        delta_val = 0.0
-    else:
-        delta_val = float(delta)
+    # the modal flow on W != {0} never reaches zero, so a W component cannot die
+    if dec.dim_w and not in_wperp:
+        return UNBOUNDED, {"reason": "unobservable component present, flow not nilpotent"}
     mu = spec.mu
     extras: dict[str, Any] = {}
     if spec.variant in ("BilinearPhi", "BilinearGrad"):
@@ -208,15 +204,13 @@ def settling_bound_details(spec: ControllerSpec, model: ModalModel,
         V0 = max(V0, 0.0)
         t1 = V0 ** mu / (2.0 * gamma * mu)
         extras["t1"] = t1
-        if spec.variant == "BilinearPhi":
-            return max(t1, delta_val), extras
-        return t1 + delta_val, extras
+        return t1, extras
     if spec.variant == "LinearPhi":
         gamma = dec.gamma if dec.gamma is not None else 1.0
         w0 = model.input_map.T @ M @ y01
         t1 = float(np.linalg.norm(w0)) ** (2.0 * mu) / (2.0 * gamma * mu)
         extras["t1"] = t1
-        return max(delta_val, t1), extras
+        return t1, extras
     # RankOne: the proof's horizon; the looser published variant is reported too
     zeta = spec.zeta
     zn2 = float(zeta @ M @ zeta)
@@ -224,7 +218,7 @@ def settling_bound_details(spec: ControllerSpec, model: ModalModel,
     t1 = s0 ** (2.0 * mu) / (2.0 * mu * zn2)
     extras["t1"] = t1
     extras["t1_statement_form"] = s0 ** mu / (mu * zn2)
-    return max(t1, delta_val), extras
+    return t1, extras
 
 
 def controller_from_json(doc: dict[str, Any]) -> ControllerSpec:
@@ -238,19 +232,20 @@ def controller_from_json(doc: dict[str, Any]) -> ControllerSpec:
     for key in ("q", "half"):
         if not _is_int(phi_doc.get(key, 0)):
             raise ModelError(f"phi.{key} must be an integer, got {phi_doc[key]!r}")
-    phi = PhiSpec(kind=phi_doc.get("kind", "Zero"), value=float(phi_doc.get("value", 0.0)),
-                  cap=float(phi_doc.get("cap", DEFAULT_WAVE_CAP)),
+    phi = PhiSpec(kind=phi_doc.get("kind", "Zero"),
+                  value=_float(phi_doc.get("value", 0.0), "phi.value"),
+                  cap=_float(phi_doc.get("cap", DEFAULT_WAVE_CAP), "phi.cap"),
                   q=phi_doc.get("q", 0), half=phi_doc.get("half", 0))
     zeta = doc.get("zeta")
     varpi = doc.get("varpi")
     return ControllerSpec(
         variant=doc["variant"],
-        mu=float(doc.get("mu", 0.25)),
+        mu=_float(doc.get("mu", 0.25), "mu"),
         phi=phi,
-        dead_zone=float(doc.get("dead_zone", DEFAULT_DEAD_ZONE)),
+        dead_zone=_float(doc.get("dead_zone", DEFAULT_DEAD_ZONE), "dead_zone"),
         zeta=None if zeta is None else np.asarray(zeta, dtype=float),
         varpi=None if varpi is None else np.asarray(varpi, dtype=float),
-        u_max=float(doc.get("u_max", DEFAULT_U_MAX)),
+        u_max=_float(doc.get("u_max", DEFAULT_U_MAX), "u_max"),
     )
 
 

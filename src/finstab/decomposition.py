@@ -4,9 +4,13 @@ W is the set of states invisible to the control pairing: B e^{tA} x = 0 for
 all t, i.e. the largest A-invariant subspace of ker B.  It is found by the
 invariant-subspace recursion W_0 = ker B, W_{k+1} = {x in W_k : Ax in W_k} on
 orthonormal bases (Van Dooren 1981), never by powers of A.  The state space
-splits as W + W_perp (metric-orthogonal); the projector P onto W_perp, the
-positivity constant gamma, and the nilpotency horizon delta drive the
-settling bounds.
+splits as W + W_perp (metric-orthogonal); the projector P onto W_perp and the
+positivity constant gamma drive the settling bounds.
+
+A modal flow e^{tA} is injective, so on W != {0} it never reaches zero: a
+finite exit horizon exists only for the transport part of the transport-heat
+hybrid (frontends.HybridModel.delta).  The modal "delta" and H4 entries of a
+run's artifacts are written from dim W alone.
 """
 from __future__ import annotations
 
@@ -22,15 +26,6 @@ KERNEL_RTOL = 1e-10
 H1_TOL = 1e-9
 H2_TOL = 1e-9
 
-
-class _NotNilpotent:
-    """Sentinel: the flow restricted to W is injective, so no horizon exists."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "NotNilpotent"
-
-
-NOT_NILPOTENT = _NotNilpotent()
 
 # every SVD and eigensolver here is looked up through this one name, so this
 # module's solvers can be replaced without touching the model checks' own
@@ -62,7 +57,6 @@ class DecompositionResult:
     wperp_basis: np.ndarray    # (n, dim W_perp), metric-orthonormal columns
     projection: np.ndarray     # (n, n) metric-orthogonal projector onto W_perp
     gamma: float | None = None
-    delta: float | _NotNilpotent | None = None
 
     @property
     def dim_w(self) -> int:
@@ -263,16 +257,6 @@ def gamma_certificate(model: ModalModel, dec: DecompositionResult, gamma: float,
         {"max_violation": worst_violation, "min_ratio": min_ratio, "gamma": gamma,
          "worst_sample": worst_sample if np.isfinite(min_ratio) else None},
     )
-
-
-def compute_delta(model: ModalModel, dec: DecompositionResult) -> float | _NotNilpotent:
-    """Nilpotency horizon of the flow on W: 0 when W = {0}, else NotNilpotent.
-
-    A matrix exponential restricted to a nontrivial invariant subspace is
-    injective for every t, so a finite horizon can only come from a front-end
-    with a genuinely nilpotent flow, which sets delta itself.
-    """
-    return 0.0 if dec.dim_w == 0 else NOT_NILPOTENT
 
 
 @_solver_errors

@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .controllers import ControllerSpec, DEFAULT_WAVE_CAP, PhiSpec
-from .decomposition import NOT_NILPOTENT, DecompositionResult, decomposition_from_axes
+from .decomposition import DecompositionResult, decomposition_from_axes
 from .integrator import DECAY_TOL, Trajectory, _pre_settling_mask, _settling_time
 from .kernels import dead_zone_rule
 from .model import CheckReport, ModalModel, ModelError, _is_int
@@ -66,9 +66,8 @@ def heat_model(spec: FrontendSpec) -> FrontendBundle:
     B[0, 0] = 0.0
     model = ModalModel(dim=n, metric=np.eye(n), generator=np.diag(lam), control_op=B,
                        basis_labels=tuple(f"mode{j}" for j in range(1, n + 1)))
-    dec = replace(decomposition_from_axes(model, (0,)), gamma=1.0, delta=NOT_NILPOTENT)
-    return FrontendBundle(model=model, dec=dec, phi=PhiSpec("Zero"), w_axes=(0,),
-                          info={"eigenvalues": lam.tolist()})
+    dec = replace(decomposition_from_axes(model, (0,)), gamma=1.0)
+    return FrontendBundle(model=model, dec=dec, phi=PhiSpec("Zero"), w_axes=(0,))
 
 
 def wave_model(spec: FrontendSpec) -> FrontendBundle:
@@ -91,11 +90,9 @@ def wave_model(spec: FrontendSpec) -> FrontendBundle:
     model = ModalModel(dim=2 * n, metric=np.eye(2 * n), generator=A, control_op=B,
                        basis_labels=labels)
     w_axes = tuple(range(q, n)) + tuple(range(n + q, 2 * n))
-    delta = 0.0 if q == n else NOT_NILPOTENT
-    dec = replace(decomposition_from_axes(model, w_axes), gamma=1.0, delta=delta)
+    dec = replace(decomposition_from_axes(model, w_axes), gamma=1.0)
     phi = PhiSpec("WaveK", cap=DEFAULT_WAVE_CAP, q=q, half=n)
-    return FrontendBundle(model=model, dec=dec, phi=phi, w_axes=w_axes,
-                          info={"frequencies": om.tolist(), "q": q})
+    return FrontendBundle(model=model, dec=dec, phi=phi, w_axes=w_axes)
 
 
 def beam_model(spec: FrontendSpec) -> FrontendBundle:
@@ -130,12 +127,9 @@ def beam_model(spec: FrontendSpec) -> FrontendBundle:
     # unobservable part is exactly the span of the undriven mode-pair axes
     off = [j for j in range(n) if h[j] == 0.0]
     w_axes = tuple(off) + tuple(n + j for j in off)
-    dec = decomposition_from_axes(model, w_axes)
-    delta = 0.0 if dec.dim_w == 0 else NOT_NILPOTENT
-    dec = replace(dec, gamma=float(h @ h), delta=delta)
+    dec = replace(decomposition_from_axes(model, w_axes), gamma=float(h @ h))
     return FrontendBundle(model=model, dec=dec, phi=PhiSpec("Zero"), w_axes=w_axes,
-                          info={"frequencies": om.tolist(), "zeta": zeta, "varpi": varpi,
-                                "h": h.tolist()})
+                          info={"zeta": zeta, "varpi": varpi})
 
 
 # ---------------------------------------------------------------------------

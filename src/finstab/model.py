@@ -142,6 +142,13 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _float(value: Any, what: str) -> float:
+    """float(value), but not from a bool: a JSON true must not read as 1.0."""
+    if isinstance(value, bool):
+        raise ModelError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _float_array(obj: Any, what: str) -> np.ndarray:
     try:
         return np.asarray(obj, dtype=float)

@@ -26,16 +26,15 @@ from . import svgplot
 from .controllers import (UNBOUNDED, ControllerSpec, controller_from_json,
                           controller_to_json, settling_bound_details,
                           validate_rank_one_data)
-from .decomposition import (NOT_NILPOTENT, DecompositionResult, SolverError, check_H1,
-                            check_H2, compute_delta, compute_gamma, gamma_certificate,
-                            unobservable_subspace)
+from .decomposition import (DecompositionResult, SolverError, check_H1, check_H2,
+                            compute_gamma, gamma_certificate, unobservable_subspace)
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         build_frontend, hybrid_decay_check, hybrid_split_check, hybrid_v,
                         simulate_hybrid)
 from .integrator import (IntegrationOpts, IntegrationStalledError, decay_envelope, simulate,
                          verify_decay, verify_lyapunov_stability, verify_split)
-from .model import (CheckReport, ModalModel, ModelError, _is_int, _jsonify, model_from_json,
-                    quasi_contraction_type, validate_control_operator)
+from .model import (CheckReport, ModalModel, ModelError, _float, _is_int, _jsonify,
+                    model_from_json, quasi_contraction_type, validate_control_operator)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,6 +80,9 @@ def scenario_from_json(doc: Any) -> ScenarioConfig:
     seed = doc.get("seed", 0)
     if not _is_int(seed):
         raise ConfigError(f"'seed' must be an integer, got {seed!r}")
+    plot = doc.get("plot", True)
+    if not isinstance(plot, bool):
+        raise ConfigError(f"'plot' must be true or false, got {plot!r}")
     return ScenarioConfig(
         name=str(doc.get("name", "scenario")),
         controller=controller,
@@ -89,7 +91,7 @@ def scenario_from_json(doc: Any) -> ScenarioConfig:
         initial_state=doc.get("initial_state", "zero"),
         integration=integration,
         seed=seed,
-        make_plot=bool(doc.get("plot", True)),
+        make_plot=plot,
     )
 
 
@@ -142,7 +144,7 @@ def _integration_opts(doc: dict[str, Any]) -> IntegrationOpts:
         if key == "sample_dt" and value is None:
             continue  # the default grid
         try:
-            values[key] = float(value)
+            values[key] = _float(value, key)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"integration option {key!r} must be a number, "
                               f"got {value!r}") from exc
@@ -196,7 +198,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         except ModelError as exc:
             gamma = None
             gamma_error = str(exc)
-        dec = dataclasses.replace(dec0, gamma=gamma, delta=compute_delta(model, dec0))
+        dec = dataclasses.replace(dec0, gamma=gamma)
     spec = _controller_spec(config, bundle)
     if spec.variant == "RankOne":
         try:
@@ -332,9 +334,8 @@ def hybrid_initial_state(value: Any, model: HybridModel) -> HybridState:
 
 
 def _h4_report(dec: DecompositionResult) -> CheckReport:
-    nilpotent = not (dec.delta is NOT_NILPOTENT or dec.delta is None)
-    return CheckReport("H4", True, {"nilpotent": nilpotent or dec.dim_w == 0,
-                                    "delta": _delta_json(dec.delta),
+    # a modal flow is injective: it reaches zero in finite time only on W = {0}
+    return CheckReport("H4", True, {"nilpotent": dec.dim_w == 0, "delta": _delta_json(dec),
                                     "dim_w": dec.dim_w})
 
 
@@ -363,10 +364,8 @@ def assumption_reports(built: BuiltScenario) -> list[CheckReport]:
 # Serialization helpers
 
 
-def _delta_json(delta) -> Any:
-    if delta is NOT_NILPOTENT:
-        return "NotNilpotent"
-    return delta
+def _delta_json(dec: DecompositionResult) -> Any:
+    return 0.0 if dec.dim_w == 0 else "NotNilpotent"
 
 
 def _bound_json(bound) -> Any:
@@ -412,7 +411,7 @@ def write_summary(path: Path, summary: dict[str, Any]) -> None:
 
 def _decomposition_json(dec: DecompositionResult) -> dict[str, Any]:
     return {"dim_w": dec.dim_w, "dim_wperp": dec.dim_wperp, "gamma": dec.gamma,
-            "delta": _delta_json(dec.delta)}
+            "delta": _delta_json(dec)}
 
 
 def simulate_scenario(built: BuiltScenario):

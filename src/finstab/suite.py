@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllers import ControllerSpec, PhiSpec, control_value
-from .decomposition import gamma_certificate, unobservable_subspace
+from .controllers import ControllerSpec, PhiSpec, control_value, settling_bound_details
+from .decomposition import compute_gamma, gamma_certificate, unobservable_subspace
 from .frontends import (FrontendSpec, HybridState, build_frontend, hybrid_v,
                         transport_heat_model)
 from .integrator import expm, verify_decay, verify_lyapunov_stability
@@ -222,8 +222,6 @@ def criterion_transport_heat() -> CriterionResult:
 
 
 def criterion_wave() -> CriterionResult:
-    from .controllers import settling_bound_details
-
     run = _get_run("wave-settling")
     traj = run.traj
     built = run.built
@@ -253,8 +251,6 @@ def criterion_beam() -> CriterionResult:
     after_slack = traj.times >= 2.1 - 1e-12
     worst_s = float(np.max(np.abs(s[after_t1])))
     worst_norm = float(np.max(traj.norms[after_slack]))
-    from .controllers import settling_bound_details
-
     bound, _ = settling_bound_details(built.spec, built.model, built.dec, built.y0)
     clauses = [
         _clause("bound equals the rank-one horizon", "bound == 2.0", float(bound),
@@ -335,8 +331,6 @@ def _principal_angles(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def criterion_decomposition_oracle() -> CriterionResult:
-    from .decomposition import compute_gamma
-
     worst_angle = 0.0
     matches = 0
     certs = 0

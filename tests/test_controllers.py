@@ -3,7 +3,7 @@ import pytest
 
 from finstab import (DEFAULT_DEAD_ZONE, UNBOUNDED, ControllerSpec, ModalModel,
                      ModelError, PhiSpec, control_value, controller_from_json,
-                     controller_to_json, compute_delta, compute_gamma,
+                     controller_to_json, compute_gamma,
                      decomposition_from_axes, settling_bound_details, unobservable_subspace,
                      validate_rank_one_data)
 from dataclasses import replace
@@ -11,7 +11,7 @@ from dataclasses import replace
 
 def finished_dec(model):
     dec = unobservable_subspace(model)
-    return replace(dec, gamma=compute_gamma(model, dec), delta=compute_delta(model, dec))
+    return replace(dec, gamma=compute_gamma(model, dec))
 
 
 def diag_bilinear():
@@ -186,25 +186,35 @@ def test_settling_bound_bilinear_phi():
     assert bound == pytest.approx(2.378414230005442, rel=1e-14)
 
 
-def test_settling_bound_grad_adds_the_nilpotency_horizon():
+@pytest.mark.parametrize("variant", ["BilinearPhi", "BilinearGrad"])
+def test_settling_bound_unbounded_without_nilpotency(variant):
+    # W = span(e1) != {0}: the modal flow there never reaches zero
     model = ModalModel(dim=2, metric=np.eye(2), generator=np.diag([-1.0, -4.0]),
                        control_op=np.diag([0.0, 1.0]))
-    dec = replace(finished_dec(model), delta=0.75)
-    spec = ControllerSpec(variant="BilinearGrad", mu=0.25)
-    bound, extras = settling_bound_details(spec, model, dec, np.array([0.3, 1.0]))
-    assert bound == pytest.approx(extras["t1"] + 0.75, rel=1e-14)
-
-
-def test_settling_bound_unbounded_without_nilpotency():
-    model = ModalModel(dim=2, metric=np.eye(2), generator=np.diag([-1.0, -4.0]),
-                       control_op=np.diag([0.0, 1.0]))
-    dec = finished_dec(model)  # delta stays NotNilpotent
-    spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
+    dec = finished_dec(model)
+    spec = ControllerSpec(variant=variant, mu=0.25)
     bound, extras = settling_bound_details(spec, model, dec, np.array([1.0, 1.0]))
     assert bound is UNBOUNDED
     assert "reason" in extras
-    # the same data restricted to W_perp is still covered by the bound
-    assert isinstance(settling_bound_details(spec, model, dec, np.array([0.0, 1.0]))[0], float)
+    # the same data restricted to W_perp is still covered by the bound, t1 itself
+    bound, extras = settling_bound_details(spec, model, dec, np.array([0.0, 1.0]))
+    assert bound == extras["t1"] == pytest.approx(1.0 / (2.0 * 0.25), rel=1e-14)
+
+
+def test_settling_bound_ignores_projector_roundoff_when_w_is_trivial():
+    # W = {0} under a metric of condition 1e12: P y0 misses y0 by roundoff above
+    # the W_perp tolerance, yet there is no W component to outlive the bound
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    M = Q @ np.diag(np.geomspace(1.0, 1e-12, 4)) @ Q.T
+    model = ModalModel(dim=4, metric=0.5 * (M + M.T), generator=-np.eye(4),
+                       control_op=np.eye(4))
+    dec = finished_dec(model)
+    y0 = np.ones(4)
+    resid = y0 - dec.projection @ y0
+    assert dec.dim_w == 0 and np.sqrt(abs(resid @ model.metric @ resid)) > 1e-12
+    bound, extras = settling_bound_details(ControllerSpec(variant="BilinearPhi", mu=0.25),
+                                           model, dec, y0)
+    assert bound == extras["t1"]
 
 
 def test_settling_bound_linear_phi():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from finstab import (DEFAULT_DEAD_ZONE, NOT_NILPOTENT, FrontendSpec, ModalModel, ModelError,
-                     PhiSpec, build_frontend, check_H1, check_H2, compute_delta,
-                     compute_gamma, decomposition_from_axes, gamma_certificate,
-                     model_from_json, unobservable_subspace)
+from finstab import (DEFAULT_DEAD_ZONE, FrontendSpec, ModalModel, ModelError, PhiSpec,
+                     build_frontend, check_H1, check_H2, compute_gamma,
+                     decomposition_from_axes, gamma_certificate, model_from_json,
+                     unobservable_subspace)
 from finstab import kernels
 
 
@@ -313,16 +313,6 @@ def test_h2_matches_a_per_sample_loop(phi):
     assert report.details["worst_sample"] == worst
     assert report.details["lipschitz_estimate"] == pytest.approx(lipschitz, rel=1e-12)
     assert (lipschitz > 0.0) == (phi.kind != "Zero")
-
-
-def test_delta_semantics():
-    observable = bilinear(np.diag([-1.0, -2.0]), np.eye(2))
-    dec0 = unobservable_subspace(observable)
-    assert compute_delta(observable, dec0) == 0.0
-    mixed = bilinear(np.diag([-1.0, -2.0]), np.diag([0.0, 1.0]))
-    dec1 = unobservable_subspace(mixed)
-    # a matrix flow restricted to a nontrivial W is injective at every time
-    assert compute_delta(mixed, dec1) is NOT_NILPOTENT
 
 
 def test_h2_accepts_dissipative_pairing_with_zero_phi():

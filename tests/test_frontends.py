@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from finstab import (NOT_NILPOTENT, ControllerSpec, FrontendSpec, HybridState,
+from finstab import (ControllerSpec, FrontendSpec, HybridState,
                      ModelError, beam_model, build_frontend, check_H1, heat_model,
                      hybrid_decay_check, hybrid_norm, hybrid_split_check, hybrid_v,
                      quasi_contraction_type, simulate_hybrid, transport_heat_model,
@@ -23,7 +23,7 @@ def test_heat_modes_and_decomposition():
     assert np.array_equal(B[1:, 1:], np.eye(3))
     assert bundle.w_axes == (0,)
     assert bundle.dec.gamma == 1.0
-    assert bundle.dec.delta is NOT_NILPOTENT
+    assert bundle.dec.dim_w == 1
     assert bundle.model.basis_labels[:2] == ("mode1", "mode2")
     assert check_H1(bundle.model, bundle.dec).passed
 
@@ -49,7 +49,7 @@ def test_wave_structure():
     assert np.array_equal(np.diag(model.control_op),
                           [0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
     assert bundle.w_axes == (2, 5)
-    assert bundle.dec.delta is NOT_NILPOTENT
+    assert bundle.dec.dim_w == 2
     assert bundle.phi.kind == "WaveK" and bundle.phi.cap == 1e3
     assert bundle.phi.q == 2 and bundle.phi.half == 3
     assert abs(quasi_contraction_type(model)) < 1e-12  # skew generator
@@ -59,7 +59,6 @@ def test_wave_structure():
 def test_wave_fully_damped_is_nilpotent_free():
     bundle = wave_model(FrontendSpec(kind="Wave1D", n_modes=2, q=2))
     assert bundle.dec.dim_w == 0
-    assert bundle.dec.delta == 0.0
     with pytest.raises(ModelError):
         wave_model(FrontendSpec(kind="Wave1D", n_modes=2, q=3))
     with pytest.raises(ModelError):
@@ -88,7 +87,6 @@ def test_beam_profile_support_drives_gamma_and_w():
     assert bundle.w_axes == (2, 5)
     full = beam_model(FrontendSpec(kind="Beam1D", n_modes=2, h_coeffs=(1.0, 1.0)))
     assert full.dec.dim_w == 0
-    assert full.dec.delta == 0.0
 
 
 def test_beam_rejects_bad_profiles():

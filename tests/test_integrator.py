@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from finstab import (ControllerSpec, FrontendSpec, IntegrationOpts, IntegrationStalledError,
                      ModalModel, ModelError, Trajectory, build_frontend, build_scenario,
-                     compute_delta, compute_gamma, kernels, scenario_from_json, simulate,
+                     compute_gamma, kernels, scenario_from_json, simulate,
                      unobservable_subspace, verify_decay, verify_lyapunov_stability,
                      verify_split)
 from finstab.integrator import clamp_projector, expm
@@ -13,7 +13,7 @@ from finstab.integrator import clamp_projector, expm
 
 def finished_dec(model):
     dec = unobservable_subspace(model)
-    return replace(dec, gamma=compute_gamma(model, dec), delta=compute_delta(model, dec))
+    return replace(dec, gamma=compute_gamma(model, dec))
 
 
 def bilinear(A, B):

@@ -37,14 +37,22 @@ def write_config(tmp_path, doc, name="scenario.json"):
     return path
 
 
-def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
+    """The installed entry point in a fresh interpreter."""
     cmd = [sys.executable, "-m", "finstab.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=full_env)
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def main_cli(capsys, *args):
+    """cli.main in this interpreter, with the captured output of the call."""
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+
+def h4_json(summary):
+    # json keeps key order and tells 0.0 from 0 and True from 1
+    return json.dumps([r for r in summary["checks"] if r["name"] == "H4"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +178,8 @@ def test_heat_run_writes_consistent_artifacts(tmp_path):
     doc = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert doc["exit_code"] == 0
     assert doc["decomposition"]["delta"] == "NotNilpotent"
+    assert h4_json(summary) == json.dumps({"name": "H4", "passed": True, "nilpotent": False,
+                                           "delta": "NotNilpotent", "dim_w": 1})
     svg = (tmp_path / "out" / "plot.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
@@ -203,6 +213,15 @@ def test_matrix_route_run(tmp_path):
     assert code == 0
     assert summary["settling_time"] is not None
     assert summary["settling_time"] <= summary["settling_bound"] + 0.01 + 1e-9
+    # W = {0}: the whole state is observed, so no unobservable part outlives the bound
+    h4 = json.dumps({"name": "H4", "passed": True, "nilpotent": True, "delta": 0.0,
+                     "dim_w": 0})
+    assert json.dumps(summary["decomposition"]["delta"]) == "0.0"
+    assert h4_json(summary) == h4
+    code, summary = check_scenario(scenario_from_json(doc))
+    assert code == 0
+    assert json.dumps(summary["decomposition"]["delta"]) == "0.0"
+    assert h4_json(summary) == h4
 
 
 def test_invalid_control_operator_short_circuits(tmp_path):
@@ -309,6 +328,9 @@ def test_check_scenario_heat_passes_and_wave_reports_h2():
     code, summary = check_scenario(scenario_from_json(heat_doc()))
     assert code == 0
     assert {r["name"] for r in summary["checks"]} >= {"H1", "H2", "gamma_certificate"}
+    assert summary["decomposition"]["delta"] == "NotNilpotent"
+    assert h4_json(summary) == json.dumps({"name": "H4", "passed": True, "nilpotent": False,
+                                           "delta": "NotNilpotent", "dim_w": 1})
     wave_doc = heat_doc(frontend={"kind": "Wave1D", "n_modes": 4, "q": 2},
                         initial_state="wperp-random(1)")
     code, summary = check_scenario(scenario_from_json(wave_doc))
@@ -348,11 +370,13 @@ def test_cli_config_errors(tmp_path):
     cp = run_cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
     assert cp.returncode == 2
     assert "config error" in cp.stderr
+    assert "Traceback" not in cp.stdout + cp.stderr
     cp = run_cli("check", "--config", str(tmp_path / "nowhere.json"))
     assert cp.returncode == 2
+    assert "Traceback" not in cp.stdout + cp.stderr
 
 
-def test_cli_stall_exit_code(tmp_path):
+def test_cli_stall_exit_code(tmp_path, capsys):
     doc = {
         "name": "stall",
         "matrices": {"dim": 1, "generator": [[-200.0]], "control_op": "identity"},
@@ -363,7 +387,7 @@ def test_cli_stall_exit_code(tmp_path):
                         "sample_dt": 0.5},
     }
     path = write_config(tmp_path, doc)
-    cp = run_cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+    cp = main_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "out"))
     assert cp.returncode == 3
     assert "status=stalled" in cp.stdout
 
@@ -437,6 +461,21 @@ def _matrices_doc(**matrices):
      "phi.half must be an integer, got 4.9"),
     ({**_hybrid_doc(t_max=1.0), "initial_state": {"phi_modes": [[1.7, 0.2, 1.0]]}},
      "phi_modes indices must be integers, got [1.7, 0.2]"),
+    # a JSON true is not the number 1.0, nor is a string a plot switch
+    ({"integration": {"t_max": True}}, "'t_max' must be a number, got True"),
+    (_hybrid_doc(t_max=True), "'t_max' must be a number, got True"),
+    ({"integration": {"t_max": 0.5, "sample_dt": True}}, "'sample_dt' must be a number, got True"),
+    ({"controller": {"variant": "BilinearPhi", "mu": True}}, "mu must be a number, got True"),
+    ({"controller": {"variant": "BilinearPhi", "dead_zone": True}},
+     "dead_zone must be a number, got True"),
+    ({"controller": {"variant": "BilinearGrad", "u_max": True}},
+     "u_max must be a number, got True"),
+    ({"controller": {"variant": "BilinearPhi", "phi": {"kind": "Constant", "value": True}}},
+     "phi.value must be a number, got True"),
+    ({"controller": {"variant": "BilinearPhi",
+                     "phi": {"kind": "WaveK", "q": 1, "half": 2, "cap": False}}},
+     "phi.cap must be a number, got False"),
+    ({"plot": "no"}, "'plot' must be true or false, got 'no'"),
 ])
 def test_cli_check_rejects_malformed_documents(tmp_path, capsys, overrides, cause):
     doc = {**heat_doc(), **overrides}
@@ -506,18 +545,18 @@ def test_cli_suite_prints_each_criterion_wall_time(capsys):
     assert re.search(r"\(\d+\.\d\d s\)$", header)
 
 
-def test_cli_suite_list_and_bad_filter():
-    cp = run_cli("suite", "--list")
+def test_cli_suite_list_and_bad_filter(capsys):
+    cp = main_cli(capsys, "suite", "--list")
     assert cp.returncode == 0, cp.stderr
     names = cp.stdout.split()
     assert len(names) == 9
     assert names[0] == "c1-heat-settling" and names[-1] == "c9-stability-sweep"
-    cp = run_cli("suite", "--filter", "zz-no-such-*")
+    cp = main_cli(capsys, "suite", "--filter", "zz-no-such-*")
     assert cp.returncode == 2
     assert "no criteria match" in cp.stderr
 
 
-def test_cli_hybrid_run_writes_grids(tmp_path):
+def test_cli_hybrid_run_writes_grids(tmp_path, capsys):
     doc = {
         "name": "hybrid-small",
         "frontend": {"kind": "TransportHeat2D", "n_modes": 4, "grid_n": 32,
@@ -528,7 +567,7 @@ def test_cli_hybrid_run_writes_grids(tmp_path):
     }
     path = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    cp = run_cli("run", "--config", str(path), "--out", str(out))
+    cp = main_cli(capsys, "run", "--config", str(path), "--out", str(out))
     assert cp.returncode == 0, cp.stdout + cp.stderr
     assert (out / "psi_initial.csv").exists() and (out / "psi_final.csv").exists()
     final = np.loadtxt(out / "psi_final.csv", delimiter=",")
@@ -536,18 +575,15 @@ def test_cli_hybrid_run_writes_grids(tmp_path):
     assert np.all(final == 0.0)  # the transport component has exited
 
 
-def test_cli_seed_env_changes_the_run(tmp_path):
+def test_cli_seed_env_changes_the_run(tmp_path, capsys, monkeypatch):
     doc = heat_doc(initial_state="wperp-random",
                    controller={"variant": "ZeroControl"},
                    integration={"t_max": 0.1, "sample_dt": 0.01})
     path = write_config(tmp_path, doc)
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    assert run_cli("run", "--config", str(path), "--out", str(a),
-                   env={"FINSTAB_SEED": "5"}).returncode == 0
-    assert run_cli("run", "--config", str(path), "--out", str(b),
-                   env={"FINSTAB_SEED": "5"}).returncode == 0
-    assert run_cli("run", "--config", str(path), "--out", str(c),
-                   env={"FINSTAB_SEED": "6"}).returncode == 0
+    for out, seed in ((a, "5"), (b, "5"), (c, "6")):
+        monkeypatch.setenv("FINSTAB_SEED", seed)
+        assert main_cli(capsys, "run", "--config", str(path), "--out", str(out)).returncode == 0
     csv = lambda d: (d / "trajectory.csv").read_bytes()
     assert csv(a) == csv(b)
     assert csv(a) != csv(c)
