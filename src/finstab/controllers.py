@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .decomposition import DecompositionResult, _effective_control_matrix
-from .model import ModalModel, ModelError, _float, _is_int
+from .model import ModalModel, ModelError, _float, _float_array, _is_int
 
 VARIANTS = ("ZeroControl", "BilinearPhi", "BilinearGrad", "LinearPhi", "RankOne")
 
@@ -243,8 +243,8 @@ def controller_from_json(doc: dict[str, Any]) -> ControllerSpec:
         mu=_float(doc.get("mu", 0.25), "mu"),
         phi=phi,
         dead_zone=_float(doc.get("dead_zone", DEFAULT_DEAD_ZONE), "dead_zone"),
-        zeta=None if zeta is None else np.asarray(zeta, dtype=float),
-        varpi=None if varpi is None else np.asarray(varpi, dtype=float),
+        zeta=None if zeta is None else _float_array(zeta, "zeta"),
+        varpi=None if varpi is None else _float_array(varpi, "varpi"),
         u_max=_float(doc.get("u_max", DEFAULT_U_MAX), "u_max"),
     )
 

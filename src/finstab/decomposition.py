@@ -14,13 +14,13 @@ run's artifacts are written from dim W alone.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .model import CheckReport, ModalModel, ModelError, validate_control_operator
+from .model import (CheckReport, ModalModel, ModelError, SolverError, _solver_errors,
+                    validate_control_operator)
 
 KERNEL_RTOL = 1e-10
 H1_TOL = 1e-9
@@ -30,25 +30,6 @@ H2_TOL = 1e-9
 # every SVD and eigensolver here is looked up through this one name, so this
 # module's solvers can be replaced without touching the model checks' own
 linalg = np.linalg
-
-
-class SolverError(ModelError):
-    """A decomposition (SVD or eigensolver) did not converge on finite input."""
-
-
-def _solver_errors(fn):
-    """Re-raise a LinAlgError from fn's solvers as a SolverError (a ModelError).
-
-    A solver that does not converge on finite input is a property of the
-    model, not a verdict on a hypothesis, so callers end with exit code 2.
-    """
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"{fn.__name__}: {exc}") from exc
-    return wrapped
 
 
 @dataclass(frozen=True)
@@ -186,14 +167,18 @@ def check_H1(model: ModalModel, dec: DecompositionResult) -> CheckReport:
 
 
 @_solver_errors
-def compute_gamma(model: ModalModel, dec: DecompositionResult) -> float:
+def compute_gamma(model: ModalModel, dec: DecompositionResult,
+                  control: CheckReport | None = None) -> float:
     """Largest gamma with gamma <Bx,x> <= ||Bx||^2 on W_perp.
 
     For a self-adjoint PSD B this is the smallest strictly positive eigenvalue
-    of B restricted to W_perp.
+    of B restricted to W_perp.  control is validate_control_operator(model),
+    when the caller has it already.
     """
     # an input-map model's B = L L* is self-adjoint and PSD by construction
-    if not validate_control_operator(model).passed:
+    if control is None:
+        control = validate_control_operator(model)
+    if not control.passed:
         raise ModelError("compute_gamma requires a self-adjoint PSD control operator")
     if dec.dim_wperp == 0:
         return 1.0

@@ -22,7 +22,7 @@ from .controllers import ControllerSpec, DEFAULT_WAVE_CAP, PhiSpec
 from .decomposition import DecompositionResult, decomposition_from_axes
 from .integrator import DECAY_TOL, Trajectory, _pre_settling_mask, _settling_time
 from .kernels import dead_zone_rule
-from .model import CheckReport, ModalModel, ModelError, _is_int
+from .model import CheckReport, ModalModel, ModelError, _float_array, _is_int
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def beam_model(spec: FrontendSpec) -> FrontendBundle:
         raise ModelError("spec.kind must be Beam1D")
     n = spec.n_modes
     h = np.zeros(n)
-    coeffs = np.asarray(spec.h_coeffs if spec.h_coeffs else (1.0,), dtype=float)
+    coeffs = _float_array(spec.h_coeffs if spec.h_coeffs else (1.0,), "h_coeffs")
     if coeffs.shape[0] > n:
         raise ModelError("h_coeffs longer than n_modes")
     if float(np.linalg.norm(coeffs)) == 0.0:

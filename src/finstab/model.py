@@ -6,7 +6,9 @@ dy/dt = Ay + u*By) or an input map L (linear systems, dy/dt = Ay + Lv).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -17,6 +19,25 @@ STRUCT_TOL = 1e-10
 
 class ModelError(ValueError):
     """Raised for malformed models or dimension mismatches."""
+
+
+class SolverError(ModelError):
+    """An SVD or eigensolver did not converge on finite input."""
+
+
+def _solver_errors(fn):
+    """Re-raise a LinAlgError from fn's solvers as a SolverError (a ModelError).
+
+    A solver that does not converge on finite input is a property of the
+    model, not a verdict on a hypothesis, so callers end with exit code 2.
+    """
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"{fn.__name__}: {exc}") from exc
+    return wrapped
 
 
 @dataclass
@@ -119,15 +140,17 @@ def quasi_contraction_type(model: ModalModel) -> float:
     return float(np.max(pencil_eigvalsh(S, M)))
 
 
+@_solver_errors
 def validate_control_operator(model: ModalModel) -> CheckReport:
     """Check that B is self-adjoint and positive semidefinite w.r.t. the metric."""
     if model.control_op is None:
         return CheckReport("control_operator", True, {"applicable": False})
     M = model.metric
     B = model.control_op
+    BtM, MB = B.T @ M, M @ B
     # <Be_i, e_j> - <e_i, Be_j> = (B^T M - M B)_{ij}
-    residual = float(np.max(np.abs(B.T @ M - M @ B)))
-    S = 0.5 * (B.T @ M + M @ B)
+    residual = float(np.max(np.abs(BtM - MB)))
+    S = 0.5 * (BtM + MB)
     min_quotient = float(np.min(pencil_eigvalsh(S, M)))
     passed = residual < STRUCT_TOL and min_quotient > -STRUCT_TOL
     return CheckReport(
@@ -143,17 +166,34 @@ def _is_int(value: Any) -> bool:
 
 
 def _float(value: Any, what: str) -> float:
-    """float(value), but not from a bool: a JSON true must not read as 1.0."""
-    if isinstance(value, bool):
+    """float(value), but only from a number: a JSON true must not read as 1.0,
+    nor "0.5" as 0.5."""
+    if isinstance(value, (bool, str)):
         raise ModelError(f"{what} must be a number, got {value!r}")
     return float(value)
 
 
+def _is_number_type(t: type) -> bool:
+    return t is not bool and issubclass(t, (int, float, np.integer, np.floating))
+
+
 def _float_array(obj: Any, what: str) -> np.ndarray:
+    """np.asarray(obj, dtype=float), but only from numbers: numpy reads true as
+    1.0 and "0.5" as 0.5.  The entries' types are gathered at C speed."""
     try:
-        return np.asarray(obj, dtype=float)
+        arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelError(f"{what}: expected a rectangular array of numbers") from exc
+    if isinstance(obj, np.ndarray):
+        numbers = obj.dtype.kind in "iuf"
+    else:
+        entries = [obj]
+        for _ in range(arr.ndim):
+            entries = chain.from_iterable(entries)
+        numbers = all(map(_is_number_type, set(map(type, entries))))
+    if not numbers:
+        raise ModelError(f"{what}: expected a rectangular array of numbers")
+    return arr
 
 
 def _matrix_from_json(obj: Any, n: int, what: str) -> np.ndarray:

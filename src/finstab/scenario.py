@@ -33,8 +33,9 @@ from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         simulate_hybrid)
 from .integrator import (IntegrationOpts, IntegrationStalledError, decay_envelope, simulate,
                          verify_decay, verify_lyapunov_stability, verify_split)
-from .model import (CheckReport, ModalModel, ModelError, _float, _is_int, _jsonify,
-                    model_from_json, quasi_contraction_type, validate_control_operator)
+from .model import (CheckReport, ModalModel, ModelError, _float, _float_array, _is_int,
+                    _jsonify, model_from_json, quasi_contraction_type,
+                    validate_control_operator)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -130,6 +131,7 @@ class BuiltScenario:
     opts: IntegrationOpts
     dec: DecompositionResult | None = None      # modal only, as are the fields below
     gamma_error: str | None = None
+    control: CheckReport | None = None          # matrices only: gamma needed it
     h1: CheckReport | None = None               # computed once, while building
 
 
@@ -180,6 +182,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         if isinstance(bundle, HybridModel):
             return _build_hybrid(config, bundle, seed)
         model, dec = bundle.model, bundle.dec
+        control = None
         h1 = check_H1(model, dec)
         gamma_error = None
     else:
@@ -188,11 +191,12 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
             model = model_from_json(config.matrices)
         except ModelError as exc:
             raise ConfigError(f"invalid matrices: {exc}") from exc
+        control = validate_control_operator(model)
         dec0 = unobservable_subspace(model)
         h1 = check_H1(model, dec0)
         gamma_error = None
         try:
-            gamma = compute_gamma(model, dec0)
+            gamma = compute_gamma(model, dec0, control)
         except SolverError:
             raise  # no verdict on H3: the run cannot go on
         except ModelError as exc:
@@ -212,7 +216,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     y0 = parse_initial_state(config.initial_state, model, dec, seed)
     opts = _integration_opts(config.integration)
     return BuiltScenario(kind="modal", spec=spec, seed=seed, model=model, y0=y0, opts=opts,
-                         dec=dec, gamma_error=gamma_error, h1=h1)
+                         dec=dec, gamma_error=gamma_error, control=control, h1=h1)
 
 
 def _build_hybrid(config: ScenarioConfig, hybrid: HybridModel, seed: int) -> BuiltScenario:
@@ -236,8 +240,8 @@ _WPERP_RE = re.compile(r"wperp-random(?:\((\d+)\))?")
 
 def _config_floats(obj: Any, what: str) -> np.ndarray:
     try:
-        return np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+        return _float_array(obj, what)
+    except ModelError as exc:
         raise ConfigError(f"{what} must be a rectangular array of numbers") from exc
 
 
@@ -309,7 +313,7 @@ def hybrid_initial_state(value: Any, model: HybridModel) -> HybridState:
     c = np.zeros((nm, nm))
     for entry in value.get("phi_modes", []):
         try:
-            j, k, coeff = entry[0], entry[1], float(entry[2])
+            j, k, coeff = entry[0], entry[1], _float(entry[2], "phi_modes coeff")
         except (TypeError, ValueError, IndexError, KeyError) as exc:
             raise ConfigError("phi_modes entries must be [j, k, coeff]") from exc
         if not (_is_int(j) and _is_int(k)):
@@ -348,7 +352,8 @@ def assumption_reports(built: BuiltScenario) -> list[CheckReport]:
                                      "validated_by": "zero-control grid flow"}),
         ]
     model, dec, spec = built.model, built.dec, built.spec
-    reports = [validate_control_operator(model), built.h1]
+    control = built.control if built.control is not None else validate_control_operator(model)
+    reports = [control, built.h1]
     if built.gamma_error is not None:
         reports.append(CheckReport("H3", False, {"error": built.gamma_error}))
     elif dec.gamma is not None:
@@ -374,11 +379,20 @@ def _bound_json(bound) -> Any:
     return bound
 
 
+_CSV_BLOCK_ROWS = 32   # rows per format call; a whole table at once raises peak memory
+
+
 def _csv_lines(table: np.ndarray):
-    # one row at a time: tolist() gives Python floats, whose repr is the
-    # shortest round-trip form
-    for row in np.asarray(table, dtype=float):
-        yield ",".join(map(repr, row.tolist())) + "\n"
+    # Each value is the repr of a Python float, its shortest round-trip form.
+    # A column that holds only +0.0 is the literal "0.0", which is repr(0.0);
+    # -0.0 (repr "-0.0"), nan and inf keep their column live.  Every block of
+    # rows fills one template with the live columns' values.
+    table = np.asarray(table, dtype=float)
+    live = np.any((table != 0.0) | np.signbit(table), axis=0)
+    row = ",".join(np.where(live, "%r", "0.0").tolist()) + "\n"
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS, live]
+        yield row * block.shape[0] % tuple(block.ravel().tolist())
 
 
 def write_trajectory_csv(path: Path, times: np.ndarray, states: np.ndarray,

@@ -1,4 +1,4 @@
-"""Minimal static SVG line charts (no plotting dependency).
+"""Minimal static SVG line charts (numpy only, no plotting library).
 
 Good enough for run artifacts: one chart, several labelled series, linear or
 log y axis, fixed palette, deterministic output.
@@ -6,6 +6,8 @@ log y axis, fixed palette, deterministic output.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -18,16 +20,12 @@ MARGIN_B = 44
 
 
 def _finite_points(xs, ys, logy: bool):
-    pts = []
-    for x, y in zip(xs, ys):
-        x = float(x)
-        y = float(y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
-        if logy and y <= 0.0:
-            continue
-        pts.append((x, y))
-    return pts
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    keep = np.isfinite(x) & np.isfinite(y)
+    if logy:
+        keep &= y > 0.0
+    return x[keep], y[keep]
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
@@ -46,18 +44,17 @@ def render_line_chart(title: str, series, xlabel: str = "t",
     """series: iterable of (label, xs, ys).  Returns the SVG document text."""
     clean = []
     for label, xs, ys in series:
-        pts = _finite_points(xs, ys, logy)
-        if pts:
-            clean.append((label, pts))
+        x, y = _finite_points(xs, ys, logy)
+        if x.size:
+            clean.append((label, x, y))
     if not clean:
-        clean = [("empty", [(0.0, 1.0), (1.0, 1.0)])]
-    xmin = min(p[0] for _, pts in clean for p in pts)
-    xmax = max(p[0] for _, pts in clean for p in pts)
-    yvals = [p[1] for _, pts in clean for p in pts]
+        clean = [("empty", np.array([0.0, 1.0]), np.array([1.0, 1.0]))]
+    xmin = float(min(np.min(x) for _, x, _ in clean))
+    xmax = float(max(np.max(x) for _, x, _ in clean))
+    ymin = float(min(np.min(y) for _, _, y in clean))
+    ymax = float(max(np.max(y) for _, _, y in clean))
     if logy:
-        ymin, ymax = math.log10(min(yvals)), math.log10(max(yvals))
-    else:
-        ymin, ymax = min(yvals), max(yvals)
+        ymin, ymax = math.log10(ymin), math.log10(ymax)
     if xmax <= xmin:
         xmax = xmin + 1.0
     if ymax <= ymin:
@@ -68,9 +65,13 @@ def render_line_chart(title: str, series, xlabel: str = "t",
     def sx(x: float) -> float:
         return MARGIN_L + (x - xmin) / (xmax - xmin) * plot_w
 
-    def sy(y: float) -> float:
-        v = math.log10(y) if logy else y
-        return MARGIN_T + plot_h - (v - ymin) / (ymax - ymin) * plot_h
+    def polyline(x: np.ndarray, y: np.ndarray) -> str:
+        # sx and sy of every point in numpy, in the same order of operations;
+        # log10 stays libm's per value, since numpy's may differ by an ulp
+        v = np.fromiter(map(math.log10, y.tolist()), float, y.size) if logy else y
+        py = MARGIN_T + plot_h - (v - ymin) / (ymax - ymin) * plot_h
+        coords = np.column_stack((sx(x), py)).ravel().tolist()
+        return ("%.2f,%.2f " * x.size)[:-1] % tuple(coords)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -96,10 +97,9 @@ def render_line_chart(title: str, series, xlabel: str = "t",
                    f'font-size="11" font-family="sans-serif">{label}</text>')
     out.append(f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
                f'font-size="12" font-family="sans-serif">{xlabel}</text>')
-    for i, (label, pts) in enumerate(clean):
+    for i, (label, x, y) in enumerate(clean):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-        out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+        out.append(f'<polyline points="{polyline(x, y)}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         ly = MARGIN_T + 14 + 16 * i
         lx = MARGIN_L + plot_w - 150

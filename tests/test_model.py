@@ -4,7 +4,7 @@ import scipy.linalg
 
 from finstab import (CheckReport, ModalModel, ModelError, model_from_json,
                      quasi_contraction_type, validate_control_operator)
-from finstab.model import pencil_eigvalsh
+from finstab.model import SolverError, pencil_eigvalsh
 
 
 def bilinear(A, B, M=None, labels=()):
@@ -107,6 +107,17 @@ def test_validate_control_operator_skips_input_map_models():
     report = validate_control_operator(model)
     assert report.passed
     assert report.details == {"applicable": False}
+
+
+def test_validate_control_operator_solver_failure_is_a_model_error(monkeypatch):
+    model = bilinear(-np.eye(2), np.diag([0.0, 3.0]))
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(SolverError, match="validate_control_operator: did not converge"):
+        validate_control_operator(model)
 
 
 def test_model_json_roundtrip():

@@ -185,11 +185,15 @@ def test_heat_run_writes_consistent_artifacts(tmp_path):
 
 
 def test_runs_are_deterministic(tmp_path):
-    config = scenario_from_json(heat_doc())
-    run_scenario(config, tmp_path / "a")
-    run_scenario(config, tmp_path / "b")
-    for name in ("trajectory.csv", "summary.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    hybrid = {**heat_doc(name="hybrid-small"), **_hybrid_doc(t_max=1.0),
+              "initial_state": "hybrid-bump"}
+    for doc, grids in ((heat_doc(), ()), (hybrid, ("psi_initial.csv", "psi_final.csv"))):
+        config = scenario_from_json(doc)
+        a, b = tmp_path / f"{doc['name']}-a", tmp_path / f"{doc['name']}-b"
+        run_scenario(config, a)
+        run_scenario(config, b)
+        for name in ("trajectory.csv", "summary.json", "plot.svg", *grids):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_plot_can_be_disabled(tmp_path):
@@ -429,7 +433,7 @@ def _matrices_doc(**matrices):
     (_hybrid_doc(t_max=1.0, eps_settle="x"), "'eps_settle' must be a number"),
     (_hybrid_doc(t_max=1.0, eps_settle=None), "'eps_settle' must be a number"),
     ({"integration": {"t_max": 0.5, "eps_settle": None}}, "'eps_settle' must be a number"),
-    ({"integration": {"t_max": 0.5, "sample_dt": "nan"}}, "sample_dt must be positive"),
+    ({"integration": {"t_max": 0.5, "sample_dt": float("nan")}}, "sample_dt must be positive"),
     ({"integration": {"t_max": 0.5, "rtol": float("nan")}}, "tolerances must be positive"),
     ({"frontend": {"kind": "Heat1D", "n_modes": 8.5}}, "n_modes must be an integer"),
     ({"frontend": {"kind": "Wave1D", "n_modes": 4, "q": 2.5}}, "q must be an integer"),
@@ -476,6 +480,29 @@ def _matrices_doc(**matrices):
                      "phi": {"kind": "WaveK", "q": 1, "half": 2, "cap": False}}},
      "phi.cap must be a number, got False"),
     ({"plot": "no"}, "'plot' must be true or false, got 'no'"),
+    # nor is a string a number, alone or in an array
+    ({"integration": {"t_max": "0.5"}}, "'t_max' must be a number, got '0.5'"),
+    ({"integration": {"t_max": 0.5, "sample_dt": "nan"}}, "'sample_dt' must be a number, got 'nan'"),
+    ({"controller": {"variant": "BilinearPhi", "mu": "0.3"}}, "mu must be a number, got '0.3'"),
+    ({"controller": {"variant": "BilinearPhi", "phi": {"kind": "Constant", "value": "0.5"}}},
+     "phi.value must be a number, got '0.5'"),
+    ({"initial_state": [True, 0, 0, 0]}, "initial_state must be a rectangular array"),
+    ({"initial_state": ["0", "1.0", "0", "0"]}, "initial_state must be a rectangular array"),
+    (_matrices_doc(generator=[[True, 0], [0, -2.0]], control_op="identity"),
+     "generator: expected a rectangular array"),
+    (_matrices_doc(generator={"diagonal": [-1.0, -2.0]}, control_op=[[1.0, 0], [0, "1"]]),
+     "control_op: expected a rectangular array"),
+    ({**_matrices_doc(input_map=[[False], [1.0]]),
+      "controller": {"variant": "LinearPhi", "mu": 0.25}},
+     "input_map: expected a rectangular array"),
+    ({**_hybrid_doc(t_max=1.0), "initial_state": {"psi": [[True] * 16] + [[0.0] * 16] * 15}},
+     "psi must be a rectangular array"),
+    ({**_hybrid_doc(t_max=1.0), "initial_state": {"phi_modes": [[0, 0, "1.0"]]}},
+     "phi_modes entries must be [j, k, coeff]"),
+    ({"controller": {"variant": "RankOne", "zeta": ["1", 0, 0, 0], "varpi": [1.0]}},
+     "zeta: expected a rectangular array"),
+    ({"frontend": {"kind": "Beam1D", "n_modes": 4, "h_coeffs": [True]}},
+     "h_coeffs: expected a rectangular array"),
 ])
 def test_cli_check_rejects_malformed_documents(tmp_path, capsys, overrides, cause):
     doc = {**heat_doc(), **overrides}
