@@ -178,6 +178,12 @@ def control_value(spec: ControllerSpec, model: ModalModel, dec: DecompositionRes
     return kernels.closed_loop_rhs(y, assemble_kernel_args(spec, model, dec), False)[1]
 
 
+def _law_gamma(spec: ControllerSpec, dec: DecompositionResult) -> float:
+    if dec.gamma is None:   # the rate of the BilinearPhi, BilinearGrad and LinearPhi laws
+        raise ModelError(f"{spec.variant} needs gamma: the decomposition carries none")
+    return dec.gamma
+
+
 def settling_bound_details(spec: ControllerSpec, model: ModalModel,
                            dec: DecompositionResult, y0: np.ndarray):
     """Variant-specific settling-time bound (Unbounded, or None for no law) plus
@@ -198,7 +204,7 @@ def settling_bound_details(spec: ControllerSpec, model: ModalModel,
     mu = spec.mu
     extras: dict[str, Any] = {}
     if spec.variant in ("BilinearPhi", "BilinearGrad"):
-        gamma = dec.gamma if dec.gamma is not None else 1.0
+        gamma = _law_gamma(spec, dec)
         Beff = _effective_control_matrix(model)
         V0 = float((Beff @ y01) @ M @ y01)
         V0 = max(V0, 0.0)
@@ -206,7 +212,7 @@ def settling_bound_details(spec: ControllerSpec, model: ModalModel,
         extras["t1"] = t1
         return t1, extras
     if spec.variant == "LinearPhi":
-        gamma = dec.gamma if dec.gamma is not None else 1.0
+        gamma = _law_gamma(spec, dec)
         w0 = model.input_map.T @ M @ y01
         t1 = float(np.linalg.norm(w0)) ** (2.0 * mu) / (2.0 * gamma * mu)
         extras["t1"] = t1

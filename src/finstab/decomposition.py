@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import (CheckReport, ModalModel, ModelError, SolverError, _solver_errors,
-                    validate_control_operator)
+from .model import CheckReport, ModalModel, ModelError, SolverError, _solver_errors
 
 KERNEL_RTOL = 1e-10
 H1_TOL = 1e-9
@@ -167,17 +166,13 @@ def check_H1(model: ModalModel, dec: DecompositionResult) -> CheckReport:
 
 
 @_solver_errors
-def compute_gamma(model: ModalModel, dec: DecompositionResult,
-                  control: CheckReport | None = None) -> float:
+def compute_gamma(model: ModalModel, dec: DecompositionResult, control: CheckReport) -> float:
     """Largest gamma with gamma <Bx,x> <= ||Bx||^2 on W_perp.
 
     For a self-adjoint PSD B this is the smallest strictly positive eigenvalue
-    of B restricted to W_perp.  control is validate_control_operator(model),
-    when the caller has it already.
+    of B restricted to W_perp.  control is validate_control_operator(model).
     """
     # an input-map model's B = L L* is self-adjoint and PSD by construction
-    if control is None:
-        control = validate_control_operator(model)
     if not control.passed:
         raise ModelError("compute_gamma requires a self-adjoint PSD control operator")
     if dec.dim_wperp == 0:

@@ -9,11 +9,13 @@
 
 All single-field builders return a FrontendBundle whose decomposition is the
 exact axis-aligned one (identity metric, 0/1 mask projector) so that control
-invariance under adding unobservable components holds bit-for-bit.
+invariance under adding unobservable components holds bit-for-bit.  They
+supply only the axes of W: gamma is computed from the model by
+decomposition.compute_gamma, as for raw matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -66,8 +68,8 @@ def heat_model(spec: FrontendSpec) -> FrontendBundle:
     B[0, 0] = 0.0
     model = ModalModel(dim=n, metric=np.eye(n), generator=np.diag(lam), control_op=B,
                        basis_labels=tuple(f"mode{j}" for j in range(1, n + 1)))
-    dec = replace(decomposition_from_axes(model, (0,)), gamma=1.0)
-    return FrontendBundle(model=model, dec=dec, phi=PhiSpec("Zero"), w_axes=(0,))
+    return FrontendBundle(model=model, dec=decomposition_from_axes(model, (0,)),
+                          phi=PhiSpec("Zero"), w_axes=(0,))
 
 
 def wave_model(spec: FrontendSpec) -> FrontendBundle:
@@ -90,9 +92,9 @@ def wave_model(spec: FrontendSpec) -> FrontendBundle:
     model = ModalModel(dim=2 * n, metric=np.eye(2 * n), generator=A, control_op=B,
                        basis_labels=labels)
     w_axes = tuple(range(q, n)) + tuple(range(n + q, 2 * n))
-    dec = replace(decomposition_from_axes(model, w_axes), gamma=1.0)
     phi = PhiSpec("WaveK", cap=DEFAULT_WAVE_CAP, q=q, half=n)
-    return FrontendBundle(model=model, dec=dec, phi=phi, w_axes=w_axes)
+    return FrontendBundle(model=model, dec=decomposition_from_axes(model, w_axes), phi=phi,
+                          w_axes=w_axes)
 
 
 def beam_model(spec: FrontendSpec) -> FrontendBundle:
@@ -127,9 +129,8 @@ def beam_model(spec: FrontendSpec) -> FrontendBundle:
     # unobservable part is exactly the span of the undriven mode-pair axes
     off = [j for j in range(n) if h[j] == 0.0]
     w_axes = tuple(off) + tuple(n + j for j in off)
-    dec = replace(decomposition_from_axes(model, w_axes), gamma=float(h @ h))
-    return FrontendBundle(model=model, dec=dec, phi=PhiSpec("Zero"), w_axes=w_axes,
-                          info={"zeta": zeta, "varpi": varpi})
+    return FrontendBundle(model=model, dec=decomposition_from_axes(model, w_axes),
+                          phi=PhiSpec("Zero"), w_axes=w_axes, info={"zeta": zeta, "varpi": varpi})
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,6 @@ def beam_model(spec: FrontendSpec) -> FrontendBundle:
 class HybridModel:
     n_modes: int
     grid_n: int
-    omega_h: float
     eigenvalues: np.ndarray     # (n_modes, n_modes), -(j^2+k^2) pi^2
     n_omega: int                # cells per axis inside the control patch
     delta: float                # exit horizon of the transport component
@@ -148,10 +148,6 @@ class HybridModel:
     @property
     def dt_macro(self) -> float:
         return 1.0 / self.grid_n
-
-    @property
-    def n_heat(self) -> int:
-        return self.n_modes * self.n_modes
 
 
 @dataclass
@@ -178,8 +174,8 @@ def transport_heat_model(spec: FrontendSpec) -> HybridModel:
     nm = spec.n_modes
     jj, kk = np.meshgrid(np.arange(nm), np.arange(nm), indexing="ij")
     lam = -(jj.astype(float) ** 2 + kk.astype(float) ** 2) * np.pi ** 2
-    model = HybridModel(n_modes=nm, grid_n=spec.grid_n, omega_h=spec.omega_h,
-                        eigenvalues=lam, n_omega=n_omega, delta=1.0)
+    model = HybridModel(n_modes=nm, grid_n=spec.grid_n, eigenvalues=lam, n_omega=n_omega,
+                        delta=1.0)
     _validate_exit_horizon(model)
     return model
 
@@ -191,29 +187,25 @@ def _validate_exit_horizon(model: HybridModel) -> None:
     psi = np.ones((G, G))
     steps = int(round(model.delta / model.dt_macro))
     for _ in range(steps):
-        psi = transport_step(psi, 0.0, model.dt_macro, G, model.omega_h)
+        psi = transport_step(model, psi, 0.0)
     if np.any(psi != 0.0):
         raise ModelError("declared transport horizon is not achieved by the free flow")
 
 
-def transport_step(psi: np.ndarray, u_mid: float, dt: float, grid_n: int,
-                   omega_h: float) -> np.ndarray:
-    """One exact characteristic shift along (1,1) with in-patch damping.
+def transport_step(model: HybridModel, psi: np.ndarray, u: float) -> np.ndarray:
+    """One macro step of the exact characteristic shift along (1,1), with in-patch damping.
 
-    dt must equal the grid spacing so the shift is cell-exact; the damping
-    factor uses the control value at the substep midpoint.  Cells whose
+    The step is the grid spacing, so the shift is cell-exact; the damping
+    factor holds the control value u over the step.  Cells whose
     characteristic originates outside the domain are set to zero.
     """
-    if abs(dt * grid_n - 1.0) > 1e-12:
-        raise ModelError("transport_step requires dt equal to the grid spacing")
     out = np.zeros_like(psi)
     out[1:, 1:] = psi[:-1, :-1]
-    if u_mid != 0.0:
-        n_omega = int(round(omega_h * grid_n))
+    if u != 0.0:
         # characteristic midpoints of destination cells (i, j) sit at (i/G, j/G),
         # strictly inside the patch for 1 <= i, j <= n_omega - 1
-        hi = max(n_omega, 1)
-        out[1:hi, 1:hi] *= np.exp(u_mid * dt)
+        hi = max(model.n_omega, 1)
+        out[1:hi, 1:hi] *= np.exp(u * model.dt_macro)
     return out
 
 
@@ -271,7 +263,7 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
             u = -(V ** (-mu))
         state = HybridState(
             c=state.c * np.exp((model.eigenvalues + u) * dt),
-            psi=transport_step(state.psi, u, dt, model.grid_n, model.omega_h),
+            psi=transport_step(model, state.psi, u),
         )
         t = (step + 1) * dt
         V_new = hybrid_v(model, state)
@@ -334,7 +326,7 @@ def hybrid_split_check(model: HybridModel, y0: HybridState,
     touched = np.zeros((G, G), dtype=bool)
     steps = len(traj.times) - 1
     for step in range(steps):
-        psi = transport_step(psi, 0.0, model.dt_macro, G, model.omega_h)
+        psi = transport_step(model, psi, 0.0)
         shifted = np.zeros_like(touched)
         shifted[1:, 1:] = touched[:-1, :-1]
         touched = shifted

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from . import kernels
-from .controllers import ControllerSpec, assemble_kernel_args
+from .controllers import ControllerSpec, assemble_kernel_args, _law_gamma
 from .decomposition import (DecompositionResult, _effective_control_matrix,
                             _metric_normsq, _metric_orthonormalize)
 from .model import CheckReport, ModalModel, ModelError
@@ -185,7 +185,7 @@ def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
             gamma_eff = ops.zeta_normsq
             trig_exp = 2.0 * spec.mu
         else:
-            gamma_eff = dec.gamma if dec.gamma is not None else 1.0
+            gamma_eff = _law_gamma(spec, dec)
             trig_exp = spec.mu
         ys, us, Vs, status, reached, diagnostics = kernels.integrate_adaptive(
             y0, sample_ts, ops, clamp_projector(model, dec), gamma_eff, trig_exp, opts)

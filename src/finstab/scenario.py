@@ -81,6 +81,8 @@ def scenario_from_json(doc: Any) -> ScenarioConfig:
     seed = doc.get("seed", 0)
     if not _is_int(seed):
         raise ConfigError(f"'seed' must be an integer, got {seed!r}")
+    if seed < 0:   # numpy's generators take no negative seed
+        raise ConfigError(f"'seed' must be non-negative, got {seed!r}")
     plot = doc.get("plot", True)
     if not isinstance(plot, bool):
         raise ConfigError(f"'plot' must be true or false, got {plot!r}")
@@ -112,9 +114,12 @@ def resolve_seed(config: ScenarioConfig) -> int:
     if raw is None:
         return config.seed
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise ConfigError(f"FINSTAB_SEED must be an integer, got {raw!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"FINSTAB_SEED must be non-negative, got {raw!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +136,8 @@ class BuiltScenario:
     opts: IntegrationOpts
     dec: DecompositionResult | None = None      # modal only, as are the fields below
     gamma_error: str | None = None
-    control: CheckReport | None = None          # matrices only: gamma needed it
-    h1: CheckReport | None = None               # computed once, while building
+    control: CheckReport | None = None          # computed once each, while building
+    h1: CheckReport | None = None
 
 
 def _integration_opts(doc: dict[str, Any]) -> IntegrationOpts:
@@ -182,27 +187,24 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         if isinstance(bundle, HybridModel):
             return _build_hybrid(config, bundle, seed)
         model, dec = bundle.model, bundle.dec
-        control = None
-        h1 = check_H1(model, dec)
-        gamma_error = None
     else:
         bundle = None
         try:
             model = model_from_json(config.matrices)
         except ModelError as exc:
             raise ConfigError(f"invalid matrices: {exc}") from exc
-        control = validate_control_operator(model)
-        dec0 = unobservable_subspace(model)
-        h1 = check_H1(model, dec0)
-        gamma_error = None
-        try:
-            gamma = compute_gamma(model, dec0, control)
-        except SolverError:
-            raise  # no verdict on H3: the run cannot go on
-        except ModelError as exc:
-            gamma = None
-            gamma_error = str(exc)
-        dec = dataclasses.replace(dec0, gamma=gamma)
+        dec = unobservable_subspace(model)
+    control = validate_control_operator(model)
+    h1 = check_H1(model, dec)
+    gamma_error = None
+    try:
+        gamma = compute_gamma(model, dec, control)
+    except SolverError:
+        raise  # no verdict on H3: the run cannot go on
+    except ModelError as exc:
+        gamma = None
+        gamma_error = str(exc)
+    dec = dataclasses.replace(dec, gamma=gamma)
     spec = _controller_spec(config, bundle)
     if spec.variant == "RankOne":
         try:
@@ -352,11 +354,10 @@ def assumption_reports(built: BuiltScenario) -> list[CheckReport]:
                                      "validated_by": "zero-control grid flow"}),
         ]
     model, dec, spec = built.model, built.dec, built.spec
-    control = built.control if built.control is not None else validate_control_operator(model)
-    reports = [control, built.h1]
+    reports = [built.control, built.h1]
     if built.gamma_error is not None:
         reports.append(CheckReport("H3", False, {"error": built.gamma_error}))
-    elif dec.gamma is not None:
+    else:
         reports.append(gamma_certificate(model, dec, dec.gamma, samples=500, seed=built.seed))
     if spec.variant in ("BilinearPhi", "LinearPhi"):
         reports.append(check_H2(model, dec, spec.phi, spec.dead_zone, samples=256,
@@ -461,8 +462,12 @@ def _trajectory_checks(built: BuiltScenario, traj, rate: float | None,
     reports.append(verify_lyapunov_stability(traj, omega))
     if hybrid:
         after = traj.psi_norms[traj.times >= model.delta - 1e-12]
-        reports.append(CheckReport("transport_exit", bool(np.all(after == 0.0)),
-                                   {"horizon": model.delta, "max_psi_after": float(np.max(after))}))
+        details = {"horizon": model.delta}
+        if after.size:
+            details["max_psi_after"] = float(np.max(after))
+        else:   # no sample reaches the horizon
+            details.update(applicable=False, reason="the run ends before the exit horizon")
+        reports.append(CheckReport("transport_exit", bool(np.all(after == 0.0)), details))
     elif spec.variant == "ZeroControl" and built.h1.details["generator_skew"]:
         drift = float(np.max(np.abs(traj.norms - traj.norms[0])))
         budget = 1e-9 * max(1.0, built.opts.t_max)
@@ -507,7 +512,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
             "initial_state": config.initial_state if isinstance(config.initial_state, str)
             else np.asarray(built.y0).tolist(),
         })
-        if built.gamma_error is not None or not checks[0].passed:
+        if built.gamma_error is not None or not built.control.passed:
             return _finish(out, summary, checks, "invalid", EXIT_CHECK_FAILED)
         bound, extras = settling_bound_details(spec, model, dec, built.y0)
         summary["bound_extras"] = {k: float(v) for k, v in extras.items()

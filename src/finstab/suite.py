@@ -17,7 +17,7 @@ from .decomposition import compute_gamma, gamma_certificate, unobservable_subspa
 from .frontends import (FrontendSpec, HybridState, build_frontend, hybrid_v,
                         transport_heat_model)
 from .integrator import expm, verify_decay, verify_lyapunov_stability
-from .model import ModalModel, quasi_contraction_type
+from .model import ModalModel, quasi_contraction_type, validate_control_operator
 from .scenario import BuiltScenario, build_scenario, scenario_from_json, simulate_scenario
 
 _BEAM_A0 = -2.0 * np.pi ** 2 / 3.0
@@ -353,7 +353,7 @@ def criterion_decomposition_oracle() -> CriterionResult:
             worst_angle = max(worst_angle, angle)
             if angle < 1e-8:
                 matches += 1
-        gamma = compute_gamma(model, dec)
+        gamma = compute_gamma(model, dec, validate_control_operator(model))
         if gamma_certificate(model, dec, gamma, samples=300, seed=i).passed:
             certs += 1
     clauses = [

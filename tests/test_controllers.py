@@ -5,13 +5,13 @@ from finstab import (DEFAULT_DEAD_ZONE, UNBOUNDED, ControllerSpec, ModalModel,
                      ModelError, PhiSpec, control_value, controller_from_json,
                      controller_to_json, compute_gamma,
                      decomposition_from_axes, settling_bound_details, unobservable_subspace,
-                     validate_rank_one_data)
+                     validate_control_operator, validate_rank_one_data)
 from dataclasses import replace
 
 
 def finished_dec(model):
     dec = unobservable_subspace(model)
-    return replace(dec, gamma=compute_gamma(model, dec))
+    return replace(dec, gamma=compute_gamma(model, dec, validate_control_operator(model)))
 
 
 def diag_bilinear():

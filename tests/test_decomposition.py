@@ -7,8 +7,12 @@ import scipy.linalg
 from finstab import (DEFAULT_DEAD_ZONE, FrontendSpec, ModalModel, ModelError, PhiSpec,
                      build_frontend, check_H1, check_H2, compute_gamma,
                      decomposition_from_axes, gamma_certificate, model_from_json,
-                     unobservable_subspace)
+                     unobservable_subspace, validate_control_operator)
 from finstab import kernels
+
+
+def gamma_of(model, dec):
+    return compute_gamma(model, dec, validate_control_operator(model))
 
 
 def bilinear(A, B, M=None):
@@ -170,14 +174,14 @@ def test_h1_fails_when_complement_leaks():
 def test_gamma_is_smallest_positive_eigenvalue_on_complement():
     model = bilinear(np.diag([-1.0, -2.0, -3.0]), np.diag([0.0, 2.0, 5.0]))
     dec = unobservable_subspace(model)
-    assert compute_gamma(model, dec) == pytest.approx(2.0, rel=1e-12)
+    assert gamma_of(model, dec) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_gamma_with_nontrivial_metric():
     M = np.diag([1.0, 1.0, 4.0])
     model = bilinear(np.diag([-1.0, -2.0, -3.0]), np.diag([0.0, 2.0, 5.0]), M=M)
     dec = unobservable_subspace(model)
-    assert compute_gamma(model, dec) == pytest.approx(2.0, rel=1e-12)
+    assert gamma_of(model, dec) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_gamma_scales_with_the_square_of_the_input_map():
@@ -192,7 +196,7 @@ def test_gamma_scales_with_the_square_of_the_input_map():
     def gamma(s):
         model = ModalModel(dim=4, metric=M, generator=-np.diag([1.0, 2.0, 3.0, 4.0]),
                            input_map=s * L)
-        return compute_gamma(model, unobservable_subspace(model))
+        return gamma_of(model, unobservable_subspace(model))
 
     assert gamma(1e3) == pytest.approx(1e6 * gamma(1.0), rel=1e-10)
 
@@ -210,7 +214,7 @@ def test_gamma_certificate_verdict_does_not_depend_on_the_scale_of_the_input_map
             model = ModalModel(dim=4, metric=M, generator=-np.diag([1.0, 2.0, 3.0, 4.0]),
                                input_map=s * L)
             dec = unobservable_subspace(model)
-            gamma = compute_gamma(model, dec)
+            gamma = gamma_of(model, dec)
             assert gamma_certificate(model, dec, gamma, samples=500).passed, (seed, s)
             # and it still fails for a gamma that is too large
             assert not gamma_certificate(model, dec, 1.5 * gamma, samples=500).passed
@@ -219,16 +223,16 @@ def test_gamma_certificate_verdict_does_not_depend_on_the_scale_of_the_input_map
 def test_gamma_rejects_bad_control_operators():
     model = bilinear(np.diag([-1.0, -2.0]), np.diag([1.0, -1.0]))
     with pytest.raises(ModelError):
-        compute_gamma(model, decomposition_from_axes(model, ()))
+        gamma_of(model, decomposition_from_axes(model, ()))
     vanishing = bilinear(np.diag([-1.0, -2.0]), np.zeros((2, 2)))
     with pytest.raises(ModelError):
-        compute_gamma(vanishing, decomposition_from_axes(vanishing, ()))
+        gamma_of(vanishing, decomposition_from_axes(vanishing, ()))
 
 
 def test_gamma_certificate_two_sided():
     model = bilinear(np.diag([-1.0, -2.0, -3.0]), np.diag([0.0, 2.0, 5.0]))
     dec = unobservable_subspace(model)
-    gamma = compute_gamma(model, dec)
+    gamma = gamma_of(model, dec)
     good = gamma_certificate(model, dec, gamma, samples=200, seed=3)
     assert good.passed
     assert good.details["max_violation"] <= 1e-9
@@ -261,7 +265,7 @@ def test_certificates_match_a_per_sample_loop():
     assert report.details["invariance_residual"] == pytest.approx(max(h1), rel=1e-12)
     assert report.details["worst_column"] == int(np.argmax(h1))
 
-    gamma = compute_gamma(model, dec)
+    gamma = gamma_of(model, dec)
     coeffs = np.random.default_rng(4).standard_normal((300, Q.shape[1]))
     restricted = Q.T @ M @ B @ Q
     evals, evecs = scipy.linalg.eigh(0.5 * (restricted + restricted.T))
@@ -357,18 +361,19 @@ def _no_convergence(*args, **kwargs):
 
 
 @pytest.mark.parametrize("target, call", [
-    ("numpy.linalg.svd", lambda m, d: unobservable_subspace(m)),
-    ("numpy.linalg.eigvalsh", lambda m, d: compute_gamma(m, d)),
-    ("numpy.linalg.eigh", lambda m, d: gamma_certificate(m, d, 1.0, samples=10)),
-    ("numpy.linalg.eigh", lambda m, d: check_H2(m, d, PhiSpec("Constant", value=0.5),
-                                                DEFAULT_DEAD_ZONE, samples=10)),
+    ("numpy.linalg.svd", lambda m, d, c: unobservable_subspace(m)),
+    ("numpy.linalg.eigvalsh", lambda m, d, c: compute_gamma(m, d, c)),
+    ("numpy.linalg.eigh", lambda m, d, c: gamma_certificate(m, d, 1.0, samples=10)),
+    ("numpy.linalg.eigh", lambda m, d, c: check_H2(m, d, PhiSpec("Constant", value=0.5),
+                                                   DEFAULT_DEAD_ZONE, samples=10)),
 ])
 def test_solver_failure_is_a_model_error(monkeypatch, target, call):
     model = bilinear(np.diag([-1.0, -2.0, -3.0]), np.diag([0.0, 1.0, 1.0]))
     dec = unobservable_subspace(model)
+    control = validate_control_operator(model)   # before the patch: only the call's solver fails
     monkeypatch.setattr(target, _no_convergence)
     with pytest.raises(ModelError, match="did not converge") as info:
-        call(model, dec)
+        call(model, dec, control)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 

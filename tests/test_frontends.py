@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from finstab import (ControllerSpec, FrontendSpec, HybridState,
-                     ModelError, beam_model, build_frontend, check_H1, heat_model,
-                     hybrid_decay_check, hybrid_norm, hybrid_split_check, hybrid_v,
-                     quasi_contraction_type, simulate_hybrid, transport_heat_model,
-                     transport_step, Trajectory, validate_rank_one_data, wave_model)
+                     ModelError, beam_model, build_frontend, check_H1, compute_gamma,
+                     heat_model, hybrid_decay_check, hybrid_norm, hybrid_split_check,
+                     hybrid_v, quasi_contraction_type, simulate_hybrid, transport_heat_model,
+                     transport_step, Trajectory, validate_control_operator,
+                     validate_rank_one_data, wave_model)
 
 PI2 = 9.869604401089358  # pi^2
+
+
+def gamma_of(bundle):
+    # a front end supplies only W's axes; gamma comes from the model
+    assert bundle.dec.gamma is None
+    return compute_gamma(bundle.model, bundle.dec, validate_control_operator(bundle.model))
 
 
 def test_heat_modes_and_decomposition():
@@ -22,7 +29,7 @@ def test_heat_modes_and_decomposition():
     assert B[0, 0] == 0.0
     assert np.array_equal(B[1:, 1:], np.eye(3))
     assert bundle.w_axes == (0,)
-    assert bundle.dec.gamma == 1.0
+    assert gamma_of(bundle) == 1.0
     assert bundle.dec.dim_w == 1
     assert bundle.model.basis_labels[:2] == ("mode1", "mode2")
     assert check_H1(bundle.model, bundle.dec).passed
@@ -50,6 +57,7 @@ def test_wave_structure():
                           [0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
     assert bundle.w_axes == (2, 5)
     assert bundle.dec.dim_w == 2
+    assert gamma_of(bundle) == 1.0
     assert bundle.phi.kind == "WaveK" and bundle.phi.cap == 1e3
     assert bundle.phi.q == 2 and bundle.phi.half == 3
     assert abs(quasi_contraction_type(model)) < 1e-12  # skew generator
@@ -74,7 +82,7 @@ def test_beam_structure_and_rank_one_data():
     assert np.array_equal(model.input_map[:, 0], [0, 0, 0, 1, 0, 0])
     # only the driven pair (pos1, vel1) is observable
     assert bundle.w_axes == (1, 2, 4, 5)
-    assert bundle.dec.gamma == 1.0
+    assert gamma_of(bundle) == 1.0
     spec = ControllerSpec(variant="RankOne", mu=0.25, zeta=bundle.info["zeta"],
                           varpi=bundle.info["varpi"])
     validate_rank_one_data(spec, model)
@@ -83,10 +91,22 @@ def test_beam_structure_and_rank_one_data():
 
 def test_beam_profile_support_drives_gamma_and_w():
     bundle = beam_model(FrontendSpec(kind="Beam1D", n_modes=3, h_coeffs=(1.0, 2.0)))
-    assert bundle.dec.gamma == pytest.approx(5.0, rel=1e-15)
+    assert gamma_of(bundle) == pytest.approx(5.0, rel=1e-15)   # ||h||^2
     assert bundle.w_axes == (2, 5)
     full = beam_model(FrontendSpec(kind="Beam1D", n_modes=2, h_coeffs=(1.0, 1.0)))
     assert full.dec.dim_w == 0
+
+
+@pytest.mark.parametrize("spec, analytic", [
+    *[(FrontendSpec(kind="Heat1D", n_modes=n), 1.0) for n in (2, 3, 8, 64, 256)],
+    *[(FrontendSpec(kind="Wave1D", n_modes=n, q=q), 1.0)
+      for n, q in ((8, 3), (16, 3), (64, 3), (128, 3), (8, 8), (4, 1), (32, 32))],
+    *[(FrontendSpec(kind="Beam1D", n_modes=4, h_coeffs=h), float(np.dot(h, h)))
+      for h in ((1.0,), (1.0, 0.5), (0.3, 0.7, 0.1), (2.0,), (0.0, 1.0))],
+])
+def test_computed_gamma_is_the_analytic_value(spec, analytic):
+    # heat and wave: B is a 0/1 mask, so gamma = 1; beam: B = h h^T on W_perp, gamma = ||h||^2
+    assert gamma_of(build_frontend(spec)) == analytic
 
 
 def test_beam_rejects_bad_profiles():
@@ -109,7 +129,6 @@ def test_transport_model_geometry():
                                               grid_n=64, omega_h=0.25))
     assert model.n_omega == 16
     assert model.dt_macro == pytest.approx(1.0 / 64.0, rel=1e-15)
-    assert model.n_heat == 16
     assert model.delta == 1.0
     assert model.eigenvalues[0, 0] == 0.0
     assert model.eigenvalues[1, 2] == pytest.approx(-5.0 * PI2, rel=1e-14)
@@ -127,34 +146,39 @@ def test_transport_model_rejects_misaligned_patch():
                                           grid_n=16, omega_h=1.5))
 
 
+def transport(grid_n, omega_h):
+    return transport_heat_model(FrontendSpec(kind="TransportHeat2D", n_modes=2,
+                                             grid_n=grid_n, omega_h=omega_h))
+
+
 def test_transport_step_is_an_exact_shift():
+    model = transport(8, 0.25)
     psi = np.zeros((8, 8))
     psi[3, 5] = 2.5
-    out = transport_step(psi, 0.0, 1.0 / 8.0, 8, 0.25)
+    out = transport_step(model, psi, 0.0)
     assert out[4, 6] == 2.5
     assert np.sum(out != 0.0) == 1
     # mass on the outflow edge leaves the domain
     edge = np.zeros((8, 8))
     edge[7, 7] = 1.0
-    assert np.all(transport_step(edge, 0.0, 1.0 / 8.0, 8, 0.25) == 0.0)
+    assert np.all(transport_step(model, edge, 0.0) == 0.0)
 
 
 def test_transport_step_damps_only_inside_the_patch():
-    psi = np.ones((4, 4))
-    out = transport_step(psi, -1.0, 0.25, 4, 0.5)  # patch is 2 cells wide
+    model = transport(4, 0.5)   # patch is 2 cells wide, dt = 1/4
+    out = transport_step(model, np.ones((4, 4)), -1.0)
     assert out[1, 1] == pytest.approx(0.7788007830714049, rel=1e-15)  # e^{-1/4}
     assert out[1, 2] == 1.0 and out[2, 1] == 1.0 and out[3, 3] == 1.0
     assert np.all(out[0, :] == 0.0) and np.all(out[:, 0] == 0.0)
-    with pytest.raises(ModelError):
-        transport_step(psi, 0.0, 0.3, 4, 0.5)
 
 
 def test_transport_free_flow_exits_in_exactly_n_steps():
     G = 6
+    model = transport(G, 0.5)
     psi = np.ones((G, G))
     for step in range(G):
         assert np.any(psi != 0.0)
-        psi = transport_step(psi, 0.0, 1.0 / G, G, 0.5)
+        psi = transport_step(model, psi, 0.0)
     assert np.all(psi == 0.0)
 
 

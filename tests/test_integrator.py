@@ -6,14 +6,17 @@ from dataclasses import replace
 from finstab import (ControllerSpec, FrontendSpec, IntegrationOpts, IntegrationStalledError,
                      ModalModel, ModelError, Trajectory, build_frontend, build_scenario,
                      compute_gamma, kernels, scenario_from_json, simulate,
-                     unobservable_subspace, verify_decay, verify_lyapunov_stability,
-                     verify_split)
+                     settling_bound_details, unobservable_subspace, validate_control_operator,
+                     verify_decay, verify_lyapunov_stability, verify_split)
 from finstab.integrator import clamp_projector, expm
 
 
+def with_gamma(model, dec):
+    return replace(dec, gamma=compute_gamma(model, dec, validate_control_operator(model)))
+
+
 def finished_dec(model):
-    dec = unobservable_subspace(model)
-    return replace(dec, gamma=compute_gamma(model, dec))
+    return with_gamma(model, unobservable_subspace(model))
 
 
 def bilinear(A, B):
@@ -21,6 +24,21 @@ def bilinear(A, B):
     n = A.shape[0]
     return ModalModel(dim=n, metric=np.eye(n), generator=A,
                       control_op=np.asarray(B, float))
+
+
+def test_a_decomposition_without_gamma_is_refused_where_the_law_reads_it():
+    model = bilinear(np.diag([-1.0, -2.0]), np.eye(2))
+    dec = unobservable_subspace(model)
+    assert dec.gamma is None
+    y0 = np.array([1.0, 0.5])
+    opts = IntegrationOpts(t_max=0.1)
+    spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
+    with pytest.raises(ModelError, match="BilinearPhi needs gamma"):
+        simulate(model, dec, spec, y0, opts)
+    with pytest.raises(ModelError, match="BilinearPhi needs gamma"):
+        settling_bound_details(spec, model, dec, y0)
+    # a law-free run reads no gamma
+    assert simulate(model, dec, ControllerSpec(variant="ZeroControl"), y0, opts).times[-1] == 0.1
 
 
 def test_opts_validation():
@@ -174,7 +192,7 @@ def test_clamp_projector_targets_the_controlled_range():
 
 def heat_model():
     bundle = build_frontend(FrontendSpec(kind="Heat1D", n_modes=8))
-    return bundle.model, bundle.dec
+    return bundle.model, with_gamma(bundle.model, bundle.dec)
 
 
 def heat_closed_loop(sample_dt, t_max=0.5):

@@ -12,7 +12,7 @@ import scipy.linalg
 
 from finstab import (ConfigError, build_scenario, check_scenario, load_scenario,
                      run_scenario, scenario_from_json)
-from finstab import cli, decomposition
+from finstab import cli, decomposition, scenario
 from finstab.scenario import hybrid_initial_state, parse_initial_state, resolve_seed
 from finstab.frontends import transport_heat_model
 from finstab import FrontendSpec
@@ -93,6 +93,9 @@ def test_seed_env_override(monkeypatch):
     assert resolve_seed(config) == 99
     monkeypatch.setenv("FINSTAB_SEED", "pi")
     with pytest.raises(ConfigError):
+        resolve_seed(config)
+    monkeypatch.setenv("FINSTAB_SEED", "-1")   # numpy's generators take no negative seed
+    with pytest.raises(ConfigError, match="FINSTAB_SEED must be non-negative"):
         resolve_seed(config)
 
 
@@ -226,6 +229,54 @@ def test_matrix_route_run(tmp_path):
     assert code == 0
     assert json.dumps(summary["decomposition"]["delta"]) == "0.0"
     assert h4_json(summary) == h4
+
+
+_ROUTE_FRONTENDS = [
+    {"kind": "Heat1D", "n_modes": 8},
+    {"kind": "Wave1D", "n_modes": 8, "q": 3},
+    {"kind": "Beam1D", "n_modes": 8, "h_coeffs": [1.0, 0.5]},
+]
+
+
+def _route_docs(frontend):
+    """The front end's scenario, and the same model given as raw matrices."""
+    doc = {"name": "route", "controller": {"variant": "ZeroControl"},
+           "integration": {"t_max": 0.1}}
+    model = build_scenario(scenario_from_json({**doc, "frontend": frontend})).model
+    matrices = {"dim": model.dim, "metric": model.metric.tolist(),
+                "generator": model.generator.tolist()}
+    if model.control_op is not None:
+        matrices["control_op"] = model.control_op.tolist()
+    else:
+        matrices["input_map"] = model.input_map.tolist()
+    return {**doc, "frontend": frontend}, {**doc, "matrices": matrices}
+
+
+@pytest.mark.parametrize("frontend", _ROUTE_FRONTENDS, ids=lambda f: f["kind"])
+def test_frontend_and_matrices_routes_agree(frontend):
+    a, b = (build_scenario(scenario_from_json(doc)) for doc in _route_docs(frontend))
+    assert a.dec.dim_w == b.dec.dim_w
+    assert a.dec.gamma == pytest.approx(b.dec.gamma, rel=1e-12)
+    assert a.control.passed and b.control.passed
+    assert (a.control.details.get("min_rayleigh_quotient")
+            == b.control.details.get("min_rayleigh_quotient"))
+    assert a.h1.passed and b.h1.passed
+
+
+@pytest.mark.parametrize("frontend", _ROUTE_FRONTENDS, ids=lambda f: f["kind"])
+def test_control_operator_is_validated_once_per_build(monkeypatch, frontend):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return validate(model)
+
+    validate = scenario.validate_control_operator
+    monkeypatch.setattr(scenario, "validate_control_operator", counted)
+    for doc in _route_docs(frontend):
+        calls.clear()
+        check_scenario(scenario_from_json(doc))   # the build and the assumption reports
+        assert len(calls) == 1, doc
 
 
 def test_invalid_control_operator_short_circuits(tmp_path):
@@ -503,6 +554,8 @@ def _matrices_doc(**matrices):
      "zeta: expected a rectangular array"),
     ({"frontend": {"kind": "Beam1D", "n_modes": 4, "h_coeffs": [True]}},
      "h_coeffs: expected a rectangular array"),
+    # numpy's generators take no negative seed
+    ({"seed": -3}, "'seed' must be non-negative, got -3"),
 ])
 def test_cli_check_rejects_malformed_documents(tmp_path, capsys, overrides, cause):
     doc = {**heat_doc(), **overrides}
@@ -602,6 +655,30 @@ def test_cli_hybrid_run_writes_grids(tmp_path, capsys):
     assert np.all(final == 0.0)  # the transport component has exited
 
 
+@pytest.mark.parametrize("variant", ["ZeroControl", "BilinearPhi"])
+def test_cli_hybrid_run_shorter_than_the_exit_horizon(tmp_path, capsys, variant):
+    # t_max 0.5 < delta = 1: no sample reaches the horizon, so transport_exit
+    # is not applicable; the bound max(V(0)^mu / (2 mu), delta) >= delta > t_max,
+    # so a controlled run fails settled_within_bound and nothing else
+    doc = {"name": "hybrid-short",
+           "frontend": {"kind": "TransportHeat2D", "n_modes": 4, "grid_n": 16,
+                        "omega_h": 0.25},
+           "controller": {"variant": variant, "mu": 0.25},
+           "initial_state": "hybrid-bump", "integration": {"t_max": 0.5}}
+    out = tmp_path / "out"
+    cp = main_cli(capsys, "run", "--config", str(write_config(tmp_path, doc)), "--out", str(out))
+    assert "Traceback" not in cp.stdout + cp.stderr
+    checks = {r["name"]: r for r in json.loads((out / "summary.json").read_text())["checks"]}
+    exit_check = checks["transport_exit"]
+    assert exit_check["passed"] and exit_check["applicable"] is False
+    assert "before the exit horizon" in exit_check["reason"]
+    failed = sorted(name for name, r in checks.items() if not r["passed"])
+    if variant == "BilinearPhi":
+        assert failed == ["settled_within_bound"] and cp.returncode == 1
+    else:
+        assert failed == [] and cp.returncode == 0
+
+
 def test_cli_seed_env_changes_the_run(tmp_path, capsys, monkeypatch):
     doc = heat_doc(initial_state="wperp-random",
                    controller={"variant": "ZeroControl"},
@@ -614,6 +691,9 @@ def test_cli_seed_env_changes_the_run(tmp_path, capsys, monkeypatch):
     csv = lambda d: (d / "trajectory.csv").read_bytes()
     assert csv(a) == csv(b)
     assert csv(a) != csv(c)
+    monkeypatch.setenv("FINSTAB_SEED", "-1")
+    cp = main_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "d"))
+    assert cp.returncode == 2 and "FINSTAB_SEED must be non-negative" in cp.stderr
 
 
 def _metric_matrices_doc():
