@@ -20,7 +20,7 @@ from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gam
                             unobservable_subspace)
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         HybridTrajectory, beam_model, build_frontend, heat_model,
-                        hybrid_decay_check, hybrid_norm, hybrid_split_check, hybrid_v,
+                        hybrid_decay_check, hybrid_split_check, hybrid_v,
                         simulate_hybrid, transport_heat_model, transport_step, wave_model)
 from .integrator import (IntegrationOpts, IntegrationStalledError, Trajectory,
                          simulate, verify_decay,
@@ -47,7 +47,7 @@ __all__ = [
     "decomposition_from_axes", "gamma_certificate", "unobservable_subspace",
     "FrontendBundle", "FrontendSpec", "HybridModel", "HybridState", "HybridTrajectory",
     "beam_model", "build_frontend", "heat_model",
-    "hybrid_decay_check", "hybrid_norm", "hybrid_split_check", "hybrid_v",
+    "hybrid_decay_check", "hybrid_split_check", "hybrid_v",
     "simulate_hybrid", "transport_heat_model", "transport_step", "wave_model",
     "IntegrationOpts", "IntegrationStalledError", "Trajectory",
     "simulate", "verify_decay", "verify_lyapunov_stability", "verify_split",

@@ -171,25 +171,18 @@ def transport_heat_model(spec: FrontendSpec) -> HybridModel:
     n_omega = int(round(n_omega_f))
     if abs(n_omega_f - n_omega) > 1e-9:
         raise ModelError("omega_h must be a multiple of 1/grid_n")
+    if n_omega < 1:
+        raise ModelError("omega_h must be at least one cell (1/grid_n)")
     nm = spec.n_modes
     jj, kk = np.meshgrid(np.arange(nm), np.arange(nm), indexing="ij")
     lam = -(jj.astype(float) ** 2 + kk.astype(float) ** 2) * np.pi ** 2
     model = HybridModel(n_modes=nm, grid_n=spec.grid_n, eigenvalues=lam, n_omega=n_omega,
                         delta=1.0)
-    _validate_exit_horizon(model)
-    return model
-
-
-def _validate_exit_horizon(model: HybridModel) -> None:
-    # the declared horizon must match the actual free flow: a generic profile
-    # must be identically zero at the first step time >= delta
-    G = model.grid_n
-    psi = np.ones((G, G))
-    steps = int(round(model.delta / model.dt_macro))
-    for _ in range(steps):
-        psi = transport_step(model, psi, 0.0)
-    if np.any(psi != 0.0):
+    # the declared horizon must match the actual free flow: a shift of one cell
+    # per macro step empties the grid after exactly grid_n steps
+    if int(round(model.delta / model.dt_macro)) < model.grid_n:
         raise ModelError("declared transport horizon is not achieved by the free flow")
+    return model
 
 
 def transport_step(model: HybridModel, psi: np.ndarray, u: float) -> np.ndarray:
@@ -204,8 +197,8 @@ def transport_step(model: HybridModel, psi: np.ndarray, u: float) -> np.ndarray:
     if u != 0.0:
         # characteristic midpoints of destination cells (i, j) sit at (i/G, j/G),
         # strictly inside the patch for 1 <= i, j <= n_omega - 1
-        hi = max(model.n_omega, 1)
-        out[1:hi, 1:hi] *= np.exp(u * model.dt_macro)
+        n = model.n_omega
+        out[1:n, 1:n] *= np.exp(u * model.dt_macro)
     return out
 
 
@@ -213,10 +206,6 @@ def hybrid_v(model: HybridModel, state: HybridState) -> float:
     k = model.n_omega
     vw = float(np.sum(state.psi[:k, :k] ** 2)) / model.grid_n ** 2
     return float(np.sum(state.c ** 2)) + vw
-
-
-def hybrid_norm(model: HybridModel, state: HybridState) -> float:
-    return float(np.sqrt(np.sum(state.c ** 2) + np.sum(state.psi ** 2) / model.grid_n ** 2))
 
 
 @dataclass(kw_only=True)
@@ -235,7 +224,10 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
     each macro step: the control latches off once V falls to the dead zone,
     and the observed part (all heat modes plus the in-patch transport
     samples) is clamped to zero when the decay envelope predicts settling
-    within one step.
+    within one step.  A step-end V is also the next step's V: a clamp comes
+    only with the latch, after which no step reads V.  Each sample takes one
+    sum of psi^2, from which psi_norms = sqrt(sum psi^2) / G and
+    norms = sqrt(sum c^2 + sum psi^2 / G^2) are formed once the run ends.
     """
     if spec.variant not in ("BilinearPhi", "ZeroControl"):
         raise ModelError("hybrid simulation supports BilinearPhi or ZeroControl")
@@ -247,17 +239,11 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
     regrow = False
     k = model.n_omega
     mu = spec.mu
-    samples = []   # (t, heat coefficients, psi norm, V, u, norm) per macro step
-
-    def record(t: float, state: HybridState, V: float, u: float) -> None:
-        samples.append((t, state.c.ravel().copy(),
-                        float(np.sqrt(np.sum(state.psi ** 2))) / model.grid_n, V, u,
-                        hybrid_norm(model, state)))
-
     state = y0.copy()
-    record(0.0, state, hybrid_v(model, state), 0.0)
+    V = hybrid_v(model, state)
+    # (t, heat coefficients, sum psi^2, V, u) per macro step end
+    rows = [(0.0, state.c.ravel().copy(), float(np.sum(state.psi ** 2)), V, 0.0)]
     for step in range(n_steps):
-        V = hybrid_v(model, state)
         u = 0.0
         if controlled and latch_time is None and V > spec.dead_zone:
             u = -(V ** (-mu))
@@ -266,10 +252,10 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
             psi=transport_step(model, state.psi, u),
         )
         t = (step + 1) * dt
-        V_new = hybrid_v(model, state)
+        V = hybrid_v(model, state)
         if controlled:
             latch_now, clamp_now, regrown = dead_zone_rule(
-                V_new, latch_time is not None, clamp_time is not None, dt, spec.dead_zone,
+                V, latch_time is not None, clamp_time is not None, dt, spec.dead_zone,
                 mu, 2.0 * mu)
             if latch_now:
                 latch_time = t
@@ -278,11 +264,13 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
                 state.psi[:k, :k] = 0.0
                 clamp_time = t
             regrow = regrow or regrown
-        record(t, state, V_new, u)
-    times, heat, psi_norms, Vs, us, norms = (np.asarray(col) for col in zip(*samples))
+        rows.append((t, state.c.ravel().copy(), float(np.sum(state.psi ** 2)), V, u))
+    times, heat, psi_sq, Vs, us = (np.asarray(col) for col in zip(*rows))
+    norms = np.sqrt(np.sum(heat ** 2, axis=1) + psi_sq / model.grid_n ** 2)
     return HybridTrajectory(
-        times=times, states=heat, psi_norms=psi_norms, controls=us.reshape(-1, 1),
-        lyapunov=Vs, norms=norms, settling_time=_settling_time(times, norms, eps_settle),
+        times=times, states=heat, psi_norms=np.sqrt(psi_sq) / model.grid_n,
+        controls=us.reshape(-1, 1), lyapunov=Vs, norms=norms,
+        settling_time=_settling_time(times, norms, eps_settle),
         psi_initial=y0.psi.copy(), psi_final=state.psi.copy(),
         diagnostics={"latch_time": latch_time, "clamp_time": clamp_time,
                      "dead_zone_regrow": regrow, "steps": n_steps},
@@ -316,27 +304,26 @@ def hybrid_split_check(model: HybridModel, y0: HybridState,
                        traj: HybridTrajectory) -> CheckReport:
     """Cells never damped by the control must follow the pure shift exactly.
 
-    A cell is marked as touched when its characteristic sits in the damped
-    patch during a step with active control; everywhere else the final grid
-    must equal the bitwise-exact free shift of the initial data.
+    After S macro steps the free shift is one slice, free[S:, S:] =
+    psi0[:G-S, :G-S] (zero once S >= G).  The patch [1:n_omega]^2 damped at a
+    controlled step k and the block [0:n_omega]^2 zeroed by the clamp at step
+    k have since moved S - k cells along (1,1); every other cell of the final
+    grid must equal the free shift bitwise.
     """
-    G = model.grid_n
-    hi = max(model.n_omega, 1)
-    psi = y0.psi.copy()
+    G, n = model.grid_n, model.n_omega
+    S = len(traj.times) - 1
+    free = np.zeros_like(y0.psi)
+    if S < G:
+        free[S:, S:] = y0.psi[:G - S, :G - S]
     touched = np.zeros((G, G), dtype=bool)
-    steps = len(traj.times) - 1
-    for step in range(steps):
-        psi = transport_step(model, psi, 0.0)
-        shifted = np.zeros_like(touched)
-        shifted[1:, 1:] = touched[:-1, :-1]
-        touched = shifted
-        if float(traj.controls[step + 1, 0]) != 0.0:
-            touched[1:hi, 1:hi] = True
-        clamp_time = traj.diagnostics.get("clamp_time")
-        if clamp_time is not None and abs(traj.times[step + 1] - clamp_time) < 1e-12:
-            touched[: model.n_omega, : model.n_omega] = True
+    for k in np.flatnonzero(traj.controls[1:, 0] != 0.0) + 1:
+        m = S - k
+        touched[1 + m:n + m, 1 + m:n + m] = True
+    if traj.diagnostics.get("clamp_time") is not None:
+        m = S - int(round(traj.diagnostics["clamp_time"] / model.dt_macro))
+        touched[m:n + m, m:n + m] = True
     return CheckReport("split_free_flow",
-                       bool(np.array_equal(psi[~touched], traj.psi_final[~touched])),
+                       bool(np.array_equal(free[~touched], traj.psi_final[~touched])),
                        {"comparison": "undamped cells vs exact shift"})
 
 

@@ -312,6 +312,11 @@ def hybrid_initial_state(value: Any, model: HybridModel) -> HybridState:
         value = presets[value]
     if not isinstance(value, dict):
         raise ConfigError("hybrid initial_state must be a preset name or an object")
+    unknown = set(value) - {"phi_modes", "psi"}
+    if unknown:
+        raise ConfigError(f"unknown hybrid initial_state keys: {sorted(unknown)}")
+    if not isinstance(value.get("phi_modes", []), (list, tuple)):
+        raise ConfigError(f"phi_modes must be a list of [j, k, coeff], got {value['phi_modes']!r}")
     c = np.zeros((nm, nm))
     for entry in value.get("phi_modes", []):
         try:

@@ -5,7 +5,7 @@ import pytest
 
 from finstab import (ControllerSpec, FrontendSpec, HybridState,
                      ModelError, beam_model, build_frontend, check_H1, compute_gamma,
-                     heat_model, hybrid_decay_check, hybrid_norm, hybrid_split_check,
+                     heat_model, hybrid_decay_check, hybrid_split_check,
                      hybrid_v, quasi_contraction_type, simulate_hybrid, transport_heat_model,
                      transport_step, Trajectory, validate_control_operator,
                      validate_rank_one_data, wave_model)
@@ -192,8 +192,10 @@ def test_hybrid_energy_and_norm():
     state = HybridState(c=c, psi=psi)
     # V counts heat energy plus the in-patch transport mass only
     assert hybrid_v(model, state) == pytest.approx(5.0 + 9.0 / 16.0, rel=1e-15)
-    assert hybrid_norm(model, state) == pytest.approx(np.sqrt(5.0 + 25.0 / 16.0),
-                                                      rel=1e-15)
+    # the norm counts heat energy plus all transport mass
+    traj = simulate_hybrid(model, ControllerSpec(variant="ZeroControl"), state,
+                           t_max=model.dt_macro)
+    assert traj.norms[0] == pytest.approx(np.sqrt(5.0 + 25.0 / 16.0), rel=1e-15)
 
 
 def hybrid_setup(grid_n=32):
@@ -240,3 +242,44 @@ def test_hybrid_zero_control_keeps_heat_alive():
     after = traj.times >= model.delta - 1e-12
     assert np.all(traj.psi_norms[after] == 0.0)
     assert hybrid_split_check(model, y0, traj).passed
+
+
+def replayed_split(model, y0, traj):
+    """The free flow and the cells the control touched, one macro step at a time."""
+    n = model.n_omega
+    free, touched = y0.psi, np.zeros_like(y0.psi)
+    for k in range(1, len(traj.times)):
+        free = transport_step(model, free, 0.0)
+        touched = transport_step(model, touched, 0.0)
+        if traj.controls[k, 0] != 0.0:
+            touched[1:n, 1:n] = 1.0
+        if traj.times[k] == traj.diagnostics["clamp_time"]:
+            touched[:n, :n] = 1.0
+    return free, touched == 1.0
+
+
+# step counts below grid_n, between grid_n and 2 grid_n, and past 2 grid_n
+@pytest.mark.parametrize("steps", [10, 24, 40])
+@pytest.mark.parametrize("clamped", [False, True])
+def test_split_check_fails_exactly_on_untouched_cells(steps, clamped):
+    G = 16
+    model = transport_heat_model(FrontendSpec(kind="TransportHeat2D", n_modes=2,
+                                              grid_n=G, omega_h=0.25))
+    # V(0) sets the settling time, so whether the clamp falls within the run
+    c = np.zeros((2, 2))
+    c[0, 0] = {10: 0.02, 24: 0.3, 40: 1.0}[steps] if clamped else 4.0
+    # nonzero inside the patch too, so damping changes the grid
+    y0 = HybridState(c=c, psi=np.random.default_rng(7).uniform(0.05, 0.1, size=(G, G)))
+    traj = simulate_hybrid(model, ControllerSpec(variant="BilinearPhi", mu=0.25), y0,
+                           t_max=steps * model.dt_macro)
+    assert len(traj.times) == steps + 1
+    assert (traj.diagnostics["clamp_time"] is not None) == clamped
+    free, touched = replayed_split(model, y0, traj)
+    assert touched.any() and not touched.all()
+    assert np.array_equal(free[~touched], traj.psi_final[~touched])
+    assert hybrid_split_check(model, y0, traj).passed
+    for i, j in np.ndindex(G, G):
+        psi_final = traj.psi_final.copy()
+        psi_final[i, j] += 1.0
+        changed = dataclasses.replace(traj, psi_final=psi_final)
+        assert hybrid_split_check(model, y0, changed).passed == touched[i, j], (i, j)

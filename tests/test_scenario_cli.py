@@ -556,6 +556,15 @@ def _matrices_doc(**matrices):
      "h_coeffs: expected a rectangular array"),
     # numpy's generators take no negative seed
     ({"seed": -3}, "'seed' must be non-negative, got -3"),
+    # the hybrid object takes a phi_modes list and psi, nothing else
+    ({**_hybrid_doc(t_max=1.0), "initial_state": {"phi_modes": 5}},
+     "phi_modes must be a list of [j, k, coeff], got 5"),
+    ({**_hybrid_doc(t_max=1.0), "initial_state": {"phi_modes": [], "psi_modes": "bump"}},
+     "unknown hybrid initial_state keys: ['psi_modes']"),
+    # 1e-11 is within 1e-9 of the multiple 0 of 1/16: a patch of no cells
+    ({**_hybrid_doc(t_max=1.0), "frontend": {"kind": "TransportHeat2D", "n_modes": 4,
+                                             "grid_n": 16, "omega_h": 1e-11}},
+     "omega_h must be at least one cell"),
 ])
 def test_cli_check_rejects_malformed_documents(tmp_path, capsys, overrides, cause):
     doc = {**heat_doc(), **overrides}
