@@ -18,8 +18,9 @@ from typing import Any
 import numpy as np
 
 from . import kernels
-from .decomposition import DecompositionResult, _effective_control_matrix
-from .model import ModalModel, ModelError, _float, _float_array, _is_int
+from .decomposition import DecompositionResult
+from .model import (ModalModel, ModelError, _effective_control_matrix, _float, _float_array,
+                    _is_int)
 
 VARIANTS = ("ZeroControl", "BilinearPhi", "BilinearGrad", "LinearPhi", "RankOne")
 

@@ -10,8 +10,8 @@
 All single-field builders return a FrontendBundle whose decomposition is the
 exact axis-aligned one (identity metric, 0/1 mask projector) so that control
 invariance under adding unobservable components holds bit-for-bit.  They
-supply only the axes of W: gamma is computed from the model by
-decomposition.compute_gamma, as for raw matrices.
+supply only the axes of W: gamma is read from the model's control-operator
+spectrum by decomposition.compute_gamma, as for raw matrices.
 """
 from __future__ import annotations
 
@@ -176,13 +176,10 @@ def transport_heat_model(spec: FrontendSpec) -> HybridModel:
     nm = spec.n_modes
     jj, kk = np.meshgrid(np.arange(nm), np.arange(nm), indexing="ij")
     lam = -(jj.astype(float) ** 2 + kk.astype(float) ** 2) * np.pi ** 2
-    model = HybridModel(n_modes=nm, grid_n=spec.grid_n, eigenvalues=lam, n_omega=n_omega,
-                        delta=1.0)
-    # the declared horizon must match the actual free flow: a shift of one cell
-    # per macro step empties the grid after exactly grid_n steps
-    if int(round(model.delta / model.dt_macro)) < model.grid_n:
-        raise ModelError("declared transport horizon is not achieved by the free flow")
-    return model
+    # a shift of one cell per macro step of 1/grid_n empties the grid after
+    # exactly grid_n steps, at t = 1
+    return HybridModel(n_modes=nm, grid_n=spec.grid_n, eigenvalues=lam, n_omega=n_omega,
+                       delta=1.0)
 
 
 def transport_step(model: HybridModel, psi: np.ndarray, u: float) -> np.ndarray:

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import kernels
 from .controllers import ControllerSpec, assemble_kernel_args, _law_gamma
-from .decomposition import (DecompositionResult, _effective_control_matrix,
-                            _metric_normsq, _metric_orthonormalize)
-from .model import CheckReport, ModalModel, ModelError
+from .decomposition import DecompositionResult, _metric_normsq, _metric_orthonormalize
+from .model import CheckReport, ModalModel, ModelError, _effective_control_matrix
 
 DECAY_TOL = 1e-6    # allowed excess of V(t)^mu over its decay envelope
 SPLIT_TOL = 1e-8    # allowed deviation of (I-P) y(t), relative to max(1, ||y0||)
@@ -267,7 +266,7 @@ def verify_split(model: ModalModel, dec: DecompositionResult, traj: Trajectory) 
         zs = traj.states @ IP.T    # a run started in W_perp has the zero reference path
     worst = float(np.sqrt(max(np.max(_metric_normsq(zs, M)), 0.0)))
     return CheckReport("split", worst <= tol,
-                       {"max_deviation": worst, "tolerance": tol, "forced": False})
+                       {"max_deviation": worst, "tolerance": tol})
 
 
 def verify_lyapunov_stability(traj: Trajectory, omega: float) -> CheckReport:

@@ -15,6 +15,7 @@ import numpy as np
 
 SYM_TOL = 1e-12
 STRUCT_TOL = 1e-10
+KERNEL_RTOL = 1e-10   # values at or below KERNEL_RTOL * ||matrix||_F count as zero
 
 
 class ModelError(ValueError):
@@ -140,23 +141,41 @@ def quasi_contraction_type(model: ModalModel) -> float:
     return float(np.max(pencil_eigvalsh(S, M)))
 
 
+def _effective_control_matrix(model: ModalModel) -> np.ndarray:
+    """B for bilinear models; the induced L L* (metric adjoint) for linear ones."""
+    if model.control_op is not None:
+        return model.control_op
+    L = model.input_map
+    return L @ (L.T @ model.metric)
+
+
 @_solver_errors
 def validate_control_operator(model: ModalModel) -> CheckReport:
-    """Check that B is self-adjoint and positive semidefinite w.r.t. the metric."""
-    if model.control_op is None:
-        return CheckReport("control_operator", True, {"applicable": False})
+    """Check that B is self-adjoint and PSD w.r.t. the metric, and report its spectrum.
+
+    The one metric eigendecomposition of B (L L* for an input map, self-adjoint
+    PSD by construction): dim_ker_b eigenvalues lie at or below the recursion's
+    ker B cutoff KERNEL_RTOL ||B||_F; the least above it, min_positive_eigenvalue,
+    is gamma, as B is self-adjoint and vanishes on W.
+    """
     M = model.metric
-    B = model.control_op
+    B = _effective_control_matrix(model)
     BtM, MB = B.T @ M, M @ B
+    evals = pencil_eigvalsh(0.5 * (BtM + MB), M)
+    positive = evals[evals > KERNEL_RTOL * np.linalg.norm(B)]
+    spectrum = {"dim_ker_b": evals.size - positive.size,
+                "min_positive_eigenvalue": float(positive[0]) if positive.size else None}
+    if model.control_op is None:
+        return CheckReport("control_operator", True, {"applicable": False, **spectrum})
     # <Be_i, e_j> - <e_i, Be_j> = (B^T M - M B)_{ij}
     residual = float(np.max(np.abs(BtM - MB)))
-    S = 0.5 * (BtM + MB)
-    min_quotient = float(np.min(pencil_eigvalsh(S, M)))
+    min_quotient = float(evals[0])
     passed = residual < STRUCT_TOL and min_quotient > -STRUCT_TOL
     return CheckReport(
         "control_operator",
         passed,
-        {"applicable": True, "self_adjoint_residual": residual, "min_rayleigh_quotient": min_quotient},
+        {"applicable": True, "self_adjoint_residual": residual,
+         "min_rayleigh_quotient": min_quotient, **spectrum},
     )
 
 

@@ -26,8 +26,8 @@ from . import svgplot
 from .controllers import (UNBOUNDED, ControllerSpec, controller_from_json,
                           controller_to_json, settling_bound_details,
                           validate_rank_one_data)
-from .decomposition import (DecompositionResult, SolverError, check_H1, check_H2,
-                            compute_gamma, gamma_certificate, unobservable_subspace)
+from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gamma,
+                            gamma_certificate, unobservable_subspace)
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         build_frontend, hybrid_decay_check, hybrid_split_check, hybrid_v,
                         simulate_hybrid)
@@ -135,7 +135,6 @@ class BuiltScenario:
     y0: np.ndarray | HybridState
     opts: IntegrationOpts
     dec: DecompositionResult | None = None      # modal only, as are the fields below
-    gamma_error: str | None = None
     control: CheckReport | None = None          # computed once each, while building
     h1: CheckReport | None = None
 
@@ -196,14 +195,10 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         dec = unobservable_subspace(model)
     control = validate_control_operator(model)
     h1 = check_H1(model, dec)
-    gamma_error = None
     try:
         gamma = compute_gamma(model, dec, control)
-    except SolverError:
-        raise  # no verdict on H3: the run cannot go on
-    except ModelError as exc:
+    except ModelError:   # no gamma: the gamma certificate fails and says why
         gamma = None
-        gamma_error = str(exc)
     dec = dataclasses.replace(dec, gamma=gamma)
     spec = _controller_spec(config, bundle)
     if spec.variant == "RankOne":
@@ -218,7 +213,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     y0 = parse_initial_state(config.initial_state, model, dec, seed)
     opts = _integration_opts(config.integration)
     return BuiltScenario(kind="modal", spec=spec, seed=seed, model=model, y0=y0, opts=opts,
-                         dec=dec, gamma_error=gamma_error, control=control, h1=h1)
+                         dec=dec, control=control, h1=h1)
 
 
 def _build_hybrid(config: ScenarioConfig, hybrid: HybridModel, seed: int) -> BuiltScenario:
@@ -242,9 +237,12 @@ _WPERP_RE = re.compile(r"wperp-random(?:\((\d+)\))?")
 
 def _config_floats(obj: Any, what: str) -> np.ndarray:
     try:
-        return _float_array(obj, what)
+        arr = _float_array(obj, what)
     except ModelError as exc:
         raise ConfigError(f"{what} must be a rectangular array of numbers") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} must be finite")
+    return arr
 
 
 def parse_initial_state(value: Any, model: ModalModel, dec: DecompositionResult,
@@ -287,6 +285,8 @@ def _parse_combo(text: str, model: ModalModel) -> np.ndarray:
                               f"(known: {', '.join(model.basis_labels[:6])}...)")
         vec[labels[label]] += coeff
         pos = m.end()
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"initial_state {text!r} must have finite coefficients")
     return vec
 
 
@@ -320,9 +320,12 @@ def hybrid_initial_state(value: Any, model: HybridModel) -> HybridState:
     c = np.zeros((nm, nm))
     for entry in value.get("phi_modes", []):
         try:
-            j, k, coeff = entry[0], entry[1], _float(entry[2], "phi_modes coeff")
-        except (TypeError, ValueError, IndexError, KeyError) as exc:
+            j, k, coeff = entry
+            coeff = _float(coeff, "phi_modes coeff")
+        except (TypeError, ValueError) as exc:
             raise ConfigError("phi_modes entries must be [j, k, coeff]") from exc
+        if not np.isfinite(coeff):
+            raise ConfigError(f"phi_modes coeff must be finite, got {coeff!r}")
         if not (_is_int(j) and _is_int(k)):
             raise ConfigError(f"phi_modes indices must be integers, got [{j!r}, {k!r}]")
         if not (0 <= j < nm and 0 <= k < nm):
@@ -359,11 +362,7 @@ def assumption_reports(built: BuiltScenario) -> list[CheckReport]:
                                      "validated_by": "zero-control grid flow"}),
         ]
     model, dec, spec = built.model, built.dec, built.spec
-    reports = [built.control, built.h1]
-    if built.gamma_error is not None:
-        reports.append(CheckReport("H3", False, {"error": built.gamma_error}))
-    else:
-        reports.append(gamma_certificate(model, dec, dec.gamma, samples=500, seed=built.seed))
+    reports = [built.control, built.h1, gamma_certificate(model, dec, built.control)]
     if spec.variant in ("BilinearPhi", "LinearPhi"):
         reports.append(check_H2(model, dec, spec.phi, spec.dead_zone, samples=256,
                                 seed=built.seed))
@@ -517,7 +516,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
             "initial_state": config.initial_state if isinstance(config.initial_state, str)
             else np.asarray(built.y0).tolist(),
         })
-        if built.gamma_error is not None or not built.control.passed:
+        if dec.gamma is None or not built.control.passed:
             return _finish(out, summary, checks, "invalid", EXIT_CHECK_FAILED)
         bound, extras = settling_bound_details(spec, model, dec, built.y0)
         summary["bound_extras"] = {k: float(v) for k, v in extras.items()

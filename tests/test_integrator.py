@@ -336,7 +336,7 @@ def test_verify_split_from_wperp_matches_the_per_sample_loop(y0):
     assert report.details["tolerance"] == pytest.approx(tol, rel=1e-12)
     assert report.details["max_deviation"] == pytest.approx(worst, rel=1e-9, abs=1e-15)
     assert worst > 1e-3
-    assert sorted(report.details) == ["forced", "max_deviation", "tolerance"]
+    assert sorted(report.details) == ["max_deviation", "tolerance"]
 
 
 @pytest.mark.parametrize("norm1", [1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3])

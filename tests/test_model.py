@@ -105,8 +105,11 @@ def test_validate_control_operator_skips_input_map_models():
     model = ModalModel(dim=2, metric=np.eye(2), generator=-np.eye(2),
                        input_map=np.ones((2, 1)))
     report = validate_control_operator(model)
-    assert report.passed
-    assert report.details == {"applicable": False}
+    assert report.passed   # L L* is self-adjoint and PSD by construction
+    # its spectrum, on the same path as B's: 0 and 2
+    assert report.details["applicable"] is False
+    assert report.details["dim_ker_b"] == 1
+    assert report.details["min_positive_eigenvalue"] == pytest.approx(2.0, rel=1e-15)
 
 
 def test_validate_control_operator_solver_failure_is_a_model_error(monkeypatch):

@@ -12,7 +12,8 @@ import scipy.linalg
 
 from finstab import (ConfigError, build_scenario, check_scenario, load_scenario,
                      run_scenario, scenario_from_json)
-from finstab import cli, decomposition, scenario
+from finstab import cli, compute_gamma, gamma_certificate, scenario
+from finstab import model as model_module
 from finstab.scenario import hybrid_initial_state, parse_initial_state, resolve_seed
 from finstab.frontends import transport_heat_model
 from finstab import FrontendSpec
@@ -265,18 +266,58 @@ def test_frontend_and_matrices_routes_agree(frontend):
 
 @pytest.mark.parametrize("frontend", _ROUTE_FRONTENDS, ids=lambda f: f["kind"])
 def test_control_operator_is_validated_once_per_build(monkeypatch, frontend):
-    calls = []
+    calls, eigensolves = [], []
 
     def counted(model):
         calls.append(model)
         return validate(model)
 
+    def counted_pencil(S, M):
+        eigensolves.append(S)
+        return pencil(S, M)
+
     validate = scenario.validate_control_operator
+    pencil = model_module.pencil_eigvalsh
     monkeypatch.setattr(scenario, "validate_control_operator", counted)
+    monkeypatch.setattr(model_module, "pencil_eigvalsh", counted_pencil)
     for doc in _route_docs(frontend):
         calls.clear()
-        check_scenario(scenario_from_json(doc))   # the build and the assumption reports
-        assert len(calls) == 1, doc
+        eigensolves.clear()
+        built = build_scenario(scenario_from_json(doc))
+        scenario.assumption_reports(built)
+        # one validation and one metric eigensolve of B per build
+        assert len(calls) == 1 and len(eigensolves) == 1, doc
+        # gamma and its report read that spectrum: with every numpy solver
+        # broken they still give the build's answers
+        with monkeypatch.context() as broken:
+            for name in ("eigh", "eigvalsh", "svd", "cholesky", "solve"):
+                broken.setattr(np.linalg, name, _no_convergence)
+            assert compute_gamma(built.model, built.dec, built.control) == built.dec.gamma
+            assert gamma_certificate(built.model, built.dec, built.control).passed
+
+
+@pytest.mark.parametrize("controller", [
+    {"variant": "BilinearPhi", "mu": 0.25},
+    {"variant": "BilinearPhi", "mu": 0.25, "phi": {"kind": "Constant", "value": 0.5}},
+], ids=["Zero", "Constant"])
+def test_gamma_and_constant_phi_h2_reports_draw_no_sample(monkeypatch, controller):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random sample was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    code, summary = check_scenario(scenario_from_json(heat_doc(controller=controller)))
+    assert code == 0
+    reports = {r["name"]: r for r in summary["checks"]}
+    assert reports["gamma_certificate"]["passed"] and reports["H2"]["passed"]
+    # no gamma (B not PSD): the gamma report fails and says why, still without a draw
+    doc = {**heat_doc(controller=controller),
+           **_matrices_doc(control_op={"diagonal": [1.0, -1.0]})}
+    del doc["frontend"]
+    code, summary = check_scenario(scenario_from_json(doc))
+    assert code == 1
+    gamma = next(r for r in summary["checks"] if r["name"] == "gamma_certificate")
+    assert gamma == {"name": "gamma_certificate", "passed": False, "gamma": None,
+                     "error": "compute_gamma requires a self-adjoint PSD control operator"}
 
 
 def test_invalid_control_operator_short_circuits(tmp_path):
@@ -565,6 +606,16 @@ def _matrices_doc(**matrices):
     ({**_hybrid_doc(t_max=1.0), "frontend": {"kind": "TransportHeat2D", "n_modes": 4,
                                              "grid_n": 16, "omega_h": 1e-11}},
      "omega_h must be at least one cell"),
+    # initial data must be finite, however it is written
+    ({"initial_state": [float("nan"), 0, 0, 0]}, "initial_state must be finite"),
+    ({"initial_state": "1e999*mode2"}, "must have finite coefficients"),
+    ({**_hybrid_doc(t_max=1.0), "initial_state": {"psi": [[float("nan")] * 16] * 16}},
+     "psi must be finite"),
+    ({**_hybrid_doc(t_max=1.0), "initial_state": {"phi_modes": [[0, 0, float("inf")]]}},
+     "phi_modes coeff must be finite"),
+    # nor may a phi_modes entry carry a fourth item
+    ({**_hybrid_doc(t_max=1.0), "initial_state": {"phi_modes": [[0, 0, 1.0, 99]]}},
+     "phi_modes entries must be [j, k, coeff]"),
 ])
 def test_cli_check_rejects_malformed_documents(tmp_path, capsys, overrides, cause):
     doc = {**heat_doc(), **overrides}
@@ -619,12 +670,15 @@ def test_cli_solver_failure_exits_2(tmp_path, capsys, monkeypatch, command):
     assert "model error: unobservable_subspace: did not converge" in capsys.readouterr().err
 
 
-def test_cli_gamma_solver_failure_is_not_an_h3_verdict(tmp_path, capsys, monkeypatch):
-    # only the decomposition module's eigvalsh fails; the model checks keep theirs
-    linalg = SimpleNamespace(eigvalsh=_no_convergence, eigh=np.linalg.eigh, svd=np.linalg.svd)
-    monkeypatch.setattr(decomposition, "linalg", linalg)
+def test_cli_control_spectrum_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # the spectrum gamma is read from fails to converge: no verdict on gamma
+    def pencil(S, M):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(model_module, "pencil_eigvalsh", pencil)
     assert cli.main(["check", "--config", str(solver_config(tmp_path))]) == 2
-    assert "model error: compute_gamma: did not converge" in capsys.readouterr().err
+    assert ("model error: validate_control_operator: did not converge"
+            in capsys.readouterr().err)
 
 
 def test_cli_suite_prints_each_criterion_wall_time(capsys):
