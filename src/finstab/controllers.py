@@ -120,6 +120,10 @@ class KernelOps:
     - LinearPhi: L* M P.
     - RankOne: (P* M zeta)^T and (P* A* M zeta)^T.
     - a WaveK phi appends the rows of P.
+
+    When A and B are both diagonal under BilinearPhi, decay and slope hold
+    their diagonals, stack holds only the law's rows (law_from = 0), and the
+    stepper carries e^{tA} as an integrating factor.
     """
 
     spec: ControllerSpec
@@ -128,6 +132,14 @@ class KernelOps:
     width: int                 # control components (1 for bilinear laws)
     law_from: int              # first row of the law's own rows in stack
     zeta_normsq: float = 1.0
+    decay: np.ndarray | None = None   # diag(A) when the stepper carries e^{tA}
+    slope: np.ndarray | None = None   # diag(B) in that case
+
+
+def _diagonal(matrix: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a matrix that has no other nonzero entry, else None."""
+    diag = np.diagonal(matrix).copy()
+    return diag if np.array_equal(matrix, np.diag(diag)) else None
 
 
 def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
@@ -164,8 +176,16 @@ def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
     law_from = (2 if spec.variant in ("BilinearPhi", "BilinearGrad") else 1) * model.dim
     if spec.variant in ("BilinearPhi", "LinearPhi") and spec.phi.kind == "WaveK":
         rows.append(P)
+    # BilinearGrad's pairing term cancels A along the state, so a factor would
+    # turn its slow closed loop into a fast growth of the stepped variable
+    decay = _diagonal(A) if spec.variant == "BilinearPhi" else None
+    slope = None if decay is None else _diagonal(B)
+    if slope is None:
+        decay = None
+    else:   # A and B act through their diagonals, so the stack keeps the law's rows
+        rows, law_from = rows[2:], 0
     return KernelOps(spec=spec, stack=np.vstack(rows), input_map=L, width=width,
-                     law_from=law_from, zeta_normsq=zeta_normsq)
+                     law_from=law_from, zeta_normsq=zeta_normsq, decay=decay, slope=slope)
 
 
 def control_value(spec: ControllerSpec, model: ModalModel, dec: DecompositionResult,

@@ -203,7 +203,7 @@ def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
 
 
 def _settling_time(times: np.ndarray, norms: np.ndarray, eps_settle: float) -> float | None:
-    above = np.nonzero(norms > eps_settle)[0]
+    above = np.nonzero(~(norms <= eps_settle))[0]   # a NaN norm has not settled
     if above.size == 0:
         return float(times[0])
     idx = above[-1] + 1

@@ -1,4 +1,4 @@
-"""Hot numerical kernels: the closed-loop field and the adaptive RK45 loop.
+"""Hot numerical kernels: the closed-loop field and the adaptive DP5(4) loop.
 
 A law only ever reads P y, so its field is a fixed linear map of y plus one
 scalar law.  controllers.assemble_kernel_args folds that map into one stacked
@@ -10,9 +10,12 @@ dense-output term is one small product of a coefficient row with that block.
 It steps by the error control alone and fills the sample grid from the
 Dormand-Prince continuous extension, so the step count does not grow with
 the number of samples; closed_loop_law then gives the filled samples their
-control and V a block of rows at a time (fill_law).  A run with no law
-(ZeroControl) never comes here: integrator.free_flow samples its linear flow
-exactly, and fill_law gives it V.
+control and V a block of rows at a time (fill_law).  When A and B are both
+diagonal under BilinearPhi (the heat truncation), the same tableau runs in
+integrating-factor (Lawson) form: the exact decay e^{tA} is carried by the
+factor, so the steps follow the law, not the stiffest mode.  A run with no
+law (ZeroControl) never comes here: integrator.free_flow samples its linear
+flow exactly, and fill_law gives it V.
 Status codes: 0 completed, 3 stalled at dt_min.
 """
 from __future__ import annotations
@@ -46,6 +49,8 @@ _DENSE = np.array([-12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410
                    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
                    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0])
 _COEF = np.vstack([_STAGE, _ERR, _DENSE])   # scaled by the step once per attempt
+# the nodes c_i of the stage rows: stage i + 1 is evaluated at t + c_i h
+_NODES = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
 _ROW_ERR, _ROW_DENSE = 7, 8
 # filled samples whose law is evaluated together; bounds the block temporaries
 _FILL_ROWS = 256
@@ -78,7 +83,8 @@ def phi_value(phi, py: np.ndarray, eps_dz: float):
     return np.minimum(ratio, phi.cap)
 
 
-def closed_loop_rhs(y: np.ndarray, ops, latched: bool, field_only: bool = False):
+def closed_loop_rhs(y: np.ndarray, ops, latched: bool, field_only: bool = False,
+                    v: np.ndarray | None = None):
     """Field A y plus the law's contribution; returns (dy, control, trigger, V, saturated),
     or dy alone when field_only is set.
 
@@ -86,13 +92,15 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool, field_only: bool = False)
     ||B P y||^2, ||w||^2 or |s| by variant); latched switches the singular
     control terms off for good.  The inner stages of a step need only dy,
     so field_only skips the control vector, V where the field does not need
-    it, and the flags.
+    it, and the flags.  For ops with an integrating factor (ops.decay set),
+    a given v is the stepped variable, y = e^{tau A} v for some tau >= 0, and
+    dy is its slope u(y) B v, without A; other ops step y itself and ignore v.
     """
     n = y.shape[0]
     spec = ops.spec
     law = spec.variant
     z = ops.stack @ y
-    dy = z[:n]
+    dy = z[:n]   # A y, except under an integrating factor (set below)
     if law == "RankOne":
         # rows: A, (P* M zeta)^T giving s, (P* A* M zeta)^T giving <Py, A* zeta>
         s, comp = z[n], z[n + 1]
@@ -124,17 +132,19 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool, field_only: bool = False)
             return dy
         V = y @ z[n:2 * n]
         return dy, np.zeros(ops.width), V, V, False
-    # bilinear laws, rows: A, B, Q; the rows of P follow for WaveK
-    V = y @ z[2 * n:3 * n]
+    # bilinear laws, rows: A, B (both left out under a factor), Q; the rows of
+    # P follow for WaveK
+    q = ops.law_from
+    V = y @ z[q:q + n]
     trigger = V
     u = 0.0
     saturated = False
     if law == "BilinearGrad":
         # further rows: Gram P* B* M B P and pairing P* A* M B P
-        bnormsq = y @ z[3 * n:4 * n]
+        bnormsq = y @ z[q + n:q + 2 * n]
         trigger = bnormsq
         if (not latched) and bnormsq > spec.dead_zone:
-            u = -(V ** (-spec.mu) + (y @ z[4 * n:5 * n]) / bnormsq)
+            u = -(V ** (-spec.mu) + (y @ z[q + 2 * n:q + 3 * n]) / bnormsq)
             if u > spec.u_max:
                 u = spec.u_max
                 saturated = True
@@ -143,7 +153,9 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool, field_only: bool = False)
                 saturated = True
     elif (not latched) and V > spec.dead_zone:
         u = -(V ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone))
-    if u != 0.0:
+    if ops.decay is not None:
+        dy = u * (ops.slope * v) if v is not None else ops.decay * y + u * (ops.slope * y)
+    elif u != 0.0:
         dy = dy + u * z[n:2 * n]
     if field_only:
         return dy
@@ -235,7 +247,8 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     free 4th-order continuous extension (dense output); a sample on a step
     end takes the end state.  At each accepted step end dead_zone_rule
     decides the latch and the clamp; the clamp zeroes the observed component
-    via the projector C.  opts supplies rtol, atol, dt_init, dt_min and
+    via the projector C.  A step whose error estimate exceeds 1 or is not
+    finite is rejected.  opts supplies rtol, atol, dt_init, dt_min and
     dt_max.
 
     The stage slopes are the rows of one (7, n) block K, and a stage state is
@@ -243,6 +256,16 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     once the run ends closed_loop_law gives the filled samples their control
     and V, _FILL_ROWS rows at a time; a step-end sample takes the control
     and V of k7, or of the re-evaluation after a latch or clamp.
+
+    With D = ops.decay set (A and B diagonal under BilinearPhi), a step from (t, y) runs the
+    same tableau on v = e^{-(s - t) D} y(s) (Lawson's integrating factor):
+    the stage states V_i = y + (h a_i) @ K are read by the law at
+    Y_i = e^{c_i h D} V_i, the slopes are K_i = u(Y_i) B V_i, the new state
+    is e^{hD} V_7, the error estimate is e^{hD} (h e) @ K, and the dense
+    output is e^{theta h D} times the interpolant of v.  Every factor is
+    e^{tau h D} with tau >= 0, so a stiff decaying mode underflows to zero
+    and never overflows.  On accepting, k7 moves into the new step's frame
+    as e^{hD} K_7.  Without D this is the plain DP5(4) step on y' = A y + u B y.
 
     Returns (states, controls, lyapunov, status, reached_index, stats); stats
     holds the deterministic counters: steps, rejections, rhs_calls,
@@ -253,6 +276,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     sample grid.
     """
     rtol, atol, dt_min, dt_max = opts.rtol, opts.atol, opts.dt_min, opts.dt_max
+    D = ops.decay
     eps_dz = ops.spec.dead_zone
     rate = 2.0 * gamma_eff * ops.spec.mu
     n = y0.shape[0]
@@ -280,7 +304,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     dt_hi = 0.0
     status = STATUS_OK
 
-    K[0], ctrl, trigger, V, _ = closed_loop_rhs(y, ops, False)
+    K[0], ctrl, trigger, V, _ = closed_loop_rhs(y, ops, False, False, y)
     rhs_calls = 1
     ys[0] = y
     us[0] = ctrl
@@ -298,19 +322,29 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
         if h < dt_min:
             h = dt_min
         hc = h * _COEF
+        if D is not None:
+            hD = h * D
+            F = np.exp(np.multiply.outer(_NODES, hD))   # e^{c_i h D}, c_i >= 0
         for i in range(1, 6):
-            K[i] = closed_loop_rhs(y + hc[i, :i] @ K[:i], ops, latched, True)
-        ynew = y + hc[6, :6] @ K[:6]
-        K[6], ctrl_new, trig_new, V_new, sat_new = closed_loop_rhs(ynew, ops, latched)
+            v = y + hc[i, :i] @ K[:i]
+            K[i] = closed_loop_rhs(v if D is None else F[i] * v, ops, latched, True, v)
+        vnew = y + hc[6, :6] @ K[:6]
+        ynew = vnew if D is None else F[6] * vnew
+        K[6], ctrl_new, trig_new, V_new, sat_new = closed_loop_rhs(
+            ynew, ops, latched, False, vnew)
         rhs_calls += 6
-        err = (hc[_ROW_ERR] @ K) / (atol + rtol * np.maximum(np.abs(y), np.abs(ynew)))
+        est = hc[_ROW_ERR] @ K
+        if D is not None:
+            est *= F[6]
+        err = est / (atol + rtol * np.maximum(np.abs(y), np.abs(ynew)))
         errnorm = math.sqrt(float(err @ err) / n)
-        if errnorm > 1.0:
+        if not errnorm <= 1.0:   # a NaN estimate is rejected too
             n_rejected += 1
             if h <= dt_min * (1.0 + 1e-12):
                 status = STATUS_STALLED
                 break
-            fac = 0.9 * errnorm ** -0.2
+            # a non-finite estimate takes the least factor: NaN ** -0.2 would make dt NaN
+            fac = 0.9 * errnorm ** -0.2 if errnorm < math.inf else 0.1
             dt = max(h * max(fac, 0.1), dt_min)
             continue  # K[0] is still the slope at (t, y)
         n_steps += 1
@@ -325,20 +359,21 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
         while inner < ns and grid[inner] < t_new - tol_t:
             inner += 1
         if inner > nxt:
-            # dense output (Hairer's dopri5 contd5)
-            ydiff = ynew - y
+            # dense output (Hairer's dopri5 contd5) of the stepped variable
+            ydiff = vnew - y
             bspl = h * K[0] - ydiff
             r4 = ydiff - h * K[6] - bspl
             r5 = hc[_ROW_DENSE] @ K
             theta = ((sample_ts[nxt:inner] - t) / h)[:, None]
-            ys[nxt:inner] = y + theta * (ydiff + (1.0 - theta)
-                                         * (bspl + theta * (r4 + (1.0 - theta) * r5)))
+            dense = y + theta * (ydiff + (1.0 - theta)
+                                 * (bspl + theta * (r4 + (1.0 - theta) * r5)))
+            ys[nxt:inner] = dense if D is None else np.exp(theta * hD) * dense
             filled[nxt:inner] = True
             nxt = inner
         t = t_new
         y = ynew
         V = V_new
-        K[0] = K[6]
+        K[0] = K[6] if D is None else F[6] * K[6]   # k7 in the new step's frame
         ctrl = ctrl_new
         fac = 5.0
         if errnorm > 1e-12:
@@ -358,7 +393,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
             clamp_time = float(t)
         if latch_now or clamp_now:
             # the slope, control and V change with the latch or the clamp
-            K[0], ctrl, _, V, _ = closed_loop_rhs(y, ops, latched)
+            K[0], ctrl, _, V, _ = closed_loop_rhs(y, ops, latched, False, y)
             rhs_calls += 1
         regrow = regrow or regrown
         if nxt < ns and grid[nxt] <= t + tol_t:

@@ -358,8 +358,7 @@ def assumption_reports(built: BuiltScenario) -> list[CheckReport]:
         return [
             CheckReport("H1", True, {"coupling": "transport mass leaves the observable "
                                                  "patch and never re-enters"}),
-            CheckReport("H4", True, {"nilpotent": True, "delta": built.model.delta,
-                                     "validated_by": "zero-control grid flow"}),
+            CheckReport("H4", True, {"nilpotent": True, "delta": built.model.delta}),
         ]
     model, dec, spec = built.model, built.dec, built.spec
     reports = [built.control, built.h1, gamma_certificate(model, dec, built.control)]

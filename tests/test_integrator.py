@@ -8,7 +8,7 @@ from finstab import (ControllerSpec, FrontendSpec, IntegrationOpts, IntegrationS
                      compute_gamma, kernels, scenario_from_json, simulate,
                      settling_bound_details, unobservable_subspace, validate_control_operator,
                      verify_decay, verify_lyapunov_stability, verify_split)
-from finstab.integrator import clamp_projector, expm
+from finstab.integrator import _settling_time, clamp_projector, expm
 
 
 def with_gamma(model, dec):
@@ -124,7 +124,7 @@ def test_unobservable_component_is_left_alone():
 
 
 def test_stall_carries_the_partial_trajectory():
-    model = bilinear(np.diag([-200.0]), np.eye(1))
+    model = bilinear(np.diag([-1.0]), np.eye(1))
     dec = finished_dec(model)
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     opts = IntegrationOpts(t_max=5.0, rtol=1e-12, atol=1e-15,
@@ -134,6 +134,14 @@ def test_stall_carries_the_partial_trajectory():
     partial = info.value.trajectory
     assert partial.times[-1] < opts.t_max
     assert partial.states.shape[1] == 1
+
+
+def test_a_nan_norm_has_not_settled():
+    times = np.linspace(0.0, 1.0, 5)
+    norms = np.array([1.0, 1e-9, np.nan, 0.0, 0.0])
+    assert _settling_time(times, norms, 1e-8) == 0.75
+    norms[2] = 0.0
+    assert _settling_time(times, norms, 1e-8) == 0.25
 
 
 def test_verify_decay_rejects_slow_decay():
@@ -228,6 +236,37 @@ def test_dense_output_matches_the_free_flow_between_steps():
     assert np.allclose(traj.states, exact, rtol=1e-8, atol=0.0)
     assert np.all(traj.controls == 0.0)
     assert np.all(traj.lyapunov == 0.0)
+
+
+def _exact_settling_time(model, y0, mu, t_max):
+    """T with 2 mu int_0^T E^-mu dt = 1, E(t) = V(e^{tA} y0), for diagonal A and B
+    and y0 in W_perp (BilinearPhi, Zero phi): the trapezoidal rule on a fine grid."""
+    t = np.linspace(0.0, t_max, 40001)
+    weights = np.diag(model.control_op) * y0 ** 2
+    E = np.exp(2.0 * np.outer(t, np.diag(model.generator))) @ weights
+    f = E ** -mu
+    integral = 2.0 * mu * np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * t[1])))
+    return float(np.interp(1.0, integral, t))
+
+
+def test_heat_settling_does_not_depend_on_the_truncation():
+    # data in every mode: the explicit step would follow the stiffest mode
+    # -(n pi)^2, the integrating factor follows the law
+    reference = {16: 0.0784, 64: 0.0669, 128: 0.0631}
+    for n, T_ref in reference.items():
+        built = build_scenario(scenario_from_json({
+            "name": "heat", "frontend": {"kind": "Heat1D", "n_modes": n},
+            "controller": {"variant": "BilinearPhi", "mu": 0.25},
+            "initial_state": "wperp-random(7)", "integration": {"t_max": 0.2}}))
+        spec = built.spec
+        traj = simulate(built.model, built.dec, spec, built.y0, built.opts)
+        assert traj.diagnostics["steps"] <= 150, n
+        T = _exact_settling_time(built.model, built.y0, spec.mu, 0.2)
+        assert T == pytest.approx(T_ref, abs=1e-4)
+        # one sample plus the dead zone's own settling allowance, on either side
+        allowance = built.opts.sample_dt + spec.dead_zone ** spec.mu / (
+            2.0 * built.dec.gamma * spec.mu)
+        assert abs(traj.settling_time - T) <= allowance, (n, traj.settling_time, T)
 
 
 def test_heat_settling_takes_few_steps_per_sample():

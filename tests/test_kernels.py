@@ -77,6 +77,27 @@ def test_bilinear_grad_saturates_at_u_max():
     assert np.allclose(dy, model.generator @ y + spec.u_max * y, rtol=1e-14)
 
 
+def test_diagonal_bilinear_phi_takes_the_integrating_factor():
+    bundle = build_frontend(FrontendSpec(kind="Heat1D", n_modes=6))
+    model, dec = bundle.model, bundle.dec
+    A, B = model.generator, model.control_op
+    ops = assemble_kernel_args(ControllerSpec(variant="BilinearPhi", mu=0.25), model, dec)
+    assert np.array_equal(ops.decay, np.diag(A)) and np.array_equal(ops.slope, np.diag(B))
+    y, v = np.random.default_rng(2).standard_normal((2, 6))
+    dy, control, _, _, _ = closed_loop_rhs(y, ops, False)
+    u = control[0]
+    assert np.allclose(dy, A @ y + u * (B @ y), rtol=1e-14, atol=1e-14)
+    # the slope of the stepped variable v: the law read at y acts on v, without A
+    assert np.array_equal(closed_loop_rhs(y, ops, False, True, v), u * (np.diag(B) * v))
+    # BilinearGrad and a non-diagonal A step the plain field
+    grad = ControllerSpec(variant="BilinearGrad", mu=0.25)
+    assert assemble_kernel_args(grad, model, dec).decay is None
+    coupled, coupled_dec = coupled_bilinear()
+    plain = assemble_kernel_args(ControllerSpec(variant="BilinearPhi", mu=0.25), coupled,
+                                 coupled_dec)
+    assert plain.decay is None and plain.law_from == 2 * coupled.dim
+
+
 def test_linear_phi_field_with_a_weighted_metric():
     L = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
     model = ModalModel(dim=3, metric=np.diag([1.0, 2.0, 3.0]),
@@ -222,6 +243,7 @@ def test_tableau_rows():
     c = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
     stage = kernels._STAGE
     assert np.allclose(stage[1:].sum(axis=1), c, rtol=0.0, atol=1e-15)
+    assert np.array_equal(kernels._NODES[1:], c)   # the integrating factor's nodes
     assert np.all(np.triu(stage) == 0.0)                  # explicit: a_ij = 0 for j >= i
     assert stage[6].sum() == pytest.approx(1.0, abs=1e-15)
     assert stage[6, 1] == 0.0 and stage[6, 6] == 0.0      # b2 = b7 = 0

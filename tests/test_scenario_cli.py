@@ -200,6 +200,22 @@ def test_runs_are_deterministic(tmp_path):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_hybrid_assumption_reports(tmp_path):
+    # the run's transport_exit check, not H4, tests the horizon
+    doc = {**heat_doc(name="hybrid-small"), **_hybrid_doc(t_max=3.0),
+           "initial_state": "hybrid-bump"}
+    h1 = json.dumps({"name": "H1", "passed": True, "coupling": "transport mass leaves the "
+                     "observable patch and never re-enters"})
+    h4 = json.dumps({"name": "H4", "passed": True, "nilpotent": True, "delta": 1.0})
+    for code, summary in (check_scenario(scenario_from_json(doc)),
+                          run_scenario(scenario_from_json(doc), tmp_path / "out")):
+        assert code == 0
+        reports = {r["name"]: json.dumps(r) for r in summary["checks"]}
+        assert reports["H1"] == h1
+        assert reports["H4"] == h4
+    assert "transport_exit" in reports
+
+
 def test_plot_can_be_disabled(tmp_path):
     config = scenario_from_json(heat_doc(plot=False))
     code, summary = run_scenario(config, tmp_path / "out")
@@ -357,7 +373,7 @@ def test_h1_failing_matrix_run_skips_the_split_check(tmp_path):
 def test_stalled_run_exits_3(tmp_path):
     doc = {
         "name": "stall",
-        "matrices": {"dim": 1, "generator": [[-200.0]], "control_op": "identity"},
+        "matrices": {"dim": 1, "generator": [[-1.0]], "control_op": "identity"},
         "controller": {"variant": "BilinearPhi", "mu": 0.25},
         "initial_state": [1.0],
         "integration": {"t_max": 5.0, "rtol": 1e-12, "atol": 1e-15,
@@ -367,6 +383,21 @@ def test_stalled_run_exits_3(tmp_path):
     code, summary = run_scenario(scenario_from_json(doc), tmp_path / "out")
     assert code == 3
     assert summary["status"] == "stalled"
+
+
+def test_a_nan_error_estimate_is_a_rejection(tmp_path):
+    # V and the pairing overflow at y0, so every slope is NaN: the stepper
+    # must reject each step down to dt_min and stall, never accept one
+    doc = {"name": "nan", "frontend": {"kind": "Heat1D", "n_modes": 8},
+           "controller": {"variant": "BilinearGrad", "mu": 0.25},
+           "initial_state": [0.0, 1e160] + [0.0] * 6, "integration": {"t_max": 0.1}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, summary = run_scenario(scenario_from_json(doc), tmp_path / "out")
+    assert code == 3
+    assert summary["status"] == "stalled"
+    assert summary["diagnostics"]["steps"] == 0
+    assert summary["diagnostics"]["rejections"] > 0
+    assert summary["settling_time"] is None
 
 
 def test_zero_control_run_is_the_exact_free_flow(tmp_path, capsys):
@@ -475,7 +506,7 @@ def test_cli_config_errors(tmp_path):
 def test_cli_stall_exit_code(tmp_path, capsys):
     doc = {
         "name": "stall",
-        "matrices": {"dim": 1, "generator": [[-200.0]], "control_op": "identity"},
+        "matrices": {"dim": 1, "generator": [[-1.0]], "control_op": "identity"},
         "controller": {"variant": "BilinearPhi", "mu": 0.25},
         "initial_state": [1.0],
         "integration": {"t_max": 5.0, "rtol": 1e-12, "atol": 1e-15,
