@@ -14,14 +14,12 @@ import scipy  # noqa: F401
 
 from .controllers import (DEFAULT_DEAD_ZONE, DEFAULT_U_MAX, DEFAULT_WAVE_CAP, UNBOUNDED,
                           ControllerSpec, PhiSpec, control_value, controller_from_json,
-                          controller_to_json, settling_bound_details, validate_rank_one_data)
+                          controller_to_json, settling_bound_details, validate_law_for_model)
 from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gamma,
-                            decomposition_from_axes, gamma_certificate,
-                            unobservable_subspace)
+                            gamma_certificate, unobservable_subspace)
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
-                        HybridTrajectory, beam_model, build_frontend, heat_model,
-                        hybrid_decay_check, hybrid_split_check, hybrid_v,
-                        simulate_hybrid, transport_heat_model, transport_step, wave_model)
+                        HybridTrajectory, build_frontend, hybrid_decay_check,
+                        hybrid_split_check, hybrid_v, simulate_hybrid, transport_heat_model)
 from .integrator import (IntegrationOpts, IntegrationStalledError, Trajectory,
                          simulate, verify_decay,
                          verify_lyapunov_stability, verify_split)
@@ -42,13 +40,12 @@ __all__ = [
     "ControllerSpec", "PhiSpec", "UNBOUNDED",
     "DEFAULT_DEAD_ZONE", "DEFAULT_U_MAX", "DEFAULT_WAVE_CAP",
     "control_value", "controller_from_json", "controller_to_json",
-    "settling_bound_details", "validate_rank_one_data",
+    "settling_bound_details", "validate_law_for_model",
     "DecompositionResult", "check_H1", "check_H2", "compute_gamma",
-    "decomposition_from_axes", "gamma_certificate", "unobservable_subspace",
+    "gamma_certificate", "unobservable_subspace",
     "FrontendBundle", "FrontendSpec", "HybridModel", "HybridState", "HybridTrajectory",
-    "beam_model", "build_frontend", "heat_model",
-    "hybrid_decay_check", "hybrid_split_check", "hybrid_v",
-    "simulate_hybrid", "transport_heat_model", "transport_step", "wave_model",
+    "build_frontend", "hybrid_decay_check", "hybrid_split_check", "hybrid_v",
+    "simulate_hybrid", "transport_heat_model",
     "IntegrationOpts", "IntegrationStalledError", "Trajectory",
     "simulate", "verify_decay", "verify_lyapunov_stability", "verify_split",
     "CheckReport", "ModalModel", "ModelError", "model_from_json",

@@ -12,6 +12,7 @@ the observable set):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -66,6 +67,10 @@ class PhiSpec:
             raise ModelError(f"unknown phi kind: {self.kind}")
         if self.kind == "WaveK" and (self.q <= 0 or self.half <= 0):
             raise ModelError("WaveK requires positive q and half")
+        if self.kind == "WaveK" and not self.cap > 0:
+            raise ModelError(f"WaveK cap must be positive, got {self.cap!r}")
+        if self.kind == "Constant" and not math.isfinite(self.value):
+            raise ModelError(f"Constant phi value must be finite, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,10 @@ class ControllerSpec:
             lo, hi = MU_RANGES[self.variant]
             if not (lo < self.mu < hi):
                 raise ModelError(f"{self.variant} requires mu in ({lo}, {hi})")
-        if self.dead_zone <= 0:
-            raise ModelError("dead_zone must be positive")
+        if not 0 < self.dead_zone < math.inf:
+            raise ModelError(f"dead_zone must be positive and finite, got {self.dead_zone!r}")
+        if not self.u_max > 0:
+            raise ModelError(f"u_max must be positive, got {self.u_max!r}")
         if self.zeta is not None:
             object.__setattr__(self, "zeta", np.asarray(self.zeta, dtype=float))
         if self.varpi is not None:
@@ -98,13 +105,32 @@ class ControllerSpec:
                 raise ModelError("RankOne requires a nonzero zeta")
 
 
-def validate_rank_one_data(spec: ControllerSpec, model: ModalModel) -> None:
-    # the constraint L varpi = zeta ties the two vectors to the input map
-    if model.input_map is None:
-        raise ModelError("RankOne requires a model with an input_map")
-    residual = float(np.linalg.norm(model.input_map @ spec.varpi - spec.zeta))
-    if residual >= 1e-9:
-        raise ModelError(f"RankOne data violates L varpi = zeta (residual {residual:.3e})")
+def validate_law_for_model(spec: ControllerSpec, model: ModalModel) -> None:
+    """Raise ModelError unless the model carries what the law reads.
+
+    The bilinear laws need a control operator, LinearPhi and RankOne an
+    input map.  A WaveK phi reads positions 0..q-1 and velocities
+    half..half+q-1 of the state, so q <= half <= dim - q.  RankOne's zeta
+    has the state's length and varpi the input's, tied by L varpi = zeta.
+    """
+    variant = spec.variant
+    if variant in ("BilinearPhi", "BilinearGrad") and model.control_op is None:
+        raise ModelError(f"{variant} requires a bilinear model (a control operator)")
+    if variant in ("LinearPhi", "RankOne") and model.input_map is None:
+        raise ModelError(f"{variant} requires a model with an input_map")
+    phi = spec.phi
+    if variant in ("BilinearPhi", "LinearPhi") and phi.kind == "WaveK":
+        if not phi.q <= phi.half <= model.dim - phi.q:
+            raise ModelError(f"WaveK needs q <= half <= dim - q, got q = {phi.q}, "
+                             f"half = {phi.half} at dim {model.dim}")
+    if variant == "RankOne":
+        m = model.input_map.shape[1]
+        if spec.zeta.shape != (model.dim,) or spec.varpi.shape != (m,):
+            raise ModelError(f"RankOne needs zeta of length {model.dim} and varpi of "
+                             f"length {m}, got shapes {spec.zeta.shape} and {spec.varpi.shape}")
+        residual = float(np.linalg.norm(model.input_map @ spec.varpi - spec.zeta))
+        if not residual < 1e-9:   # a NaN residual fails too
+            raise ModelError(f"RankOne data violates L varpi = zeta (residual {residual:.3e})")
 
 
 @dataclass(frozen=True)
@@ -145,6 +171,7 @@ def _diagonal(matrix: np.ndarray) -> np.ndarray | None:
 def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
                          dec: DecompositionResult) -> KernelOps:
     """Fold the law's constant operators into one stacked matrix."""
+    validate_law_for_model(spec, model)
     M = model.metric
     A = model.generator
     P = dec.projection
@@ -153,18 +180,13 @@ def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
     zeta_normsq = 1.0
     rows = [A]
     if spec.variant == "RankOne":
-        validate_rank_one_data(spec, model)
         m_zeta = M @ spec.zeta
         rows += [(P.T @ m_zeta)[None, :], (P.T @ (A.T @ m_zeta))[None, :]]
         width = spec.varpi.shape[0]
         zeta_normsq = float(spec.zeta @ m_zeta)
     elif spec.variant == "LinearPhi":
-        if L is None:
-            raise ModelError("LinearPhi requires a model with an input_map")
         rows.append(L.T @ M @ P)
     else:
-        if spec.variant != "ZeroControl" and model.control_op is None:
-            raise ModelError(f"{spec.variant} requires a control operator")
         B = _effective_control_matrix(model)
         BP = B @ P
         if spec.variant != "ZeroControl":
@@ -191,12 +213,10 @@ def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
 def control_value(spec: ControllerSpec, model: ModalModel, dec: DecompositionResult,
                   y: np.ndarray) -> np.ndarray:
     """Control at one state (always an m-vector; m = 1 for bilinear laws)."""
-    if spec.variant == "ZeroControl":
-        return np.zeros(1)
     y = np.asarray(y, dtype=float)
     if y.shape != (model.dim,):
         raise ModelError("state dimension mismatch")
-    return kernels.closed_loop_rhs(y, assemble_kernel_args(spec, model, dec), False)[1]
+    return kernels.closed_loop_law(y, assemble_kernel_args(spec, model, dec), False)[0]
 
 
 def _law_gamma(spec: ControllerSpec, dec: DecompositionResult) -> float:

@@ -160,12 +160,12 @@ def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
              y0: np.ndarray, opts: IntegrationOpts) -> Trajectory:
     """Integrate the closed loop over [0, t_max], recording on the sample grid.
 
-    Samples between step ends come from the stepper's dense output, and the
-    law gives them their control and V a block at a time
+    Samples between step ends come from the stepper's dense output
     (kernels.integrate_adaptive).  ZeroControl has no law, so its closed loop
-    is y' = Ay: free_flow samples it exactly, with u = 0 and V from
-    kernels.fill_law.  Such a run takes no step, so it cannot stall, and its
-    diagnostics count zero steps, rejections and RHS calls, with no dt range.
+    is y' = Ay: free_flow samples it exactly.  Such a run takes no step, so
+    it cannot stall, and its diagnostics count zero steps, rejections and
+    RHS calls, with no dt range.  Either way every recorded sample takes its
+    control and V from one kernels.fill_law call over the sampled states.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (model.dim,):
@@ -175,10 +175,7 @@ def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
     if spec.variant == "ZeroControl":
         ns = sample_ts.shape[0]
         ys = free_flow(model.generator, float(sample_ts[1] - sample_ts[0]), y0, ns)
-        us = np.empty((ns, ops.width))
-        Vs = np.empty(ns)
-        kernels.fill_law(ys, us, Vs, np.arange(ns), ops, ns)
-        status, reached, diagnostics = kernels.STATUS_OK, ns - 1, dict(_NO_STEPS)
+        latch_from, status, reached, diagnostics = ns, kernels.STATUS_OK, ns - 1, dict(_NO_STEPS)
     else:
         if spec.variant == "RankOne":
             gamma_eff = ops.zeta_normsq
@@ -186,14 +183,14 @@ def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
         else:
             gamma_eff = _law_gamma(spec, dec)
             trig_exp = spec.mu
-        ys, us, Vs, status, reached, diagnostics = kernels.integrate_adaptive(
+        ys, latch_from, status, reached, diagnostics = kernels.integrate_adaptive(
             y0, sample_ts, ops, clamp_projector(model, dec), gamma_eff, trig_exp, opts)
-    end = reached + 1
-    norms = np.sqrt(np.maximum(_metric_normsq(ys[:end], model.metric), 0.0))
+    times, ys = sample_ts[:reached + 1], ys[:reached + 1]
+    us, Vs = kernels.fill_law(ys, ops, latch_from)
+    norms = np.sqrt(np.maximum(_metric_normsq(ys, model.metric), 0.0))
     traj = Trajectory(
-        times=sample_ts[:end], states=ys[:end], controls=us[:end],
-        lyapunov=np.maximum(Vs[:end], 0.0), norms=norms,
-        settling_time=_settling_time(sample_ts[:end], norms, opts.eps_settle),
+        times=times, states=ys, controls=us, lyapunov=np.maximum(Vs, 0.0), norms=norms,
+        settling_time=_settling_time(times, norms, opts.eps_settle),
         diagnostics=diagnostics,
     )
     if status == kernels.STATUS_STALLED:

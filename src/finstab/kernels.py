@@ -9,13 +9,14 @@ block, so every stage state, the new state, the error estimate and the
 dense-output term is one small product of a coefficient row with that block.
 It steps by the error control alone and fills the sample grid from the
 Dormand-Prince continuous extension, so the step count does not grow with
-the number of samples; closed_loop_law then gives the filled samples their
-control and V a block of rows at a time (fill_law).  When A and B are both
-diagonal under BilinearPhi (the heat truncation), the same tableau runs in
+the number of samples.  The stepper records states only: every sample, the
+step ends included, takes its control and V from closed_loop_law, a block
+of rows at a time (fill_law).  When A and B are both diagonal under
+BilinearPhi (the heat truncation), the same tableau runs in
 integrating-factor (Lawson) form: the exact decay e^{tA} is carried by the
 factor, so the steps follow the law, not the stiffest mode.  A run with no
 law (ZeroControl) never comes here: integrator.free_flow samples its linear
-flow exactly, and fill_law gives it V.
+flow exactly, and fill_law gives it u and V the same way.
 Status codes: 0 completed, 3 stalled at dt_min.
 """
 from __future__ import annotations
@@ -52,7 +53,7 @@ _COEF = np.vstack([_STAGE, _ERR, _DENSE])   # scaled by the step once per attemp
 # the nodes c_i of the stage rows: stage i + 1 is evaluated at t + c_i h
 _NODES = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
 _ROW_ERR, _ROW_DENSE = 7, 8
-# filled samples whose law is evaluated together; bounds the block temporaries
+# samples whose law is evaluated together; bounds the block temporaries
 _FILL_ROWS = 256
 
 
@@ -83,18 +84,16 @@ def phi_value(phi, py: np.ndarray, eps_dz: float):
     return np.minimum(ratio, phi.cap)
 
 
-def closed_loop_rhs(y: np.ndarray, ops, latched: bool, field_only: bool = False,
-                    v: np.ndarray | None = None):
-    """Field A y plus the law's contribution; returns (dy, control, trigger, V, saturated),
-    or dy alone when field_only is set.
+def closed_loop_rhs(y: np.ndarray, ops, latched: bool, v: np.ndarray | None = None):
+    """Field A y plus the law's contribution; returns (dy, trigger, V, saturated).
 
     ops is a controllers.KernelOps.  trigger is the dead-zone variable (V,
     ||B P y||^2, ||w||^2 or |s| by variant); latched switches the singular
-    control terms off for good.  The inner stages of a step need only dy,
-    so field_only skips the control vector, V where the field does not need
-    it, and the flags.  For ops with an integrating factor (ops.decay set),
-    a given v is the stepped variable, y = e^{tau A} v for some tau >= 0, and
-    dy is its slope u(y) B v, without A; other ops step y itself and ignore v.
+    control terms off for good.  The control itself is not returned: the
+    recorded samples take it from closed_loop_law.  For ops with an
+    integrating factor (ops.decay set), a given v is the stepped variable,
+    y = e^{tau A} v for some tau >= 0, and dy is its slope u(y) B v, without
+    A; other ops step y itself and ignore v.
     """
     n = y.shape[0]
     spec = ops.spec
@@ -107,31 +106,20 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool, field_only: bool = False,
         first = 0.0
         if (not latched) and abs(s) > spec.dead_zone:
             first = -s * abs(s) ** (-2.0 * spec.mu)
-        control = (first - comp / ops.zeta_normsq) * spec.varpi
-        dy = dy + ops.input_map @ control
-        if field_only:
-            return dy
-        return dy, control, abs(s), s * s / ops.zeta_normsq, False
+        dy = dy + ops.input_map @ ((first - comp / ops.zeta_normsq) * spec.varpi)
+        return dy, abs(s), s * s / ops.zeta_normsq, False
     if law == "LinearPhi":
         # rows: A, L* M P giving w; the rows of P follow for WaveK
         w = z[n:n + ops.width]
         wnormsq = w @ w
-        control = None
         if (not latched) and wnormsq > spec.dead_zone:
             scale = wnormsq ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone)
-            control = -scale * w
-            dy = dy + ops.input_map @ control
-        if field_only:
-            return dy
-        if control is None:
-            control = np.zeros(ops.width)
-        return dy, control, wnormsq, wnormsq, False
+            dy = dy + ops.input_map @ (-scale * w)
+        return dy, wnormsq, wnormsq, False
     if law == "ZeroControl":
         # rows: A, Q = P* M B P giving V = <y, Q y>
-        if field_only:
-            return dy
         V = y @ z[n:2 * n]
-        return dy, np.zeros(ops.width), V, V, False
+        return dy, V, V, False
     # bilinear laws, rows: A, B (both left out under a factor), Q; the rows of
     # P follow for WaveK
     q = ops.law_from
@@ -157,11 +145,7 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool, field_only: bool = False,
         dy = u * (ops.slope * v) if v is not None else ops.decay * y + u * (ops.slope * y)
     elif u != 0.0:
         dy = dy + u * z[n:2 * n]
-    if field_only:
-        return dy
-    control = np.zeros(ops.width)
-    control[0] = u
-    return dy, control, trigger, V, saturated
+    return dy, trigger, V, saturated
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,15 +196,20 @@ def closed_loop_law(ys: np.ndarray, ops, latched) -> tuple[np.ndarray, np.ndarra
     return controls, V
 
 
-def fill_law(ys, us, Vs, rows, ops, latch_from: int) -> None:
-    """Write the law's control and V at the given rows of ys into us and Vs.
+def fill_law(ys, ops, latch_from: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law's (controls, V) at every row of the sampled states ys.
 
     Rows from index latch_from on are recorded after the latch.  The law is
     evaluated _FILL_ROWS rows at a time, which bounds its block temporaries.
     """
-    for lo in range(0, rows.size, _FILL_ROWS):
-        chunk = rows[lo:lo + _FILL_ROWS]
-        us[chunk], Vs[chunk] = closed_loop_law(ys[chunk], ops, chunk >= latch_from)
+    ns = ys.shape[0]
+    latched = np.arange(ns) >= latch_from
+    us = np.empty((ns, ops.width))
+    Vs = np.empty(ns)
+    for lo in range(0, ns, _FILL_ROWS):
+        rows = slice(lo, lo + _FILL_ROWS)
+        us[rows], Vs[rows] = closed_loop_law(ys[rows], ops, latched[rows])
+    return us, Vs
 
 
 def dead_zone_rule(trigger, latched: bool, clamped: bool, dt: float, eps_dz: float,
@@ -252,10 +241,11 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     dt_max.
 
     The stage slopes are the rows of one (7, n) block K, and a stage state is
-    y + (h a_i) @ K.  A filled sample keeps the latch flag of its step, and
-    once the run ends closed_loop_law gives the filled samples their control
-    and V, _FILL_ROWS rows at a time; a step-end sample takes the control
-    and V of k7, or of the re-evaluation after a latch or clamp.
+    y + (h a_i) @ K.  Only states are recorded; every sample takes its
+    control and V from the law at its state (fill_law, which
+    integrator.simulate calls).  The samples inside the step that latches
+    are recorded before the latch, and its step-end sample after it, with
+    the state the clamp left.
 
     With D = ops.decay set (A and B diagonal under BilinearPhi), a step from (t, y) runs the
     same tableau on v = e^{-(s - t) D} y(s) (Lawson's integrating factor):
@@ -267,12 +257,14 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     and never overflows.  On accepting, k7 moves into the new step's frame
     as e^{hD} K_7.  Without D this is the plain DP5(4) step on y' = A y + u B y.
 
-    Returns (states, controls, lyapunov, status, reached_index, stats); stats
-    holds the deterministic counters: steps, rejections, rhs_calls,
-    dt_min_accepted, dt_max_accepted, saturation_events, v_increase_events,
-    latch_time, clamp_time and dead_zone_regrow.  rhs_calls counts the
+    Returns (states, latch_from, status, reached_index, stats): samples from
+    index latch_from on are recorded after the latch, and latch_from is the
+    sample count if the law never latches.  stats holds the deterministic
+    counters: steps, rejections, rhs_calls, dt_min_accepted,
+    dt_max_accepted, saturation_events, v_increase_events, latch_time,
+    clamp_time and dead_zone_regrow.  rhs_calls counts the
     closed_loop_rhs calls: the stages and the re-evaluation after a latch or
-    clamp.  The fill makes none, so every counter is independent of the
+    clamp.  Recording makes none, so every counter is independent of the
     sample grid.
     """
     rtol, atol, dt_min, dt_max = opts.rtol, opts.atol, opts.dt_min, opts.dt_max
@@ -282,9 +274,6 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     n = y0.shape[0]
     ns = sample_ts.shape[0]
     ys = np.zeros((ns, n))
-    us = np.zeros((ns, ops.width))
-    Vs = np.zeros(ns)
-    filled = np.zeros(ns, dtype=bool)   # interior samples, given u and V at the end
     K = np.empty((7, n))
     y = y0.copy()
     grid = sample_ts.tolist()   # Python floats: the step loop does scalar work only
@@ -304,11 +293,9 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     dt_hi = 0.0
     status = STATUS_OK
 
-    K[0], ctrl, trigger, V, _ = closed_loop_rhs(y, ops, False, False, y)
+    K[0], trigger, V, _ = closed_loop_rhs(y, ops, False, y)
     rhs_calls = 1
     ys[0] = y
-    us[0] = ctrl
-    Vs[0] = V
     latched = trigger <= eps_dz
     if latched:
         latch_time = float(t)
@@ -327,11 +314,10 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
             F = np.exp(np.multiply.outer(_NODES, hD))   # e^{c_i h D}, c_i >= 0
         for i in range(1, 6):
             v = y + hc[i, :i] @ K[:i]
-            K[i] = closed_loop_rhs(v if D is None else F[i] * v, ops, latched, True, v)
+            K[i] = closed_loop_rhs(v if D is None else F[i] * v, ops, latched, v)[0]
         vnew = y + hc[6, :6] @ K[:6]
         ynew = vnew if D is None else F[6] * vnew
-        K[6], ctrl_new, trig_new, V_new, sat_new = closed_loop_rhs(
-            ynew, ops, latched, False, vnew)
+        K[6], trig_new, V_new, sat_new = closed_loop_rhs(ynew, ops, latched, vnew)
         rhs_calls += 6
         est = hc[_ROW_ERR] @ K
         if D is not None:
@@ -368,13 +354,11 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
             dense = y + theta * (ydiff + (1.0 - theta)
                                  * (bspl + theta * (r4 + (1.0 - theta) * r5)))
             ys[nxt:inner] = dense if D is None else np.exp(theta * hD) * dense
-            filled[nxt:inner] = True
             nxt = inner
         t = t_new
         y = ynew
         V = V_new
         K[0] = K[6] if D is None else F[6] * K[6]   # k7 in the new step's frame
-        ctrl = ctrl_new
         fac = 5.0
         if errnorm > 1e-12:
             fac = min(max(0.9 * errnorm ** -0.2, 0.2), 5.0)
@@ -392,16 +376,13 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
             clamped = True
             clamp_time = float(t)
         if latch_now or clamp_now:
-            # the slope, control and V change with the latch or the clamp
-            K[0], ctrl, _, V, _ = closed_loop_rhs(y, ops, latched, False, y)
+            # the slope and V change with the latch or the clamp
+            K[0], _, V, _ = closed_loop_rhs(y, ops, latched, y)
             rhs_calls += 1
         regrow = regrow or regrown
         if nxt < ns and grid[nxt] <= t + tol_t:
             ys[nxt] = y
-            us[nxt] = ctrl
-            Vs[nxt] = V
             nxt += 1
-    fill_law(ys, us, Vs, np.flatnonzero(filled), ops, latch_from)
     stats = {
         "steps": n_steps,
         "rejections": n_rejected,
@@ -414,4 +395,4 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
         "clamp_time": clamp_time,
         "dead_zone_regrow": regrow,
     }
-    return ys, us, Vs, status, nxt - 1, stats
+    return ys, latch_from, status, nxt - 1, stats

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import svgplot
 from .controllers import (UNBOUNDED, ControllerSpec, controller_from_json,
-                          controller_to_json, settling_bound_details,
-                          validate_rank_one_data)
+                          controller_to_json, settling_bound_details, validate_law_for_model)
 from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gamma,
                             gamma_certificate, unobservable_subspace)
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
@@ -201,15 +200,10 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         gamma = None
     dec = dataclasses.replace(dec, gamma=gamma)
     spec = _controller_spec(config, bundle)
-    if spec.variant == "RankOne":
-        try:
-            validate_rank_one_data(spec, model)
-        except ModelError as exc:
-            raise ConfigError(str(exc)) from exc
-    if spec.variant in ("LinearPhi",) and model.input_map is None:
-        raise ConfigError("LinearPhi requires a model with an input_map")
-    if spec.variant in ("BilinearPhi", "BilinearGrad") and model.control_op is None:
-        raise ConfigError(f"{spec.variant} requires a bilinear model")
+    try:
+        validate_law_for_model(spec, model)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from exc
     y0 = parse_initial_state(config.initial_state, model, dec, seed)
     opts = _integration_opts(config.integration)
     return BuiltScenario(kind="modal", spec=spec, seed=seed, model=model, y0=y0, opts=opts,

@@ -3,9 +3,9 @@ import pytest
 
 from finstab import (DEFAULT_DEAD_ZONE, UNBOUNDED, ControllerSpec, ModalModel,
                      ModelError, PhiSpec, control_value, controller_from_json,
-                     controller_to_json, compute_gamma,
-                     decomposition_from_axes, settling_bound_details, unobservable_subspace,
-                     validate_control_operator, validate_rank_one_data)
+                     controller_to_json, compute_gamma, settling_bound_details,
+                     unobservable_subspace, validate_control_operator, validate_law_for_model)
+from finstab.decomposition import decomposition_from_axes
 from dataclasses import replace
 
 
@@ -57,11 +57,11 @@ def test_rank_one_spec_requires_direction_data():
 
 def test_validate_rank_one_data_ties_zeta_to_the_input_map():
     model, spec = oscillator_rank_one()
-    validate_rank_one_data(spec, model)
+    validate_law_for_model(spec, model)
     bad = ControllerSpec(variant="RankOne", zeta=np.array([1.0, 0.0]),
                          varpi=np.array([1.0]))
     with pytest.raises(ModelError):
-        validate_rank_one_data(bad, model)
+        validate_law_for_model(bad, model)
 
 
 def test_bilinear_phi_value():

@@ -6,9 +6,10 @@ import scipy.linalg
 
 from finstab import (DEFAULT_DEAD_ZONE, FrontendSpec, ModalModel, ModelError, PhiSpec,
                      build_frontend, check_H1, check_H2, compute_gamma,
-                     decomposition_from_axes, gamma_certificate, model_from_json,
+                     gamma_certificate, model_from_json,
                      unobservable_subspace, validate_control_operator)
 from finstab import kernels
+from finstab.decomposition import decomposition_from_axes
 
 
 def gamma_of(model, dec):

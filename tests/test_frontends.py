@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from finstab import (ControllerSpec, FrontendSpec, HybridState,
-                     ModelError, beam_model, build_frontend, check_H1, compute_gamma,
-                     heat_model, hybrid_decay_check, hybrid_split_check,
+                     ModelError, build_frontend, check_H1, compute_gamma,
+                     hybrid_decay_check, hybrid_split_check,
                      hybrid_v, quasi_contraction_type, simulate_hybrid, transport_heat_model,
-                     transport_step, Trajectory, validate_control_operator,
-                     validate_rank_one_data, wave_model)
+                     Trajectory, validate_control_operator, validate_law_for_model)
+from finstab.frontends import beam_model, heat_model, transport_step, wave_model
 
 PI2 = 9.869604401089358  # pi^2
 
@@ -85,7 +85,7 @@ def test_beam_structure_and_rank_one_data():
     assert gamma_of(bundle) == 1.0
     spec = ControllerSpec(variant="RankOne", mu=0.25, zeta=bundle.info["zeta"],
                           varpi=bundle.info["varpi"])
-    validate_rank_one_data(spec, model)
+    validate_law_for_model(spec, model)
     assert np.array_equal(spec.zeta, model.input_map[:, 0])
 
 

@@ -8,7 +8,9 @@ from finstab import (ControllerSpec, FrontendSpec, IntegrationOpts, IntegrationS
                      compute_gamma, kernels, scenario_from_json, simulate,
                      settling_bound_details, unobservable_subspace, validate_control_operator,
                      verify_decay, verify_lyapunov_stability, verify_split)
+from finstab.controllers import assemble_kernel_args
 from finstab.integrator import _settling_time, clamp_projector, expm
+from finstab.kernels import closed_loop_law
 
 
 def with_gamma(model, dec):
@@ -294,6 +296,51 @@ def test_sample_on_the_latch_or_clamp_step_end(event):
     py = traj.states[mid] @ dec.projection.T
     V = py @ model.metric @ model.control_op @ py
     assert traj.lyapunov[mid] == pytest.approx(V, rel=1e-9, abs=1e-30)
+
+
+def planted_system(rng, n):
+    """A bilinear system under a general metric M whose unobservable subspace is planted.
+
+    With Q orthogonal, W = span Q2 = ker B.  The generator keeps W and its
+    metric complement span M^-1 Q1 invariant, and B is M-self-adjoint and
+    definite on that complement, so H1 holds and every matrix is dense.
+    """
+    dim_w = int(rng.integers(1, n // 2 + 1))
+    npp = n - dim_w
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q1, Q2 = Q[:, :npp], Q[:, npp:]
+    R = rng.standard_normal((n, n))
+    M = R @ R.T + n * np.eye(n)
+    T = np.hstack([np.linalg.solve(M, Q1), Q2])
+    blocks = np.zeros((n, n))
+    blocks[:npp, :npp] = rng.standard_normal((npp, npp))
+    blocks[npp:, npp:] = rng.standard_normal((dim_w, dim_w))
+    C = rng.standard_normal((npp, npp))
+    B = np.linalg.solve(M, Q1 @ (C @ C.T + 0.1 * np.eye(npp)) @ Q1.T)
+    return {"dim": n, "metric": M.tolist(), "generator": (T @ blocks @ np.linalg.inv(T)).tolist(),
+            "control_op": B.tolist()}
+
+
+@pytest.mark.parametrize("variant, seed", [("BilinearPhi", 7), ("BilinearGrad", 3)])
+def test_every_sample_records_the_law_at_its_state(variant, seed):
+    # dense operators under a general metric round differently in the RHS
+    # and in the law's block form, so the step-end rows (t = 0, t_max) tell
+    # whether the law wrote them too
+    t_max = 2.5
+    built = build_scenario(scenario_from_json({
+        "name": "planted", "matrices": planted_system(np.random.default_rng([seed, 4, 1]), 4),
+        "controller": {"variant": variant, "mu": 0.25}, "initial_state": "wperp-random(7)",
+        "integration": {"t_max": t_max}}))
+    traj = simulate(built.model, built.dec, built.spec, built.y0, built.opts)
+    latch_time = traj.diagnostics["latch_time"]
+    assert 0.0 < latch_time < t_max
+    # the samples from the end of the step that latched on are recorded after the latch
+    latch = np.searchsorted(traj.times, latch_time - 1e-14 * max(t_max, 1.0))
+    ops = assemble_kernel_args(built.spec, built.model, built.dec)
+    controls, V = closed_loop_law(traj.states, ops, np.arange(len(traj.times)) >= latch)
+    moved = np.any(traj.controls != controls, axis=1) | (traj.lyapunov != np.maximum(V, 0.0))
+    assert not moved.any(), np.flatnonzero(moved)
+    assert np.any(controls[:latch] != 0.0) and np.all(controls[latch:] == 0.0)
 
 
 def test_rhs_calls_counts_every_stepper_evaluation(monkeypatch):

@@ -1,5 +1,5 @@
-"""closed_loop_rhs against the closed-loop field written out from the model matrices,
-its row-wise law against it, and the stepper's tableau."""
+"""closed_loop_rhs and closed_loop_law against the closed-loop field written out from
+the model matrices, the row-wise law against the field, and the stepper's tableau."""
 import numpy as np
 import pytest
 
@@ -10,7 +10,11 @@ from finstab.kernels import closed_loop_law, closed_loop_rhs, dead_zone_rule
 
 
 def rhs(spec, model, dec, y, latched=False):
-    return closed_loop_rhs(y, assemble_kernel_args(spec, model, dec), latched)
+    """(dy, control, trigger, V, saturated): the field and flags of closed_loop_rhs and the
+    control of closed_loop_law at one state."""
+    ops = assemble_kernel_args(spec, model, dec)
+    dy, trigger, V, saturated = closed_loop_rhs(y, ops, latched)
+    return dy, closed_loop_law(y, ops, latched)[0], trigger, V, saturated
 
 
 def coupled_bilinear():
@@ -84,11 +88,11 @@ def test_diagonal_bilinear_phi_takes_the_integrating_factor():
     ops = assemble_kernel_args(ControllerSpec(variant="BilinearPhi", mu=0.25), model, dec)
     assert np.array_equal(ops.decay, np.diag(A)) and np.array_equal(ops.slope, np.diag(B))
     y, v = np.random.default_rng(2).standard_normal((2, 6))
-    dy, control, _, _, _ = closed_loop_rhs(y, ops, False)
-    u = control[0]
+    dy = closed_loop_rhs(y, ops, False)[0]
+    u = closed_loop_law(y, ops, False)[0][0]
     assert np.allclose(dy, A @ y + u * (B @ y), rtol=1e-14, atol=1e-14)
     # the slope of the stepped variable v: the law read at y acts on v, without A
-    assert np.array_equal(closed_loop_rhs(y, ops, False, True, v), u * (np.diag(B) * v))
+    assert np.array_equal(closed_loop_rhs(y, ops, False, v)[0], u * (np.diag(B) * v))
     # BilinearGrad and a non-diagonal A step the plain field
     grad = ControllerSpec(variant="BilinearGrad", mu=0.25)
     assert assemble_kernel_args(grad, model, dec).decay is None
@@ -211,12 +215,18 @@ def test_row_law_matches_the_per_state_law(case):
     assert controls.shape == (40, ops.width) and V.shape == (40,)
     below = []
     for i in range(40):
-        _, control, trigger, V_i, _ = closed_loop_rhs(ys[i], ops, bool(latched[i]))
-        np.testing.assert_allclose(controls[i], control, rtol=1e-14, atol=0.0)
+        dy, trigger, V_i, _ = closed_loop_rhs(ys[i], ops, bool(latched[i]))
+        # the field closed_loop_rhs steps is the one the row's control drives
+        if model.input_map is None:
+            drive = controls[i, 0] * (model.control_op @ ys[i])
+        else:
+            drive = model.input_map @ controls[i]
+        np.testing.assert_allclose(dy, model.generator @ ys[i] + drive, rtol=1e-13,
+                                   atol=1e-14)
         assert V[i] == pytest.approx(V_i, rel=1e-14, abs=0.0)
         # one state gives the same as its row
         one_control, one_V = closed_loop_law(ys[i], ops, latched[i])
-        np.testing.assert_allclose(one_control, control, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(one_control, controls[i], rtol=1e-14, atol=0.0)
         assert one_V == pytest.approx(V_i, rel=1e-14, abs=0.0)
         below.append(trigger <= spec.dead_zone)
     assert any(below) and not all(below)
@@ -227,15 +237,6 @@ def test_row_law_matches_the_per_state_law(case):
         saturated = np.abs(controls[:, 0]) == spec.u_max
         assert np.any(controls[:, 0] == spec.u_max) and np.any(controls[:, 0] == -spec.u_max)
         assert np.any(~saturated & (controls[:, 0] != 0.0))
-
-
-def test_field_only_is_the_field_of_the_full_evaluation():
-    for model, dec, spec in row_law_cases().values():
-        ops = assemble_kernel_args(spec, model, dec)
-        y = np.random.default_rng(5).standard_normal(model.dim)
-        for latched in (False, True):
-            dy = closed_loop_rhs(y, ops, latched, True)
-            assert np.array_equal(dy, closed_loop_rhs(y, ops, latched)[0])
 
 
 def test_tableau_rows():

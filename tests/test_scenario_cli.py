@@ -543,6 +543,17 @@ def _hybrid_doc(**integration):
             "initial_state": "phi00", "integration": integration}
 
 
+def _wave_doc(phi):
+    return {"frontend": {"kind": "Wave1D", "n_modes": 3, "q": 2}, "initial_state": "zero",
+            "controller": {"variant": "BilinearPhi", "phi": phi}}
+
+
+def _beam_doc(zeta=(0, 0, 0, 1, 0, 0), varpi=(1,)):
+    return {"frontend": {"kind": "Beam1D", "n_modes": 3, "h_coeffs": [1.0]},
+            "initial_state": "zero",
+            "controller": {"variant": "RankOne", "zeta": list(zeta), "varpi": list(varpi)}}
+
+
 def _matrices_doc(**matrices):
     return {"frontend": None, "initial_state": [1.0, 1.0],
             "matrices": {"dim": 2, "generator": {"diagonal": [-1.0, -2.0]}, **matrices}}
@@ -647,6 +658,30 @@ def _matrices_doc(**matrices):
     # nor may a phi_modes entry carry a fourth item
     ({**_hybrid_doc(t_max=1.0), "initial_state": {"phi_modes": [[0, 0, 1.0, 99]]}},
      "phi_modes entries must be [j, k, coeff]"),
+    # a WaveK phi reads q positions and the q velocities from half on: both inside the state
+    (_wave_doc({"kind": "WaveK", "q": 5, "half": 3}), "WaveK needs q <= half <= dim - q"),
+    (_wave_doc({"kind": "WaveK", "q": 1, "half": 9}), "WaveK needs q <= half <= dim - q"),
+    # RankOne's zeta has the state's length and varpi the input's
+    (_beam_doc(zeta=[1, 0]), "RankOne needs zeta of length 6 and varpi of length 1"),
+    (_beam_doc(varpi=[1, 2]), "RankOne needs zeta of length 6 and varpi of length 1"),
+    # controller numbers that would make a certificate meaningless
+    ({"controller": {"variant": "BilinearPhi", "dead_zone": float("inf")}},
+     "dead_zone must be positive and finite, got inf"),
+    ({"controller": {"variant": "BilinearPhi", "dead_zone": float("nan")}},
+     "dead_zone must be positive and finite, got nan"),
+    ({"controller": {"variant": "BilinearGrad", "u_max": 0.0}}, "u_max must be positive, got 0.0"),
+    ({"controller": {"variant": "BilinearGrad", "u_max": float("nan")}},
+     "u_max must be positive, got nan"),
+    ({"controller": {"variant": "BilinearPhi",
+                     "phi": {"kind": "WaveK", "q": 1, "half": 2, "cap": -1.0}}},
+     "WaveK cap must be positive, got -1.0"),
+    ({"controller": {"variant": "BilinearPhi",
+                     "phi": {"kind": "WaveK", "q": 1, "half": 2, "cap": float("nan")}}},
+     "WaveK cap must be positive, got nan"),
+    ({"controller": {"variant": "BilinearPhi", "phi": {"kind": "Constant", "value": float("nan")}}},
+     "Constant phi value must be finite, got nan"),
+    ({"controller": {"variant": "BilinearPhi", "phi": {"kind": "Constant", "value": float("inf")}}},
+     "Constant phi value must be finite, got inf"),
 ])
 def test_cli_check_rejects_malformed_documents(tmp_path, capsys, overrides, cause):
     doc = {**heat_doc(), **overrides}
