@@ -1,4 +1,4 @@
-"""Feedback laws and their settling-time bound formulas.
+"""Feedback laws, their decay rates and their settling-time bound.
 
 Four laws over a common dead-zone convention (the singular term switches off
 when its trigger falls below eps_dz, standing in for the exact indicator of
@@ -9,6 +9,9 @@ the observable set):
 - LinearPhi:    v = -(w/||w||^(2 mu) + phi(Py) w),  w = L* Py,    0 < mu < 1/2
 - RankOne:      v = -(s|s|^(-2 mu) + <Py,A* zeta>/||zeta||^2) varpi, s = <Py,zeta>
 - ZeroControl:  free flow reference
+
+law_rate decides each law's rate r, read by every settling quantity: the bound
+T(V0) = V0^mu / (2 r mu), the stepper's clamp, the decay check and the plot.
 """
 from __future__ import annotations
 
@@ -219,16 +222,30 @@ def control_value(spec: ControllerSpec, model: ModalModel, dec: DecompositionRes
     return kernels.closed_loop_law(y, assemble_kernel_args(spec, model, dec), False)[0]
 
 
-def _law_gamma(spec: ControllerSpec, dec: DecompositionResult) -> float:
-    if dec.gamma is None:   # the rate of the BilinearPhi, BilinearGrad and LinearPhi laws
+def law_rate(spec: ControllerSpec, model: ModalModel,
+             dec: DecompositionResult) -> tuple[float | None, float]:
+    """(r, V_dz): V^mu falls at least at 2 r mu, so V settles by T(V) = V^mu / (2 r mu).
+
+    r is gamma, or ||zeta||_M^(2 - 2 mu) for RankOne (V = s^2 / ||zeta||_M^2),
+    and None for ZeroControl.  V_dz is the law's V at the regrowth trigger
+    2 eps_dz: 2 eps_dz / gamma for BilinearGrad (||B P y||^2 >= gamma V on
+    W_perp), (2 eps_dz)^2 / ||zeta||_M^2 for RankOne (trigger |s|), else 2 eps_dz.
+    """
+    if spec.variant == "ZeroControl":
+        return None, 0.0
+    level = 2.0 * spec.dead_zone
+    if spec.variant == "RankOne":
+        zeta_normsq = float(spec.zeta @ model.metric @ spec.zeta)
+        return zeta_normsq ** (1.0 - spec.mu), level * level / zeta_normsq
+    if dec.gamma is None:
         raise ModelError(f"{spec.variant} needs gamma: the decomposition carries none")
-    return dec.gamma
+    return dec.gamma, level / dec.gamma if spec.variant == "BilinearGrad" else level
 
 
 def settling_bound_details(spec: ControllerSpec, model: ModalModel,
                            dec: DecompositionResult, y0: np.ndarray):
-    """Variant-specific settling-time bound (Unbounded, or None for no law) plus
-    reporting extras (the rank-one law has two published formulas)."""
+    """Settling-time bound T(V0) at the law's V0 and law_rate's r (Unbounded, or
+    None for no law) plus reporting extras (RankOne's looser published form)."""
     if spec.variant == "ZeroControl":
         return None, {}
     y0 = np.asarray(y0, dtype=float)
@@ -243,28 +260,20 @@ def settling_bound_details(spec: ControllerSpec, model: ModalModel,
     if dec.dim_w and not in_wperp:
         return UNBOUNDED, {"reason": "unobservable component present, flow not nilpotent"}
     mu = spec.mu
+    rate = law_rate(spec, model, dec)[0]
     extras: dict[str, Any] = {}
-    if spec.variant in ("BilinearPhi", "BilinearGrad"):
-        gamma = _law_gamma(spec, dec)
-        Beff = _effective_control_matrix(model)
-        V0 = float((Beff @ y01) @ M @ y01)
-        V0 = max(V0, 0.0)
-        t1 = V0 ** mu / (2.0 * gamma * mu)
-        extras["t1"] = t1
-        return t1, extras
     if spec.variant == "LinearPhi":
-        gamma = _law_gamma(spec, dec)
         w0 = model.input_map.T @ M @ y01
-        t1 = float(np.linalg.norm(w0)) ** (2.0 * mu) / (2.0 * gamma * mu)
-        extras["t1"] = t1
-        return t1, extras
-    # RankOne: the proof's horizon; the looser published variant is reported too
-    zeta = spec.zeta
-    zn2 = float(zeta @ M @ zeta)
-    s0 = abs(float(y01 @ M @ zeta))
-    t1 = s0 ** (2.0 * mu) / (2.0 * mu * zn2)
+        V0 = float(w0 @ w0)
+    elif spec.variant == "RankOne":
+        ops = assemble_kernel_args(spec, model, dec)
+        V0 = float(kernels.closed_loop_law(y01, ops, False)[1])
+        s0 = abs(float(y01 @ M @ spec.zeta))
+        extras["t1_statement_form"] = s0 ** mu / (mu * ops.zeta_normsq)
+    else:
+        V0 = float((_effective_control_matrix(model) @ y01) @ M @ y01)
+    t1 = max(V0, 0.0) ** mu / (2.0 * rate * mu)
     extras["t1"] = t1
-    extras["t1_statement_form"] = s0 ** mu / (mu * zn2)
     return t1, extras
 
 

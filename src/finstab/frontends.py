@@ -58,8 +58,6 @@ class FrontendBundle:
 
 def heat_model(spec: FrontendSpec) -> FrontendBundle:
     """Diagonal decay -(j pi)^2 with the first mode unobservable."""
-    if spec.kind != "Heat1D":
-        raise ModelError("spec.kind must be Heat1D")
     n = spec.n_modes
     if n < 2:
         raise ModelError("heat model needs at least 2 modes")
@@ -72,23 +70,26 @@ def heat_model(spec: FrontendSpec) -> FrontendBundle:
                           phi=PhiSpec("Zero"), w_axes=(0,))
 
 
+def _rotation_pairs(om: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Generator of n oscillators at frequencies om, positions first, and its labels."""
+    n = om.shape[0]
+    j = np.arange(n)
+    A = np.zeros((2 * n, 2 * n))
+    A[j, n + j], A[n + j, j] = om, -om
+    labels = tuple(f"pos{j}" for j in range(1, n + 1)) + tuple(f"vel{j}" for j in range(1, n + 1))
+    return A, labels
+
+
 def wave_model(spec: FrontendSpec) -> FrontendBundle:
     """Block-rotation modes (frequency j pi) with velocity damping on modes 1..q."""
-    if spec.kind != "Wave1D":
-        raise ModelError("spec.kind must be Wave1D")
     n = spec.n_modes
     q = spec.q
     if not (1 <= q <= n):
         raise ModelError("wave model requires 1 <= q <= n_modes")
-    om = np.pi * np.arange(1, n + 1)
-    A = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        A[j, n + j] = om[j]
-        A[n + j, j] = -om[j]
+    A, labels = _rotation_pairs(np.pi * np.arange(1, n + 1))
     B = np.zeros((2 * n, 2 * n))
     for i in range(q):
         B[n + i, n + i] = 1.0
-    labels = tuple(f"pos{j}" for j in range(1, n + 1)) + tuple(f"vel{j}" for j in range(1, n + 1))
     model = ModalModel(dim=2 * n, metric=np.eye(2 * n), generator=A, control_op=B,
                        basis_labels=labels)
     w_axes = tuple(range(q, n)) + tuple(range(n + q, 2 * n))
@@ -102,8 +103,6 @@ def beam_model(spec: FrontendSpec) -> FrontendBundle:
 
     Returns the rank-one data (zeta = input direction, varpi = 1) in info.
     """
-    if spec.kind != "Beam1D":
-        raise ModelError("spec.kind must be Beam1D")
     n = spec.n_modes
     h = np.zeros(n)
     coeffs = _float_array(spec.h_coeffs if spec.h_coeffs else (1.0,), "h_coeffs")
@@ -112,14 +111,9 @@ def beam_model(spec: FrontendSpec) -> FrontendBundle:
     if float(np.linalg.norm(coeffs)) == 0.0:
         raise ModelError("profile h must be nonzero")
     h[: coeffs.shape[0]] = coeffs
-    om = (np.pi * np.arange(1, n + 1)) ** 2
-    A = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        A[j, n + j] = om[j]
-        A[n + j, j] = -om[j]
+    A, labels = _rotation_pairs((np.pi * np.arange(1, n + 1)) ** 2)
     L = np.zeros((2 * n, 1))
     L[n:, 0] = h
-    labels = tuple(f"pos{j}" for j in range(1, n + 1)) + tuple(f"vel{j}" for j in range(1, n + 1))
     model = ModalModel(dim=2 * n, metric=np.eye(2 * n), generator=A, input_map=L,
                        basis_labels=labels)
     zeta = np.zeros(2 * n)
@@ -161,8 +155,6 @@ class HybridState:
 
 def transport_heat_model(spec: FrontendSpec) -> HybridModel:
     """2-D Neumann cosine modes (including the constant mode) plus a transport grid."""
-    if spec.kind != "TransportHeat2D":
-        raise ModelError("spec.kind must be TransportHeat2D")
     if spec.grid_n <= 0:
         raise ModelError("transport model requires grid_n > 0")
     if not (0.0 < spec.omega_h < 1.0):
@@ -220,8 +212,9 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
     The dead zone follows the adaptive integrator's kernels.dead_zone_rule at
     each macro step: the control latches off once V falls to the dead zone,
     and the observed part (all heat modes plus the in-patch transport
-    samples) is clamped to zero when the decay envelope predicts settling
-    within one step.  A step-end V is also the next step's V: a clamp comes
+    samples) is clamped to zero when T(V) = V^mu / (2 r mu), the settling
+    time of the decay envelope at the hybrid law's rate r = 1, fits in one
+    step.  A step-end V is also the next step's V: a clamp comes
     only with the latch, after which no step reads V.  Each sample takes one
     sum of psi^2, from which psi_norms = sqrt(sum psi^2) / G and
     norms = sqrt(sum c^2 + sum psi^2 / G^2) are formed once the run ends.
@@ -252,8 +245,8 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
         V = hybrid_v(model, state)
         if controlled:
             latch_now, clamp_now, regrown = dead_zone_rule(
-                V, latch_time is not None, clamp_time is not None, dt, spec.dead_zone,
-                mu, 2.0 * mu)
+                V, V ** mu / (2.0 * mu), latch_time is not None, clamp_time is not None,
+                dt, spec.dead_zone)
             if latch_now:
                 latch_time = t
             if clamp_now:

@@ -3,9 +3,10 @@
 The adaptive stepper lives in kernels.py; this module assembles its inputs,
 interprets its outputs (settling time, dead-zone latch diagnostics), and
 provides the three trajectory checks: the comparison-principle decay
-envelope, the free evolution of the unobservable component, and the
-pre-settling Lyapunov stability bound.  A run with no law (ZeroControl) is
-the linear flow y' = Ay, which free_flow samples exactly instead of stepping.
+envelope at the law's rate r (controllers.law_rate), the free evolution of
+the unobservable component, and the pre-settling Lyapunov stability bound.
+A run with no law (ZeroControl) is the linear flow y' = Ay, which free_flow
+samples exactly instead of stepping.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from . import kernels
-from .controllers import ControllerSpec, assemble_kernel_args, _law_gamma
+from .controllers import ControllerSpec, assemble_kernel_args, law_rate
 from .decomposition import DecompositionResult, _metric_normsq, _metric_orthonormalize
 from .model import CheckReport, ModalModel, ModelError, _effective_control_matrix
 
@@ -177,14 +178,9 @@ def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
         ys = free_flow(model.generator, float(sample_ts[1] - sample_ts[0]), y0, ns)
         latch_from, status, reached, diagnostics = ns, kernels.STATUS_OK, ns - 1, dict(_NO_STEPS)
     else:
-        if spec.variant == "RankOne":
-            gamma_eff = ops.zeta_normsq
-            trig_exp = 2.0 * spec.mu
-        else:
-            gamma_eff = _law_gamma(spec, dec)
-            trig_exp = spec.mu
+        rate = law_rate(spec, model, dec)[0]
         ys, latch_from, status, reached, diagnostics = kernels.integrate_adaptive(
-            y0, sample_ts, ops, clamp_projector(model, dec), gamma_eff, trig_exp, opts)
+            y0, sample_ts, ops, clamp_projector(model, dec), rate, opts)
     times, ys = sample_ts[:reached + 1], ys[:reached + 1]
     us, Vs = kernels.fill_law(ys, ops, latch_from)
     norms = np.sqrt(np.maximum(_metric_normsq(ys, model.metric), 0.0))
@@ -215,17 +211,24 @@ def _pre_settling_mask(traj: Trajectory) -> np.ndarray:
     return traj.times <= traj.settling_time + 1e-15
 
 
-def decay_envelope(v0: float, gamma: float, mu: float, times: np.ndarray) -> np.ndarray:
-    """Comparison-principle bound on V(t)^mu: max(V(0)^mu - 2 gamma mu t, 0)."""
-    return np.maximum(max(v0, 0.0) ** mu - 2.0 * gamma * mu * times, 0.0)
+def decay_envelope(v0: float, rate: float, mu: float, times: np.ndarray) -> np.ndarray:
+    """Comparison-principle bound on V(t)^mu: max(V(0)^mu - 2 r mu t, 0)."""
+    return np.maximum(max(v0, 0.0) ** mu - 2.0 * rate * mu * times, 0.0)
 
 
-def verify_decay(traj: Trajectory, gamma: float, mu: float) -> CheckReport:
-    """Comparison-principle envelope: V(t)^mu <= max(V(0)^mu - 2 gamma mu t, 0) + DECAY_TOL."""
+def verify_decay(traj: Trajectory, rate: float, mu: float, v_dead_zone: float) -> CheckReport:
+    """Comparison-principle envelope: V(t)^mu <= max(V(0)^mu - 2 r mu t, 0) + DECAY_TOL.
+
+    From the latch on the law is off, so V may rest up to the dead zone's
+    level: there the bound is max(envelope, v_dead_zone^mu).
+    """
     mask = _pre_settling_mask(traj)
     V = traj.lyapunov[mask]
     t = traj.times[mask]
-    envelope = decay_envelope(V[0], gamma, mu, t)
+    envelope = decay_envelope(V[0], rate, mu, t)
+    latch_time = traj.diagnostics.get("latch_time")
+    if latch_time is not None:
+        np.maximum(envelope, v_dead_zone ** mu, out=envelope, where=t >= latch_time)
     deviation = V ** mu - envelope
     max_violation = float(np.max(deviation - DECAY_TOL))
     worst_index = int(np.argmax(deviation))

@@ -84,16 +84,16 @@ def phi_value(phi, py: np.ndarray, eps_dz: float):
     return np.minimum(ratio, phi.cap)
 
 
-def closed_loop_rhs(y: np.ndarray, ops, latched: bool, v: np.ndarray | None = None):
-    """Field A y plus the law's contribution; returns (dy, trigger, V, saturated).
+def closed_loop_rhs(y: np.ndarray, ops, latched: bool, v: np.ndarray):
+    """Slope of the stepped variable v, plus (trigger, V, saturated) of the law at y.
 
-    ops is a controllers.KernelOps.  trigger is the dead-zone variable (V,
-    ||B P y||^2, ||w||^2 or |s| by variant); latched switches the singular
-    control terms off for good.  The control itself is not returned: the
-    recorded samples take it from closed_loop_law.  For ops with an
-    integrating factor (ops.decay set), a given v is the stepped variable,
-    y = e^{tau A} v for some tau >= 0, and dy is its slope u(y) B v, without
-    A; other ops step y itself and ignore v.
+    ops is a controllers.KernelOps of a law (ZeroControl is never stepped).
+    trigger is the dead-zone variable (V, ||B P y||^2, ||w||^2 or |s| by
+    variant); latched switches the singular control terms off for good.  The
+    control itself is not returned: the recorded samples take it from
+    closed_loop_law.  Without an integrating factor v is y and the slope is
+    the field A y plus the law's contribution.  With one (ops.decay set),
+    y = e^{tau A} v for some tau >= 0, and the slope is u(y) B v, without A.
     """
     n = y.shape[0]
     spec = ops.spec
@@ -116,10 +116,6 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool, v: np.ndarray | None = No
             scale = wnormsq ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone)
             dy = dy + ops.input_map @ (-scale * w)
         return dy, wnormsq, wnormsq, False
-    if law == "ZeroControl":
-        # rows: A, Q = P* M B P giving V = <y, Q y>
-        V = y @ z[n:2 * n]
-        return dy, V, V, False
     # bilinear laws, rows: A, B (both left out under a factor), Q; the rows of
     # P follow for WaveK
     q = ops.law_from
@@ -139,10 +135,10 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool, v: np.ndarray | None = No
             elif u < -spec.u_max:
                 u = -spec.u_max
                 saturated = True
-    elif (not latched) and V > spec.dead_zone:
+    elif law == "BilinearPhi" and (not latched) and V > spec.dead_zone:
         u = -(V ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone))
     if ops.decay is not None:
-        dy = u * (ops.slope * v) if v is not None else ops.decay * y + u * (ops.slope * y)
+        dy = u * (ops.slope * v)
     elif u != 0.0:
         dy = dy + u * z[n:2 * n]
     return dy, trigger, V, saturated
@@ -212,23 +208,23 @@ def fill_law(ys, ops, latch_from: int) -> tuple[np.ndarray, np.ndarray]:
     return us, Vs
 
 
-def dead_zone_rule(trigger, latched: bool, clamped: bool, dt: float, eps_dz: float,
-                   trig_exp: float, rate: float) -> tuple[bool, bool, bool]:
+def dead_zone_rule(trigger, time_left: float, latched: bool, clamped: bool, dt: float,
+                   eps_dz: float) -> tuple[bool, bool, bool]:
     """The dead-zone latch at the end of an accepted step: (latch_now, clamp_now, regrown).
 
     The control latches off once the trigger falls to eps_dz.  While it stays
     there, the observed component is clamped once, when the decay envelope
-    predicts settling within the next step: trigger^trig_exp / rate <= dt,
-    with rate = 2 gamma mu.  A trigger above 2 eps_dz after the latch is
+    predicts settling within the next step: time_left = T(V) = V^mu / (2 r mu)
+    <= dt, at the law's rate r.  A trigger above 2 eps_dz after the latch is
     regrowth.  The caller applies its own clamp and keeps its own times.
     """
     below = trigger <= eps_dz
     latch_now = bool(below and not latched)
-    clamp_now = bool(below and not clamped and trigger ** trig_exp / rate <= dt)
+    clamp_now = bool(below and not clamped and time_left <= dt)
     return latch_now, clamp_now, bool(latched and trigger > 2.0 * eps_dz)
 
 
-def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
+def integrate_adaptive(y0, sample_ts, ops, C, rate, opts):
     """Adaptive Dormand-Prince 5(4) recorded on a fixed sample grid.
 
     The error control alone sets the steps; only the last one is cut short,
@@ -237,8 +233,8 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     end takes the end state.  At each accepted step end dead_zone_rule
     decides the latch and the clamp; the clamp zeroes the observed component
     via the projector C.  A step whose error estimate exceeds 1 or is not
-    finite is rejected.  opts supplies rtol, atol, dt_init, dt_min and
-    dt_max.
+    finite is rejected.  rate is the law's r (controllers.law_rate).  opts
+    supplies rtol, atol, dt_init, dt_min and dt_max.
 
     The stage slopes are the rows of one (7, n) block K, and a stage state is
     y + (h a_i) @ K.  Only states are recorded; every sample takes its
@@ -270,7 +266,8 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
     rtol, atol, dt_min, dt_max = opts.rtol, opts.atol, opts.dt_min, opts.dt_max
     D = ops.decay
     eps_dz = ops.spec.dead_zone
-    rate = 2.0 * gamma_eff * ops.spec.mu
+    mu = ops.spec.mu
+    two_r_mu = 2.0 * rate * mu   # T(V) = V^mu / (2 r mu)
     n = y0.shape[0]
     ns = sample_ts.shape[0]
     ys = np.zeros((ns, n))
@@ -366,7 +363,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, gamma_eff, trig_exp, opts):
             fac = 1.0  # no step growth while resolving the dead-zone approach
         dt = h * fac
         latch_now, clamp_now, regrown = dead_zone_rule(
-            trig_new, latched, clamped, dt, eps_dz, trig_exp, rate)
+            trig_new, max(V_new, 0.0) ** mu / two_r_mu, latched, clamped, dt, eps_dz)
         if latch_now:
             latched = True
             latch_time = float(t)

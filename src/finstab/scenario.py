@@ -24,7 +24,8 @@ import numpy as np
 
 from . import svgplot
 from .controllers import (UNBOUNDED, ControllerSpec, controller_from_json,
-                          controller_to_json, settling_bound_details, validate_law_for_model)
+                          controller_to_json, law_rate, settling_bound_details,
+                          validate_law_for_model)
 from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gamma,
                             gamma_certificate, unobservable_subspace)
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
@@ -438,17 +439,17 @@ def simulate_scenario(built: BuiltScenario):
     return simulate(built.model, built.dec, built.spec, built.y0, built.opts)
 
 
-def _trajectory_checks(built: BuiltScenario, traj, rate: float | None,
+def _trajectory_checks(built: BuiltScenario, traj, rate: float | None, v_dead_zone: float,
                        omega: float) -> list[CheckReport]:
-    """The kind's checks of a completed run: decay envelope (when a law acts),
-    free-flow split, Lyapunov stability, then the transport exit or the free
-    wave's norm conservation."""
+    """The kind's checks of a completed run: decay envelope at the law's rate
+    (when a law acts), free-flow split, Lyapunov stability, then the transport
+    exit or the free wave's norm conservation."""
     model, spec = built.model, built.spec
     hybrid = built.kind == "hybrid"
     reports = []
     if rate is not None:
         reports.append(hybrid_decay_check(model, traj, spec.mu, spec.dead_zone) if hybrid
-                       else verify_decay(traj, rate, spec.mu))
+                       else verify_decay(traj, rate, spec.mu, v_dead_zone))
     if hybrid:
         reports.append(hybrid_split_check(model, built.y0, traj))
     elif built.h1.passed:
@@ -496,9 +497,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
     if built.kind == "hybrid":
         V0 = hybrid_v(model, built.y0)
         summary["lyapunov_initial"] = V0
-        controlled = spec.variant == "BilinearPhi"
-        bound = max(V0 ** spec.mu / (2.0 * spec.mu), model.delta) if controlled else None
-        grid_slack, rate, omega = model.dt_macro, 1.0 if controlled else None, 0.0
+        rate = 1.0 if spec.variant == "BilinearPhi" else None   # the hybrid law's r
+        bound = None if rate is None else max(V0 ** spec.mu / (2.0 * rate * spec.mu), model.delta)
+        grid_slack, v_dead_zone, omega = model.dt_macro, 0.0, 0.0
     else:
         dec = built.dec
         omega = quasi_contraction_type(model)
@@ -515,9 +516,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
         summary["bound_extras"] = {k: float(v) for k, v in extras.items()
                                    if isinstance(v, (int, float))}
         grid_slack = built.opts.sample_dt
-        rate = None if spec.variant == "ZeroControl" else dec.gamma
-        if spec.variant == "RankOne":
-            rate = float(spec.zeta @ model.metric @ spec.zeta) ** (1.0 - spec.mu)
+        rate, v_dead_zone = law_rate(spec, model, dec)
     summary["settling_bound"] = _bound_json(bound)
     stalled = False
     try:
@@ -526,14 +525,16 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
         traj = exc.trajectory
         stalled = True
     if not stalled:
-        checks += _trajectory_checks(built, traj, rate, omega)
+        checks += _trajectory_checks(built, traj, rate, v_dead_zone, omega)
         if isinstance(bound, float):
-            settled = (traj.settling_time is not None
-                       and traj.settling_time <= bound + grid_slack + 1e-9)
-            checks.append(CheckReport(
-                "settled_within_bound", settled,
-                {"settling_time": traj.settling_time, "bound": bound,
-                 "grid_slack": grid_slack}))
+            details = {"settling_time": traj.settling_time, "bound": bound,
+                       "grid_slack": grid_slack}
+            short = traj.settling_time is None and built.opts.t_max < bound + grid_slack
+            if short:
+                details.update(applicable=False, reason="the run ends before the bound")
+            settled = short or (traj.settling_time is not None
+                                and traj.settling_time <= bound + grid_slack + 1e-9)
+            checks.append(CheckReport("settled_within_bound", settled, details))
     summary["settling_time"] = traj.settling_time
     summary["diagnostics"] = _jsonify(traj.diagnostics)
     write_trajectory_csv(out / "trajectory.csv", traj.times, traj.states, traj.controls,
@@ -549,8 +550,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
             envelope = decay_envelope(traj.lyapunov[0], rate, spec.mu, traj.times)
             series.append(("envelope", traj.times, envelope ** (1.0 / spec.mu)))
         series.append(("||y(t)||", traj.times, traj.norms))
-        svgplot.write_svg(out / "plot.svg", svgplot.render_line_chart(
-            config.name, series, xlabel="t", logy=True))
+        svgplot.write_svg(out / "plot.svg", svgplot.render_line_chart(config.name, series))
         artifacts.append("plot.svg")
     summary["artifacts"] = sorted(artifacts)
     if stalled:

@@ -1,6 +1,6 @@
 """Minimal static SVG line charts (numpy only, no plotting library).
 
-Good enough for run artifacts: one chart, several labelled series, linear or
+Good enough for run artifacts: one chart of several labelled series over t,
 log y axis, fixed palette, deterministic output.
 """
 from __future__ import annotations
@@ -19,12 +19,10 @@ MARGIN_T = 36
 MARGIN_B = 44
 
 
-def _finite_points(xs, ys, logy: bool):
+def _finite_points(xs, ys):
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
-    keep = np.isfinite(x) & np.isfinite(y)
-    if logy:
-        keep &= y > 0.0
+    keep = np.isfinite(x) & np.isfinite(y) & (y > 0.0)
     return x[keep], y[keep]
 
 
@@ -35,26 +33,20 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return [lo + i * step for i in range(count)]
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.3g}"
-
-
-def render_line_chart(title: str, series, xlabel: str = "t",
-                      logy: bool = False) -> str:
-    """series: iterable of (label, xs, ys).  Returns the SVG document text."""
+def render_line_chart(title: str, series) -> str:
+    """series: iterable of (label, ts, ys), drawn over t with a log y axis
+    (points with y <= 0 are left out).  Returns the SVG document text."""
     clean = []
     for label, xs, ys in series:
-        x, y = _finite_points(xs, ys, logy)
+        x, y = _finite_points(xs, ys)
         if x.size:
             clean.append((label, x, y))
     if not clean:
         clean = [("empty", np.array([0.0, 1.0]), np.array([1.0, 1.0]))]
     xmin = float(min(np.min(x) for _, x, _ in clean))
     xmax = float(max(np.max(x) for _, x, _ in clean))
-    ymin = float(min(np.min(y) for _, _, y in clean))
-    ymax = float(max(np.max(y) for _, _, y in clean))
-    if logy:
-        ymin, ymax = math.log10(ymin), math.log10(ymax)
+    ymin = math.log10(min(np.min(y) for _, _, y in clean))
+    ymax = math.log10(max(np.max(y) for _, _, y in clean))
     if xmax <= xmin:
         xmax = xmin + 1.0
     if ymax <= ymin:
@@ -68,7 +60,7 @@ def render_line_chart(title: str, series, xlabel: str = "t",
     def polyline(x: np.ndarray, y: np.ndarray) -> str:
         # sx and sy of every point in numpy, in the same order of operations;
         # log10 stays libm's per value, since numpy's may differ by an ulp
-        v = np.fromiter(map(math.log10, y.tolist()), float, y.size) if logy else y
+        v = np.fromiter(map(math.log10, y.tolist()), float, y.size)
         py = MARGIN_T + plot_h - (v - ymin) / (ymax - ymin) * plot_h
         coords = np.column_stack((sx(x), py)).ravel().tolist()
         return ("%.2f,%.2f " * x.size)[:-1] % tuple(coords)
@@ -87,16 +79,15 @@ def render_line_chart(title: str, series, xlabel: str = "t",
         out.append(f'<line x1="{px:.2f}" y1="{MARGIN_T + plot_h}" x2="{px:.2f}" '
                    f'y2="{MARGIN_T + plot_h + 5}" stroke="#333"/>')
         out.append(f'<text x="{px:.2f}" y="{MARGIN_T + plot_h + 20}" text-anchor="middle" '
-                   f'font-size="11" font-family="sans-serif">{_fmt(tx)}</text>')
+                   f'font-size="11" font-family="sans-serif">{tx:.3g}</text>')
     for ty in _ticks(ymin, ymax):
         py = MARGIN_T + plot_h - (ty - ymin) / (ymax - ymin) * plot_h
-        label = f"1e{ty:.1f}" if logy else _fmt(ty)
         out.append(f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" '
                    f'y2="{py:.2f}" stroke="#333"/>')
         out.append(f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end" '
-                   f'font-size="11" font-family="sans-serif">{label}</text>')
+                   f'font-size="11" font-family="sans-serif">1e{ty:.1f}</text>')
     out.append(f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 8}" text-anchor="middle" '
-               f'font-size="12" font-family="sans-serif">{xlabel}</text>')
+               f'font-size="12" font-family="sans-serif">t</text>')
     for i, (label, x, y) in enumerate(clean):
         color = PALETTE[i % len(PALETTE)]
         out.append(f'<polyline points="{polyline(x, y)}" fill="none" stroke="{color}" '

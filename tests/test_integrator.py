@@ -8,7 +8,7 @@ from finstab import (ControllerSpec, FrontendSpec, IntegrationOpts, IntegrationS
                      compute_gamma, kernels, scenario_from_json, simulate,
                      settling_bound_details, unobservable_subspace, validate_control_operator,
                      verify_decay, verify_lyapunov_stability, verify_split)
-from finstab.controllers import assemble_kernel_args
+from finstab.controllers import assemble_kernel_args, law_rate
 from finstab.integrator import _settling_time, clamp_projector, expm
 from finstab.kernels import closed_loop_law
 
@@ -91,7 +91,8 @@ def test_singular_feedback_settles_within_the_bound():
     # V0 = 2, gamma = 1: settling no later than 2^{5/4}
     assert traj.settling_time is not None
     assert traj.settling_time <= 2.378414230005442 + opts.sample_dt + 1e-9
-    assert verify_decay(traj, dec.gamma, spec.mu).passed
+    rate, v_dead_zone = law_rate(spec, model, dec)
+    assert verify_decay(traj, rate, spec.mu, v_dead_zone).passed
     assert verify_lyapunov_stability(traj, -1.0).passed
     assert verify_split(model, dec, traj).passed
 
@@ -152,29 +153,57 @@ def test_verify_decay_rejects_slow_decay():
     dec = finished_dec(model)
     traj = simulate(model, dec, ControllerSpec(variant="ZeroControl"),
                     np.array([1.0]), IntegrationOpts(t_max=2.0))
-    report = verify_decay(traj, gamma=1.0, mu=0.25)
+    report = verify_decay(traj, rate=1.0, mu=0.25, v_dead_zone=0.0)
     assert not report.passed
     assert report.details["max_violation"] > 0.1
 
 
+def decay_trajectory(times, V, latch_time=None):
+    n = len(times)
+    return Trajectory(times=times, states=np.zeros((n, 1)), controls=np.zeros((n, 1)),
+                      lyapunov=V, norms=np.zeros(n), settling_time=None,
+                      diagnostics={"latch_time": latch_time})
+
+
 def test_verify_decay_envelope_is_clipped_at_zero():
     times = np.linspace(0.0, 3.0, 31)
-
-    def trajectory(V):
-        n = len(times)
-        return Trajectory(times=times, states=np.zeros((n, 1)), controls=np.zeros((n, 1)),
-                          lyapunov=V, norms=np.zeros(n), settling_time=None)
-
-    # V = 0 throughout lies on the clipped envelope max(0 - 2 gamma mu t, 0)
-    assert verify_decay(trajectory(np.zeros(len(times))), gamma=1.0, mu=0.25).passed
+    # V = 0 throughout lies on the clipped envelope max(0 - 2 r mu t, 0)
+    assert verify_decay(decay_trajectory(times, np.zeros(len(times))), rate=1.0, mu=0.25,
+                        v_dead_zone=0.0).passed
     # V(0) = 1 puts the envelope's zero at t = 2; V^mu stays at half the
     # envelope until then and positive after it
     env = np.maximum(1.0 - 0.5 * times, 0.0)
     V = np.where(times < 2.0, (0.5 * env) ** 4, 1e-4)
     V[0] = 1.0
-    report = verify_decay(trajectory(V), gamma=1.0, mu=0.25)
+    report = verify_decay(decay_trajectory(times, V), rate=1.0, mu=0.25, v_dead_zone=0.0)
     assert not report.passed
     assert times[report.details["worst_sample"]] >= 2.0
+
+
+def test_verify_decay_allows_the_dead_zone_level_only_after_the_latch():
+    times = np.linspace(0.0, 3.0, 31)
+    env = np.maximum(1.0 - 0.5 * times, 0.0)   # V(0) = 1, r = 1, mu = 1/4
+    level = 1e-4                                # V_dz, with V_dz^mu = 0.1
+    after = times >= 2.0
+    V = np.where(after, level, (0.5 * env) ** 4)
+    V[0] = 1.0
+
+    def check(V, latch_time, v_dead_zone=level):
+        return verify_decay(decay_trajectory(times, V, latch_time), 1.0, 0.25, v_dead_zone)
+
+    # resting at the level after a latch at t = 2 passes, and its margin is the level's
+    report = check(V, 2.0)
+    assert report.passed
+    assert report.details["max_violation"] == pytest.approx(-1e-6, abs=1e-12)
+    # without the latch, or with no level, the same run fails
+    assert not check(V, None).passed and not check(V, 2.0, 0.0).passed
+    # regrowth past the level after the latch fails
+    assert not check(np.where(after, 2.0 * level, V), 2.0).passed
+    # so does a V raised above the envelope before the latch, whatever the level
+    raised = V.copy()
+    raised[5] = 1.0   # V^mu = 1 at t = 0.5, where the envelope is 0.75
+    report = check(raised, 2.0, 1.0)
+    assert not report.passed and report.details["worst_sample"] == 5
 
 
 def test_verify_lyapunov_stability_detects_excess_growth():

@@ -13,7 +13,7 @@ def rhs(spec, model, dec, y, latched=False):
     """(dy, control, trigger, V, saturated): the field and flags of closed_loop_rhs and the
     control of closed_loop_law at one state."""
     ops = assemble_kernel_args(spec, model, dec)
-    dy, trigger, V, saturated = closed_loop_rhs(y, ops, latched)
+    dy, trigger, V, saturated = closed_loop_rhs(y, ops, latched, y)
     return dy, closed_loop_law(y, ops, latched)[0], trigger, V, saturated
 
 
@@ -48,11 +48,14 @@ def test_bilinear_family_field(spec):
         u = -(V ** -spec.mu + 0.5)
     else:
         u = -(V ** -spec.mu + inner(model, A @ py, B @ py) / inner(model, B @ py, B @ py))
-    dy, control, _, V_k, saturated = rhs(spec, model, dec, y)
+    ops = assemble_kernel_args(spec, model, dec)
+    control, V_k = closed_loop_law(y, ops, False)
     assert V_k == pytest.approx(V, rel=1e-14)
     assert control[0] == pytest.approx(u, rel=1e-14)
-    assert np.allclose(dy, A @ y + u * (B @ y), rtol=1e-14, atol=1e-14)
-    assert not saturated
+    if spec.variant != "ZeroControl":   # free_flow samples it; it is never stepped
+        dy, _, _, saturated = closed_loop_rhs(y, ops, False, y)
+        assert np.allclose(dy, A @ y + u * (B @ y), rtol=1e-14, atol=1e-14)
+        assert not saturated
 
 
 def test_bilinear_phi_with_the_wave_ratio_compensation():
@@ -88,9 +91,8 @@ def test_diagonal_bilinear_phi_takes_the_integrating_factor():
     ops = assemble_kernel_args(ControllerSpec(variant="BilinearPhi", mu=0.25), model, dec)
     assert np.array_equal(ops.decay, np.diag(A)) and np.array_equal(ops.slope, np.diag(B))
     y, v = np.random.default_rng(2).standard_normal((2, 6))
-    dy = closed_loop_rhs(y, ops, False)[0]
     u = closed_loop_law(y, ops, False)[0][0]
-    assert np.allclose(dy, A @ y + u * (B @ y), rtol=1e-14, atol=1e-14)
+    assert u == pytest.approx(-(y[1:] @ y[1:]) ** -0.25, rel=1e-14)
     # the slope of the stepped variable v: the law read at y acts on v, without A
     assert np.array_equal(closed_loop_rhs(y, ops, False, v)[0], u * (np.diag(B) * v))
     # BilinearGrad and a non-diagonal A step the plain field
@@ -155,22 +157,21 @@ def test_latch_switches_the_bilinear_law_off():
 
 
 def test_dead_zone_rule_boundaries():
-    # powers of two keep trigger^exp / rate exact: (2^-40)^(1/4) / 2^-1 = 2^-9
-    eps, exp, rate = 2.0 ** -40, 0.25, 0.5
-    dt = 2.0 ** -9
+    eps, dt = 2.0 ** -40, 2.0 ** -9
     above = np.nextafter(eps, 1.0)
-    assert dead_zone_rule(eps, False, False, dt, eps, exp, rate) == (True, True, False)
-    assert dead_zone_rule(above, False, False, dt, eps, exp, rate) == (False, False, False)
-    assert dead_zone_rule(eps, False, False, np.nextafter(dt, 0.0), eps, exp,
-                          rate) == (True, False, False)
+    # the clamp fires once the time left, T(V), fits in the next step
+    assert dead_zone_rule(eps, dt, False, False, dt, eps) == (True, True, False)
+    assert dead_zone_rule(above, dt, False, False, dt, eps) == (False, False, False)
+    assert dead_zone_rule(eps, np.nextafter(dt, 1.0), False, False, dt,
+                          eps) == (True, False, False)
     # latched and clamped once: nothing fires again
-    assert dead_zone_rule(eps, True, True, dt, eps, exp, rate) == (False, False, False)
-    assert dead_zone_rule(eps, True, False, dt, eps, exp, rate) == (False, True, False)
+    assert dead_zone_rule(eps, dt, True, True, dt, eps) == (False, False, False)
+    assert dead_zone_rule(eps, dt, True, False, dt, eps) == (False, True, False)
     # regrowth is a trigger above twice the dead zone after the latch
-    assert dead_zone_rule(2.0 * eps, True, True, dt, eps, exp, rate) == (False, False, False)
-    assert dead_zone_rule(np.nextafter(2.0 * eps, 1.0), True, True, dt, eps, exp,
-                          rate) == (False, False, True)
-    assert dead_zone_rule(1.0, False, False, dt, eps, exp, rate) == (False, False, False)
+    assert dead_zone_rule(2.0 * eps, dt, True, True, dt, eps) == (False, False, False)
+    assert dead_zone_rule(np.nextafter(2.0 * eps, 1.0), dt, True, True, dt,
+                          eps) == (False, False, True)
+    assert dead_zone_rule(1.0, 0.0, False, False, dt, eps) == (False, False, False)
 
 
 def wave_k_input_map_case():
@@ -215,7 +216,14 @@ def test_row_law_matches_the_per_state_law(case):
     assert controls.shape == (40, ops.width) and V.shape == (40,)
     below = []
     for i in range(40):
-        dy, trigger, V_i, _ = closed_loop_rhs(ys[i], ops, bool(latched[i]))
+        # one state gives the same as its row
+        one_control, one_V = closed_loop_law(ys[i], ops, latched[i])
+        np.testing.assert_allclose(one_control, controls[i], rtol=1e-14, atol=0.0)
+        assert one_V == pytest.approx(V[i], rel=1e-14, abs=0.0)
+        if spec.variant == "ZeroControl":   # free_flow samples it; it is never stepped
+            below.append(one_V <= spec.dead_zone)
+            continue
+        dy, trigger, V_i, _ = closed_loop_rhs(ys[i], ops, bool(latched[i]), ys[i])
         # the field closed_loop_rhs steps is the one the row's control drives
         if model.input_map is None:
             drive = controls[i, 0] * (model.control_op @ ys[i])
@@ -224,10 +232,6 @@ def test_row_law_matches_the_per_state_law(case):
         np.testing.assert_allclose(dy, model.generator @ ys[i] + drive, rtol=1e-13,
                                    atol=1e-14)
         assert V[i] == pytest.approx(V_i, rel=1e-14, abs=0.0)
-        # one state gives the same as its row
-        one_control, one_V = closed_loop_law(ys[i], ops, latched[i])
-        np.testing.assert_allclose(one_control, controls[i], rtol=1e-14, atol=0.0)
-        assert one_V == pytest.approx(V_i, rel=1e-14, abs=0.0)
         below.append(trigger <= spec.dead_zone)
     assert any(below) and not all(below)
     if spec.variant != "ZeroControl":
