@@ -26,6 +26,8 @@ from .integrator import DECAY_TOL, Trajectory, _pre_settling_mask, _settling_tim
 from .kernels import dead_zone_rule
 from .model import CheckReport, ModalModel, ModelError, _float_array, _is_int
 
+MAX_GRID_N = 1024   # transport cells per axis: a grid of 8 MB per stored psi
+
 
 @dataclass(frozen=True)
 class FrontendSpec:
@@ -43,6 +45,8 @@ class FrontendSpec:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ModelError(f"{name} must be an integer, got {value!r}")
+        if self.grid_n > MAX_GRID_N:
+            raise ModelError(f"grid_n must be at most {MAX_GRID_N}, got {self.grid_n}")
         if self.n_modes <= 0:
             raise ModelError("n_modes must be positive")
 

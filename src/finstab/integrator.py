@@ -23,6 +23,16 @@ from .model import CheckReport, ModalModel, ModelError, _effective_control_matri
 
 DECAY_TOL = 1e-6    # allowed excess of V(t)^mu over its decay envelope
 SPLIT_TOL = 1e-8    # allowed deviation of (I-P) y(t), relative to max(1, ||y0||)
+MAX_SAMPLES = 10**6  # sample intervals t_max / sample_dt of one run (the hybrid's: t_max grid_n)
+
+
+def check_sample_count(t_max: float, sample_dt: float) -> None:
+    """Refuse a sample grid past MAX_SAMPLES intervals, or an infinite one, before
+    anything is allocated for it."""
+    intervals = t_max / sample_dt
+    if not intervals <= MAX_SAMPLES:
+        raise ModelError(f"t_max {t_max:g} at sample step {sample_dt:g} needs {intervals:.3g} "
+                         f"samples, more than the limit of {MAX_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,7 @@ class IntegrationOpts:
             object.__setattr__(self, "sample_dt", self.t_max / 2000.0)
         if not self.sample_dt > 0:
             raise ModelError("sample_dt must be positive")
+        check_sample_count(self.t_max, self.sample_dt)
 
 
 @dataclass

@@ -88,7 +88,7 @@ class ModalModel:
             raise ModelError("metric and generator must be finite")
         if np.max(np.abs(metric - metric.T)) > SYM_TOL * max(1.0, np.max(np.abs(metric))):
             raise ModelError("metric must be symmetric")
-        if np.min(np.linalg.eigvalsh(metric)) <= 0:
+        if not _is_identity(metric) and np.min(np.linalg.eigvalsh(metric)) <= 0:
             raise ModelError("metric must be positive definite")
         if (self.control_op is None) == (self.input_map is None):
             raise ModelError("exactly one of control_op / input_map must be present")
@@ -119,12 +119,23 @@ class ModalModel:
         return self.control_op is not None
 
 
+def _is_identity(M: np.ndarray) -> bool:
+    """M == I exactly: a unit diagonal and no other nonzero entry.
+
+    The front ends' energy-normalised coordinates give exactly this metric,
+    for which every metric product and pencil reduction is the identity map.
+    """
+    return bool(np.all(np.diagonal(M) == 1.0)) and np.count_nonzero(M) == M.shape[0]
+
+
 def pencil_eigvalsh(S: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symmetric-definite pencil (S, M), ascending.
 
     With the Cholesky factor M = L L^T these are the eigenvalues of
-    L^-1 S L^-T, the reduction LAPACK's sygvd makes.
+    L^-1 S L^-T, the reduction LAPACK's sygvd makes; for M = I, of S.
     """
+    if _is_identity(M):
+        return np.linalg.eigvalsh(0.5 * (S.T + S))
     L = np.linalg.cholesky(M)
     C = np.linalg.solve(L, np.linalg.solve(L, S).T)
     return np.linalg.eigvalsh(0.5 * (C + C.T))
@@ -136,8 +147,8 @@ def quasi_contraction_type(model: ModalModel) -> float:
     Equals the largest eigenvalue of the metric-symmetrized generator,
     i.e. of the pencil (sym(M A), M).
     """
-    M = model.metric
-    S = 0.5 * (model.generator.T @ M + M @ model.generator)
+    A, M = model.generator, model.metric
+    S = 0.5 * (A.T + A) if _is_identity(M) else 0.5 * (A.T @ M + M @ A)
     return float(np.max(pencil_eigvalsh(S, M)))
 
 
@@ -160,7 +171,7 @@ def validate_control_operator(model: ModalModel) -> CheckReport:
     """
     M = model.metric
     B = _effective_control_matrix(model)
-    BtM, MB = B.T @ M, M @ B
+    BtM, MB = (B.T, B) if _is_identity(M) else (B.T @ M, M @ B)
     evals = pencil_eigvalsh(0.5 * (BtM + MB), M)
     positive = evals[evals > KERNEL_RTOL * np.linalg.norm(B)]
     spectrum = {"dim_ker_b": evals.size - positive.size,

@@ -31,8 +31,9 @@ from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gam
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         build_frontend, hybrid_decay_check, hybrid_split_check, hybrid_v,
                         simulate_hybrid)
-from .integrator import (IntegrationOpts, IntegrationStalledError, decay_envelope, simulate,
-                         verify_decay, verify_lyapunov_stability, verify_split)
+from .integrator import (IntegrationOpts, IntegrationStalledError, check_sample_count,
+                         decay_envelope, simulate, verify_decay, verify_lyapunov_stability,
+                         verify_split)
 from .model import (CheckReport, ModalModel, ModelError, _float, _float_array, _is_int,
                     _jsonify, model_from_json, quasi_contraction_type,
                     validate_control_operator)
@@ -219,6 +220,10 @@ def _build_hybrid(config: ScenarioConfig, hybrid: HybridModel, seed: int) -> Bui
     if unknown:
         raise ConfigError(f"hybrid integration accepts t_max/eps_settle only, got {sorted(unknown)}")
     opts = _integration_opts(config.integration)
+    try:   # one sample per macro step of 1/grid_n
+        check_sample_count(opts.t_max, hybrid.dt_macro)
+    except ModelError as exc:
+        raise ConfigError(f"invalid integration options: {exc}") from exc
     y0 = hybrid_initial_state(config.initial_state, hybrid)
     return BuiltScenario(kind="hybrid", spec=spec, seed=seed, model=hybrid, y0=y0, opts=opts)
 

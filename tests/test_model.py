@@ -1,10 +1,16 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from finstab import (CheckReport, ModalModel, ModelError, model_from_json,
-                     quasi_contraction_type, validate_control_operator)
-from finstab.model import SolverError, pencil_eigvalsh
+from finstab import (CheckReport, FrontendSpec, ModalModel, ModelError, build_frontend,
+                     check_H1, model_from_json, quasi_contraction_type, run_scenario,
+                     scenario_from_json, unobservable_subspace, validate_control_operator)
+from finstab.decomposition import _metric_normsq
+from finstab.model import SolverError, _is_identity, pencil_eigvalsh
+from finstab.suite import SCENARIOS
 
 
 def bilinear(A, B, M=None, labels=()):
@@ -29,6 +35,9 @@ def test_rejects_bad_metric():
         bilinear(A, np.eye(2), M=[[1.0, 0.5], [0.0, 1.0]])  # not symmetric
     with pytest.raises(ModelError):
         bilinear(A, np.eye(2), M=np.diag([1.0, -1.0]))  # indefinite
+    for near_identity in (np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 1.0, 0.0])):
+        with pytest.raises(ModelError, match="positive definite"):
+            bilinear(-np.eye(3), np.eye(3), M=near_identity)
     with pytest.raises(ModelError):
         ModalModel(dim=3, metric=np.eye(2), generator=-np.eye(3), control_op=np.eye(3))
 
@@ -168,8 +177,49 @@ def test_pencil_eigvalsh_matches_scipy(seed):
     rng = np.random.default_rng(seed)
     n = 3 + 4 * seed
     R = rng.standard_normal((n, n))
-    M = R @ R.T + 0.1 * np.eye(n)
     S = rng.standard_normal((n, n))
     S = S + S.T
-    ref = scipy.linalg.eigvalsh(S, M)
-    assert np.allclose(pencil_eigvalsh(S, M), ref, rtol=1e-9, atol=1e-11 * np.max(np.abs(ref)))
+    for M in (R @ R.T + 0.1 * np.eye(n), np.eye(n)):
+        ref = scipy.linalg.eigvalsh(S, M)
+        assert np.allclose(pencil_eigvalsh(S, M), ref, rtol=1e-9,
+                           atol=1e-11 * np.max(np.abs(ref)))
+
+
+def _identity_cases():
+    for spec in (FrontendSpec("Heat1D", n_modes=16), FrontendSpec("Wave1D", n_modes=8, q=3),
+                 FrontendSpec("Beam1D", n_modes=8, h_coeffs=(1.0, 0.5))):
+        bundle = build_frontend(spec)
+        yield spec.kind, bundle.model, bundle.dec
+    A = np.diag([-1.0, -2.0, -3.0]) + np.triu(np.full((3, 3), 0.25), 1)
+    model = model_from_json({"dim": 3, "metric": "identity", "generator": A.tolist(),
+                             "control_op": {"diagonal": [0.0, 1.0, 2.0]}})
+    yield "matrices", model, unobservable_subspace(model)
+
+
+def _identity_path_outputs(tmp_path):
+    def bits(report):
+        return json.dumps(report.as_dict())
+
+    outputs = {}
+    for name, model, dec in _identity_cases():
+        rows = np.random.default_rng(3).standard_normal((5, model.dim))
+        outputs[name] = (quasi_contraction_type(model).hex(),
+                         bits(validate_control_operator(model)), bits(check_H1(model, dec)),
+                         _metric_normsq(rows, model.metric).tobytes())
+    doc = {**SCENARIOS["heat-settling"], "integration": {"t_max": 0.3, "sample_dt": 0.001}}
+    out = tmp_path / "heat-settling"
+    run_scenario(scenario_from_json(doc), out)
+    outputs["run"] = tuple((out / f).read_bytes() for f in ("summary.json", "trajectory.csv"))
+    return outputs
+
+
+def test_identity_shortcut_is_the_general_arithmetic(tmp_path, monkeypatch):
+    def general(M):
+        # the axis-aligned decomposition's precondition is a check, not a choice of path
+        return sys._getframe(1).f_code.co_name == "decomposition_from_axes" and _is_identity(M)
+
+    direct = _identity_path_outputs(tmp_path / "direct")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("finstab") and hasattr(module, "_is_identity"):
+            monkeypatch.setattr(module, "_is_identity", general)
+    assert _identity_path_outputs(tmp_path / "general") == direct

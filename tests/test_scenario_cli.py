@@ -695,6 +695,26 @@ def test_cli_check_rejects_malformed_documents(tmp_path, capsys, overrides, caus
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("name, section, key, value, limit", [
+    ("heat-settling", "integration", "t_max", 1e308, "limit of 1000000"),
+    ("beam-rankone", "integration", "t_max", 1e30, "limit of 1000000"),
+    ("transport-heat-settling", "frontend", "grid_n", 10**30, "grid_n must be at most 1024"),
+    ("transport-heat-settling", "integration", "t_max", 1e308, "limit of 1000000"),
+], ids=["heat-settling-t_max-1e308", "beam-rankone-t_max-1e30",
+        "transport-heat-settling-grid_n-1e30", "transport-heat-settling-t_max-1e308"])
+def test_cli_run_refuses_sizes_past_the_limits(tmp_path, capsys, name, section, key, value,
+                                               limit):
+    # a suite scenario with one size past its limit: refused before the grid is allocated
+    from finstab.suite import SCENARIOS
+    doc = json.loads(json.dumps(SCENARIOS[name]))
+    doc[section][key] = value
+    cp = main_cli(capsys, "run", "--config", str(write_config(tmp_path, doc)),
+                  "--out", str(tmp_path / "out"))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("config error: ") and limit in cp.stderr
+    assert "Traceback" not in cp.stdout + cp.stderr
+
+
 def test_cli_run_prints_the_stepper_line(tmp_path, capsys):
     path = write_config(tmp_path, heat_doc())
     out = tmp_path / "out"
