@@ -13,8 +13,8 @@ the decay envelopes and settling-time bounds those laws promise.
 import scipy  # noqa: F401
 
 from .controllers import (DEFAULT_DEAD_ZONE, DEFAULT_U_MAX, DEFAULT_WAVE_CAP, UNBOUNDED,
-                          ControllerSpec, PhiSpec, control_value, controller_from_json,
-                          controller_to_json, settling_bound_details, validate_law_for_model)
+                          ControllerSpec, PhiSpec, controller_from_json, controller_to_json,
+                          settling_bound_details, validate_law_for_model)
 from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gamma,
                             gamma_certificate, unobservable_subspace)
 from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
@@ -39,7 +39,7 @@ __all__ = [
     "USING_NUMBA",
     "ControllerSpec", "PhiSpec", "UNBOUNDED",
     "DEFAULT_DEAD_ZONE", "DEFAULT_U_MAX", "DEFAULT_WAVE_CAP",
-    "control_value", "controller_from_json", "controller_to_json",
+    "controller_from_json", "controller_to_json",
     "settling_bound_details", "validate_law_for_model",
     "DecompositionResult", "check_H1", "check_H2", "compute_gamma",
     "gamma_certificate", "unobservable_subspace",

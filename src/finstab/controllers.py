@@ -10,7 +10,8 @@ the observable set):
 - RankOne:      v = -(s|s|^(-2 mu) + <Py,A* zeta>/||zeta||^2) varpi, s = <Py,zeta>
 - ZeroControl:  free flow reference
 
-law_rate decides each law's rate r, read by every settling quantity: the bound
+assemble_kernel_args builds a run's one law bundle (KernelOps).  It also
+decides the law's rate r, read by every settling quantity: the bound
 T(V0) = V0^mu / (2 r mu), the stepper's clamp, the decay check and the plot.
 """
 from __future__ import annotations
@@ -153,6 +154,13 @@ class KernelOps:
     When A and B are both diagonal under BilinearPhi, decay and slope hold
     their diagonals, stack holds only the law's rows (law_from = 0), and the
     stepper carries e^{tA} as an integrating factor.
+
+    V^mu falls at least at 2 r mu, so V settles by T(V) = V^mu / (2 r mu).  rate
+    is r: gamma, or ||zeta||_M^(2 - 2 mu) for RankOne (V = s^2 / ||zeta||_M^2);
+    None without a law or without gamma.  v_dead_zone is the law's V at the
+    regrowth trigger 2 eps_dz: 2 eps_dz / gamma for BilinearGrad (||B P y||^2
+    >= gamma V on W_perp), (2 eps_dz)^2 / ||zeta||_M^2 for RankOne (trigger
+    |s|), else 2 eps_dz.
     """
 
     spec: ControllerSpec
@@ -163,6 +171,14 @@ class KernelOps:
     zeta_normsq: float = 1.0
     decay: np.ndarray | None = None   # diag(A) when the stepper carries e^{tA}
     slope: np.ndarray | None = None   # diag(B) in that case
+    rate: float | None = None
+    v_dead_zone: float = 0.0
+
+    def read_rate(self) -> float:
+        """r, where a law reads it: a law whose decomposition has no gamma is refused."""
+        if self.rate is None:
+            raise ModelError(f"{self.spec.variant} needs gamma: the decomposition carries none")
+        return self.rate
 
 
 def _diagonal(matrix: np.ndarray) -> np.ndarray | None:
@@ -173,7 +189,7 @@ def _diagonal(matrix: np.ndarray) -> np.ndarray | None:
 
 def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
                          dec: DecompositionResult) -> KernelOps:
-    """Fold the law's constant operators into one stacked matrix."""
+    """Fold the law's constant operators into one stacked matrix, next to its rate."""
     validate_law_for_model(spec, model)
     M = model.metric
     A = model.generator
@@ -181,12 +197,16 @@ def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
     L = model.input_map
     width = 1 if L is None else L.shape[1]
     zeta_normsq = 1.0
+    level = 2.0 * spec.dead_zone
+    rate = None if spec.variant == "ZeroControl" else dec.gamma   # RankOne's is set below
+    v_dead_zone = level / rate if rate is not None and spec.variant == "BilinearGrad" else level
     rows = [A]
     if spec.variant == "RankOne":
         m_zeta = M @ spec.zeta
         rows += [(P.T @ m_zeta)[None, :], (P.T @ (A.T @ m_zeta))[None, :]]
         width = spec.varpi.shape[0]
         zeta_normsq = float(spec.zeta @ m_zeta)
+        rate, v_dead_zone = zeta_normsq ** (1.0 - spec.mu), level * level / zeta_normsq
     elif spec.variant == "LinearPhi":
         rows.append(L.T @ M @ P)
     else:
@@ -210,48 +230,20 @@ def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
     else:   # A and B act through their diagonals, so the stack keeps the law's rows
         rows, law_from = rows[2:], 0
     return KernelOps(spec=spec, stack=np.vstack(rows), input_map=L, width=width,
-                     law_from=law_from, zeta_normsq=zeta_normsq, decay=decay, slope=slope)
+                     law_from=law_from, zeta_normsq=zeta_normsq, decay=decay, slope=slope,
+                     rate=rate, v_dead_zone=v_dead_zone)
 
 
-def control_value(spec: ControllerSpec, model: ModalModel, dec: DecompositionResult,
-                  y: np.ndarray) -> np.ndarray:
-    """Control at one state (always an m-vector; m = 1 for bilinear laws)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.dim,):
-        raise ModelError("state dimension mismatch")
-    return kernels.closed_loop_law(y, assemble_kernel_args(spec, model, dec), False)[0]
-
-
-def law_rate(spec: ControllerSpec, model: ModalModel,
-             dec: DecompositionResult) -> tuple[float | None, float]:
-    """(r, V_dz): V^mu falls at least at 2 r mu, so V settles by T(V) = V^mu / (2 r mu).
-
-    r is gamma, or ||zeta||_M^(2 - 2 mu) for RankOne (V = s^2 / ||zeta||_M^2),
-    and None for ZeroControl.  V_dz is the law's V at the regrowth trigger
-    2 eps_dz: 2 eps_dz / gamma for BilinearGrad (||B P y||^2 >= gamma V on
-    W_perp), (2 eps_dz)^2 / ||zeta||_M^2 for RankOne (trigger |s|), else 2 eps_dz.
-    """
-    if spec.variant == "ZeroControl":
-        return None, 0.0
-    level = 2.0 * spec.dead_zone
-    if spec.variant == "RankOne":
-        zeta_normsq = float(spec.zeta @ model.metric @ spec.zeta)
-        return zeta_normsq ** (1.0 - spec.mu), level * level / zeta_normsq
-    if dec.gamma is None:
-        raise ModelError(f"{spec.variant} needs gamma: the decomposition carries none")
-    return dec.gamma, level / dec.gamma if spec.variant == "BilinearGrad" else level
-
-
-def settling_bound_details(spec: ControllerSpec, model: ModalModel,
-                           dec: DecompositionResult, y0: np.ndarray):
-    """Settling-time bound T(V0) at the law's V0 and law_rate's r (Unbounded, or
-    None for no law) plus reporting extras (RankOne's looser published form)."""
+def settling_bound_details(ops: KernelOps, model: ModalModel, dec: DecompositionResult,
+                           y0: np.ndarray):
+    """Settling-time bound T(V0) at the law's V at y0 and the bundle's r (Unbounded,
+    or None for no law) plus reporting extras (RankOne's looser published form)."""
+    spec = ops.spec
     if spec.variant == "ZeroControl":
         return None, {}
     y0 = np.asarray(y0, dtype=float)
     M = model.metric
-    P = dec.projection
-    y01 = P @ y0
+    y01 = dec.projection @ y0
     resid = y0 - y01
     resid_norm = float(np.sqrt(max(resid @ M @ resid, 0.0)))
     y0_norm = float(np.sqrt(max(y0 @ M @ y0, 0.0)))
@@ -259,21 +251,12 @@ def settling_bound_details(spec: ControllerSpec, model: ModalModel,
     # the modal flow on W != {0} never reaches zero, so a W component cannot die
     if dec.dim_w and not in_wperp:
         return UNBOUNDED, {"reason": "unobservable component present, flow not nilpotent"}
-    mu = spec.mu
-    rate = law_rate(spec, model, dec)[0]
-    extras: dict[str, Any] = {}
-    if spec.variant == "LinearPhi":
-        w0 = model.input_map.T @ M @ y01
-        V0 = float(w0 @ w0)
-    elif spec.variant == "RankOne":
-        ops = assemble_kernel_args(spec, model, dec)
-        V0 = float(kernels.closed_loop_law(y01, ops, False)[1])
+    V0 = float(kernels.closed_loop_law(y0, ops, False)[1])
+    t1 = max(V0, 0.0) ** spec.mu / (2.0 * ops.read_rate() * spec.mu)
+    extras: dict[str, Any] = {"t1": t1}
+    if spec.variant == "RankOne":
         s0 = abs(float(y01 @ M @ spec.zeta))
-        extras["t1_statement_form"] = s0 ** mu / (mu * ops.zeta_normsq)
-    else:
-        V0 = float((_effective_control_matrix(model) @ y01) @ M @ y01)
-    t1 = max(V0, 0.0) ** mu / (2.0 * rate * mu)
-    extras["t1"] = t1
+        extras["t1_statement_form"] = s0 ** spec.mu / (spec.mu * ops.zeta_normsq)
     return t1, extras
 
 

@@ -3,7 +3,7 @@
 The adaptive stepper lives in kernels.py; this module assembles its inputs,
 interprets its outputs (settling time, dead-zone latch diagnostics), and
 provides the three trajectory checks: the comparison-principle decay
-envelope at the law's rate r (controllers.law_rate), the free evolution of
+envelope at the law's rate r (KernelOps.rate), the free evolution of
 the unobservable component, and the pre-settling Lyapunov stability bound.
 A run with no law (ZeroControl) is the linear flow y' = Ay, which free_flow
 samples exactly instead of stepping.
@@ -17,13 +17,14 @@ from typing import Any
 import numpy as np
 
 from . import kernels
-from .controllers import ControllerSpec, assemble_kernel_args, law_rate
+from .controllers import KernelOps
 from .decomposition import DecompositionResult, _metric_normsq, _metric_orthonormalize
 from .model import CheckReport, ModalModel, ModelError, _effective_control_matrix
 
 DECAY_TOL = 1e-6    # allowed excess of V(t)^mu over its decay envelope
 SPLIT_TOL = 1e-8    # allowed deviation of (I-P) y(t), relative to max(1, ||y0||)
 MAX_SAMPLES = 10**6  # sample intervals t_max / sample_dt of one run (the hybrid's: t_max grid_n)
+MAX_STEPS = 10**7    # least step count t_max / dt_max that a run may ask of the stepper
 
 
 def check_sample_count(t_max: float, sample_dt: float) -> None:
@@ -60,6 +61,10 @@ class IntegrationOpts:
         if not self.sample_dt > 0:
             raise ModelError("sample_dt must be positive")
         check_sample_count(self.t_max, self.sample_dt)
+        steps = self.t_max / self.dt_max
+        if not steps <= MAX_STEPS:
+            raise ModelError(f"t_max {self.t_max:g} at dt_max {self.dt_max:g} needs at least "
+                             f"{steps:.3g} steps, more than the limit of {MAX_STEPS}")
 
 
 @dataclass
@@ -168,9 +173,9 @@ def _sample_grid(opts: IntegrationOpts) -> np.ndarray:
     return np.linspace(0.0, opts.t_max, ns)
 
 
-def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
+def simulate(model: ModalModel, dec: DecompositionResult, ops: KernelOps,
              y0: np.ndarray, opts: IntegrationOpts) -> Trajectory:
-    """Integrate the closed loop over [0, t_max], recording on the sample grid.
+    """Integrate the closed loop of the law bundle ops over [0, t_max], on the sample grid.
 
     Samples between step ends come from the stepper's dense output
     (kernels.integrate_adaptive).  ZeroControl has no law, so its closed loop
@@ -182,16 +187,14 @@ def simulate(model: ModalModel, dec: DecompositionResult, spec: ControllerSpec,
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (model.dim,):
         raise ModelError("initial state dimension mismatch")
-    ops = assemble_kernel_args(spec, model, dec)
     sample_ts = _sample_grid(opts)
-    if spec.variant == "ZeroControl":
+    if ops.spec.variant == "ZeroControl":
         ns = sample_ts.shape[0]
         ys = free_flow(model.generator, float(sample_ts[1] - sample_ts[0]), y0, ns)
         latch_from, status, reached, diagnostics = ns, kernels.STATUS_OK, ns - 1, dict(_NO_STEPS)
     else:
-        rate = law_rate(spec, model, dec)[0]
         ys, latch_from, status, reached, diagnostics = kernels.integrate_adaptive(
-            y0, sample_ts, ops, clamp_projector(model, dec), rate, opts)
+            y0, sample_ts, ops, clamp_projector(model, dec), opts)
     times, ys = sample_ts[:reached + 1], ys[:reached + 1]
     us, Vs = kernels.fill_law(ys, ops, latch_from)
     norms = np.sqrt(np.maximum(_metric_normsq(ys, model.metric), 0.0))

@@ -224,7 +224,7 @@ def dead_zone_rule(trigger, time_left: float, latched: bool, clamped: bool, dt: 
     return latch_now, clamp_now, bool(latched and trigger > 2.0 * eps_dz)
 
 
-def integrate_adaptive(y0, sample_ts, ops, C, rate, opts):
+def integrate_adaptive(y0, sample_ts, ops, C, opts):
     """Adaptive Dormand-Prince 5(4) recorded on a fixed sample grid.
 
     The error control alone sets the steps; only the last one is cut short,
@@ -233,7 +233,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, rate, opts):
     end takes the end state.  At each accepted step end dead_zone_rule
     decides the latch and the clamp; the clamp zeroes the observed component
     via the projector C.  A step whose error estimate exceeds 1 or is not
-    finite is rejected.  rate is the law's r (controllers.law_rate).  opts
+    finite is rejected.  The clamp reads the law's rate r from ops.  opts
     supplies rtol, atol, dt_init, dt_min and dt_max.
 
     The stage slopes are the rows of one (7, n) block K, and a stage state is
@@ -267,7 +267,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, rate, opts):
     D = ops.decay
     eps_dz = ops.spec.dead_zone
     mu = ops.spec.mu
-    two_r_mu = 2.0 * rate * mu   # T(V) = V^mu / (2 r mu)
+    two_r_mu = 2.0 * ops.read_rate() * mu   # T(V) = V^mu / (2 r mu)
     n = y0.shape[0]
     ns = sample_ts.shape[0]
     ys = np.zeros((ns, n))

@@ -13,6 +13,7 @@ ModelError reaching the CLI), 3 the adaptive integrator stalled.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -23,8 +24,8 @@ from typing import Any
 import numpy as np
 
 from . import svgplot
-from .controllers import (UNBOUNDED, ControllerSpec, controller_from_json,
-                          controller_to_json, law_rate, settling_bound_details,
+from .controllers import (UNBOUNDED, ControllerSpec, KernelOps, assemble_kernel_args,
+                          controller_from_json, controller_to_json, settling_bound_details,
                           validate_law_for_model)
 from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gamma,
                             gamma_certificate, unobservable_subspace)
@@ -139,6 +140,11 @@ class BuiltScenario:
     control: CheckReport | None = None          # computed once each, while building
     h1: CheckReport | None = None
 
+    @functools.cached_property
+    def ops(self) -> KernelOps:
+        """The modal run's one law bundle, assembled on first use: a check reads none."""
+        return assemble_kernel_args(self.spec, self.model, self.dec)
+
 
 def _integration_opts(doc: dict[str, Any]) -> IntegrationOpts:
     unknown = set(doc) - _OPTS_KEYS
@@ -214,8 +220,9 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
 
 def _build_hybrid(config: ScenarioConfig, hybrid: HybridModel, seed: int) -> BuiltScenario:
     spec = _controller_spec(config, None)
-    if spec.variant not in ("BilinearPhi", "ZeroControl"):
-        raise ConfigError("the transport-heat front-end supports BilinearPhi or ZeroControl")
+    if spec.variant not in ("BilinearPhi", "ZeroControl") or spec.phi.kind != "Zero":
+        raise ConfigError("the transport-heat front-end supports BilinearPhi (u = -V^-mu) or "
+                          f"ZeroControl with no phi, not {spec.variant} with a {spec.phi.kind} phi")
     unknown = set(config.integration) - {"t_max", "eps_settle"}
     if unknown:
         raise ConfigError(f"hybrid integration accepts t_max/eps_settle only, got {sorted(unknown)}")
@@ -441,10 +448,10 @@ def simulate_scenario(built: BuiltScenario):
     if built.kind == "hybrid":
         return simulate_hybrid(built.model, built.spec, built.y0, built.opts.t_max,
                                eps_settle=built.opts.eps_settle)
-    return simulate(built.model, built.dec, built.spec, built.y0, built.opts)
+    return simulate(built.model, built.dec, built.ops, built.y0, built.opts)
 
 
-def _trajectory_checks(built: BuiltScenario, traj, rate: float | None, v_dead_zone: float,
+def _trajectory_checks(built: BuiltScenario, traj, rate: float | None,
                        omega: float) -> list[CheckReport]:
     """The kind's checks of a completed run: decay envelope at the law's rate
     (when a law acts), free-flow split, Lyapunov stability, then the transport
@@ -454,7 +461,7 @@ def _trajectory_checks(built: BuiltScenario, traj, rate: float | None, v_dead_zo
     reports = []
     if rate is not None:
         reports.append(hybrid_decay_check(model, traj, spec.mu, spec.dead_zone) if hybrid
-                       else verify_decay(traj, rate, spec.mu, v_dead_zone))
+                       else verify_decay(traj, rate, spec.mu, built.ops.v_dead_zone))
     if hybrid:
         reports.append(hybrid_split_check(model, built.y0, traj))
     elif built.h1.passed:
@@ -504,7 +511,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
         summary["lyapunov_initial"] = V0
         rate = 1.0 if spec.variant == "BilinearPhi" else None   # the hybrid law's r
         bound = None if rate is None else max(V0 ** spec.mu / (2.0 * rate * spec.mu), model.delta)
-        grid_slack, v_dead_zone, omega = model.dt_macro, 0.0, 0.0
+        grid_slack, omega = model.dt_macro, 0.0
     else:
         dec = built.dec
         omega = quasi_contraction_type(model)
@@ -517,11 +524,11 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
         })
         if dec.gamma is None or not built.control.passed:
             return _finish(out, summary, checks, "invalid", EXIT_CHECK_FAILED)
-        bound, extras = settling_bound_details(spec, model, dec, built.y0)
+        bound, extras = settling_bound_details(built.ops, model, dec, built.y0)
         summary["bound_extras"] = {k: float(v) for k, v in extras.items()
                                    if isinstance(v, (int, float))}
         grid_slack = built.opts.sample_dt
-        rate, v_dead_zone = law_rate(spec, model, dec)
+        rate = built.ops.rate
     summary["settling_bound"] = _bound_json(bound)
     stalled = False
     try:
@@ -530,7 +537,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
         traj = exc.trajectory
         stalled = True
     if not stalled:
-        checks += _trajectory_checks(built, traj, rate, v_dead_zone, omega)
+        checks += _trajectory_checks(built, traj, rate, omega)
         if isinstance(bound, float):
             details = {"settling_time": traj.settling_time, "bound": bound,
                        "grid_slack": grid_slack}

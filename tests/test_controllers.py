@@ -2,11 +2,23 @@ import numpy as np
 import pytest
 
 from finstab import (DEFAULT_DEAD_ZONE, UNBOUNDED, ControllerSpec, ModalModel,
-                     ModelError, PhiSpec, control_value, controller_from_json,
+                     ModelError, PhiSpec, controller_from_json,
                      controller_to_json, compute_gamma, settling_bound_details,
                      unobservable_subspace, validate_control_operator, validate_law_for_model)
+from finstab.controllers import assemble_kernel_args
 from finstab.decomposition import decomposition_from_axes
+from finstab.kernels import closed_loop_law
 from dataclasses import replace
+
+
+def control_value(spec, model, dec, y):
+    """The law's control at one state, from a bundle assembled for this call."""
+    return closed_loop_law(np.asarray(y, dtype=float), assemble_kernel_args(spec, model, dec),
+                           False)[0]
+
+
+def bound_details(spec, model, dec, y0):
+    return settling_bound_details(assemble_kernel_args(spec, model, dec), model, dec, y0)
 
 
 def finished_dec(model):
@@ -173,8 +185,8 @@ def test_control_ignores_the_unobservable_component():
 def test_settling_bound_zero_control_is_none():
     model = diag_bilinear()
     dec = finished_dec(model)
-    assert settling_bound_details(ControllerSpec(variant="ZeroControl"), model, dec,
-                                  np.array([1.0, 1.0]))[0] is None
+    assert bound_details(ControllerSpec(variant="ZeroControl"), model, dec,
+                         np.array([1.0, 1.0]))[0] is None
 
 
 def test_settling_bound_bilinear_phi():
@@ -182,7 +194,7 @@ def test_settling_bound_bilinear_phi():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     # V0 = 2, gamma = 1: bound = 2^{1/4} / (2 * 1 * 1/4) = 2^{5/4}
-    bound = settling_bound_details(spec, model, dec, np.array([1.0, 1.0]))[0]
+    bound = bound_details(spec, model, dec, np.array([1.0, 1.0]))[0]
     assert bound == pytest.approx(2.378414230005442, rel=1e-14)
 
 
@@ -193,11 +205,11 @@ def test_settling_bound_unbounded_without_nilpotency(variant):
                        control_op=np.diag([0.0, 1.0]))
     dec = finished_dec(model)
     spec = ControllerSpec(variant=variant, mu=0.25)
-    bound, extras = settling_bound_details(spec, model, dec, np.array([1.0, 1.0]))
+    bound, extras = bound_details(spec, model, dec, np.array([1.0, 1.0]))
     assert bound is UNBOUNDED
     assert "reason" in extras
     # the same data restricted to W_perp is still covered by the bound, t1 itself
-    bound, extras = settling_bound_details(spec, model, dec, np.array([0.0, 1.0]))
+    bound, extras = bound_details(spec, model, dec, np.array([0.0, 1.0]))
     assert bound == extras["t1"] == pytest.approx(1.0 / (2.0 * 0.25), rel=1e-14)
 
 
@@ -212,8 +224,8 @@ def test_settling_bound_ignores_projector_roundoff_when_w_is_trivial():
     y0 = np.ones(4)
     resid = y0 - dec.projection @ y0
     assert dec.dim_w == 0 and np.sqrt(abs(resid @ model.metric @ resid)) > 1e-12
-    bound, extras = settling_bound_details(ControllerSpec(variant="BilinearPhi", mu=0.25),
-                                           model, dec, y0)
+    bound, extras = bound_details(ControllerSpec(variant="BilinearPhi", mu=0.25),
+                                  model, dec, y0)
     assert bound == extras["t1"]
 
 
@@ -222,14 +234,14 @@ def test_settling_bound_linear_phi():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="LinearPhi", mu=0.25)
     # ||w0|| = 3: bound = 3^{1/2} / (2 * 1 * 1/4) = 2 sqrt(3)
-    bound = settling_bound_details(spec, model, dec, np.array([0.0, 3.0]))[0]
+    bound = bound_details(spec, model, dec, np.array([0.0, 3.0]))[0]
     assert bound == pytest.approx(3.4641016151377544, rel=1e-14)
 
 
 def test_settling_bound_rank_one_reports_both_forms():
     model, spec = oscillator_rank_one()
     dec = finished_dec(model)
-    bound, extras = settling_bound_details(spec, model, dec, np.array([0.0, 2.0]))
+    bound, extras = bound_details(spec, model, dec, np.array([0.0, 2.0]))
     # proof form |s0|^{2 mu}/(2 mu ||zeta||^2) = 2 sqrt(2)
     assert bound == pytest.approx(2.8284271247461903, rel=1e-14)
     assert extras["t1_statement_form"] == pytest.approx(4.756828460010884, rel=1e-14)

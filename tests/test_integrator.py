@@ -8,7 +8,7 @@ from finstab import (ControllerSpec, FrontendSpec, IntegrationOpts, IntegrationS
                      compute_gamma, kernels, scenario_from_json, simulate,
                      settling_bound_details, unobservable_subspace, validate_control_operator,
                      verify_decay, verify_lyapunov_stability, verify_split)
-from finstab.controllers import assemble_kernel_args, law_rate
+from finstab.controllers import assemble_kernel_args
 from finstab.integrator import _settling_time, clamp_projector, expm
 from finstab.kernels import closed_loop_law
 
@@ -19,6 +19,15 @@ def with_gamma(model, dec):
 
 def finished_dec(model):
     return with_gamma(model, unobservable_subspace(model))
+
+
+def simulate_law(model, dec, spec, y0, opts):
+    """simulate under the law bundle assembled from spec."""
+    return simulate(model, dec, assemble_kernel_args(spec, model, dec), y0, opts)
+
+
+def bound_details(spec, model, dec, y0):
+    return settling_bound_details(assemble_kernel_args(spec, model, dec), model, dec, y0)
 
 
 def bilinear(A, B):
@@ -36,11 +45,11 @@ def test_a_decomposition_without_gamma_is_refused_where_the_law_reads_it():
     opts = IntegrationOpts(t_max=0.1)
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     with pytest.raises(ModelError, match="BilinearPhi needs gamma"):
-        simulate(model, dec, spec, y0, opts)
+        simulate_law(model, dec, spec, y0, opts)
     with pytest.raises(ModelError, match="BilinearPhi needs gamma"):
-        settling_bound_details(spec, model, dec, y0)
+        bound_details(spec, model, dec, y0)
     # a law-free run reads no gamma
-    assert simulate(model, dec, ControllerSpec(variant="ZeroControl"), y0, opts).times[-1] == 0.1
+    assert simulate_law(model, dec, ControllerSpec(variant="ZeroControl"), y0, opts).times[-1] == 0.1
 
 
 def test_opts_validation():
@@ -62,7 +71,7 @@ def test_free_flow_matches_the_matrix_exponential():
     spec = ControllerSpec(variant="ZeroControl")
     y0 = np.array([1.0, -2.0])
     opts = IntegrationOpts(t_max=1.0, sample_dt=0.01)
-    traj = simulate(model, dec, spec, y0, opts)
+    traj = simulate_law(model, dec, spec, y0, opts)
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
     assert np.array_equal(traj.states[0], y0)
     assert np.all(traj.controls == 0.0)
@@ -75,7 +84,7 @@ def test_free_flow_matches_the_matrix_exponential():
 def test_skew_free_flow_conserves_the_norm():
     model = bilinear([[0.0, 2.0], [-2.0, 0.0]], np.eye(2))
     dec = finished_dec(model)
-    traj = simulate(model, dec, ControllerSpec(variant="ZeroControl"),
+    traj = simulate_law(model, dec, ControllerSpec(variant="ZeroControl"),
                     np.array([1.0, 0.0]), IntegrationOpts(t_max=3.0))
     drift = np.max(np.abs(traj.norms - traj.norms[0]))
     assert drift < 1e-9
@@ -87,11 +96,12 @@ def test_singular_feedback_settles_within_the_bound():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     opts = IntegrationOpts(t_max=3.0, sample_dt=0.002)
-    traj = simulate(model, dec, spec, np.array([1.0, 1.0]), opts)
+    traj = simulate_law(model, dec, spec, np.array([1.0, 1.0]), opts)
     # V0 = 2, gamma = 1: settling no later than 2^{5/4}
     assert traj.settling_time is not None
     assert traj.settling_time <= 2.378414230005442 + opts.sample_dt + 1e-9
-    rate, v_dead_zone = law_rate(spec, model, dec)
+    ops = assemble_kernel_args(spec, model, dec)
+    rate, v_dead_zone = ops.rate, ops.v_dead_zone
     assert verify_decay(traj, rate, spec.mu, v_dead_zone).passed
     assert verify_lyapunov_stability(traj, -1.0).passed
     assert verify_split(model, dec, traj).passed
@@ -102,7 +112,7 @@ def test_latch_then_clamp_pins_the_state_at_zero():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     opts = IntegrationOpts(t_max=3.0, sample_dt=0.002)
-    traj = simulate(model, dec, spec, np.array([1.0, 1.0]), opts)
+    traj = simulate_law(model, dec, spec, np.array([1.0, 1.0]), opts)
     diag = traj.diagnostics
     assert diag["latch_time"] is not None
     assert diag["clamp_time"] is not None
@@ -119,7 +129,7 @@ def test_unobservable_component_is_left_alone():
     dec = finished_dec(model)
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
     opts = IntegrationOpts(t_max=1.0, rtol=1e-12, atol=1e-15, sample_dt=0.001)
-    traj = simulate(model, dec, spec, np.array([1.0, 0.0]), opts)
+    traj = simulate_law(model, dec, spec, np.array([1.0, 0.0]), opts)
     assert np.all(traj.controls == 0.0)
     exact = np.exp(-traj.times)
     assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-8 * np.max(exact)
@@ -133,7 +143,7 @@ def test_stall_carries_the_partial_trajectory():
     opts = IntegrationOpts(t_max=5.0, rtol=1e-12, atol=1e-15,
                            dt_min=0.5, dt_init=0.5, dt_max=0.5, sample_dt=0.5)
     with pytest.raises(IntegrationStalledError) as info:
-        simulate(model, dec, spec, np.array([1.0]), opts)
+        simulate_law(model, dec, spec, np.array([1.0]), opts)
     partial = info.value.trajectory
     assert partial.times[-1] < opts.t_max
     assert partial.states.shape[1] == 1
@@ -151,7 +161,7 @@ def test_verify_decay_rejects_slow_decay():
     # free flow decays far too slowly for the promised envelope
     model = bilinear(np.diag([-0.01]), np.eye(1))
     dec = finished_dec(model)
-    traj = simulate(model, dec, ControllerSpec(variant="ZeroControl"),
+    traj = simulate_law(model, dec, ControllerSpec(variant="ZeroControl"),
                     np.array([1.0]), IntegrationOpts(t_max=2.0))
     report = verify_decay(traj, rate=1.0, mu=0.25, v_dead_zone=0.0)
     assert not report.passed
@@ -209,7 +219,7 @@ def test_verify_decay_allows_the_dead_zone_level_only_after_the_latch():
 def test_verify_lyapunov_stability_detects_excess_growth():
     model = bilinear(np.diag([0.5]), np.eye(1))
     dec = replace(unobservable_subspace(model), gamma=1.0)
-    traj = simulate(model, dec, ControllerSpec(variant="ZeroControl"),
+    traj = simulate_law(model, dec, ControllerSpec(variant="ZeroControl"),
                     np.array([1.0]), IntegrationOpts(t_max=1.0))
     assert not verify_lyapunov_stability(traj, 0.0).passed
     assert verify_lyapunov_stability(traj, 1.0).passed
@@ -239,7 +249,7 @@ def heat_closed_loop(sample_dt, t_max=0.5):
     y0 = np.zeros(8)
     y0[1], y0[2] = 1.0, 0.5
     spec = ControllerSpec(variant="BilinearPhi", mu=0.25)
-    return simulate(model, dec, spec, y0, IntegrationOpts(t_max=t_max, sample_dt=sample_dt))
+    return simulate_law(model, dec, spec, y0, IntegrationOpts(t_max=t_max, sample_dt=sample_dt))
 
 
 def test_steps_do_not_depend_on_the_sample_grid():
@@ -259,7 +269,7 @@ def test_dense_output_matches_the_free_flow_between_steps():
     # throughout, and the stepper integrates y' = Ay
     model = bilinear(np.diag([-1.0, -3.0, -2.0]), np.diag([0.0, 0.0, 1.0]))
     y0 = np.array([1.0, -2.0, 0.0])
-    traj = simulate(model, finished_dec(model), ControllerSpec(variant="BilinearPhi", mu=0.25),
+    traj = simulate_law(model, finished_dec(model), ControllerSpec(variant="BilinearPhi", mu=0.25),
                     y0, IntegrationOpts(t_max=1.0, sample_dt=1e-4))
     assert traj.diagnostics["latch_time"] == 0.0
     assert 0 < traj.diagnostics["steps"] * 20 < len(traj.times)  # most samples are interior
@@ -290,7 +300,7 @@ def test_heat_settling_does_not_depend_on_the_truncation():
             "controller": {"variant": "BilinearPhi", "mu": 0.25},
             "initial_state": "wperp-random(7)", "integration": {"t_max": 0.2}}))
         spec = built.spec
-        traj = simulate(built.model, built.dec, spec, built.y0, built.opts)
+        traj = simulate_law(built.model, built.dec, spec, built.y0, built.opts)
         assert traj.diagnostics["steps"] <= 150, n
         T = _exact_settling_time(built.model, built.y0, spec.mu, 0.2)
         assert T == pytest.approx(T_ref, abs=1e-4)
@@ -303,7 +313,7 @@ def test_heat_settling_does_not_depend_on_the_truncation():
 def test_heat_settling_takes_few_steps_per_sample():
     from finstab.suite import SCENARIOS
     built = build_scenario(scenario_from_json(SCENARIOS["heat-settling"]))
-    traj = simulate(built.model, built.dec, built.spec, built.y0, built.opts)
+    traj = simulate(built.model, built.dec, built.ops, built.y0, built.opts)
     assert traj.diagnostics["steps"] / (len(traj.times) - 1) < 0.2
 
 
@@ -360,12 +370,12 @@ def test_every_sample_records_the_law_at_its_state(variant, seed):
         "name": "planted", "matrices": planted_system(np.random.default_rng([seed, 4, 1]), 4),
         "controller": {"variant": variant, "mu": 0.25}, "initial_state": "wperp-random(7)",
         "integration": {"t_max": t_max}}))
-    traj = simulate(built.model, built.dec, built.spec, built.y0, built.opts)
+    traj = simulate(built.model, built.dec, built.ops, built.y0, built.opts)
     latch_time = traj.diagnostics["latch_time"]
     assert 0.0 < latch_time < t_max
     # the samples from the end of the step that latched on are recorded after the latch
     latch = np.searchsorted(traj.times, latch_time - 1e-14 * max(t_max, 1.0))
-    ops = assemble_kernel_args(built.spec, built.model, built.dec)
+    ops = built.ops
     controls, V = closed_loop_law(traj.states, ops, np.arange(len(traj.times)) >= latch)
     moved = np.any(traj.controls != controls, axis=1) | (traj.lyapunov != np.maximum(V, 0.0))
     assert not moved.any(), np.flatnonzero(moved)
@@ -425,7 +435,7 @@ def test_verify_split_matches_the_per_sample_loop():
                        control_op=T @ np.diag([0.0, 1.0, 1.0]) @ Ti)
     dec = finished_dec(model)
     assert np.max(np.abs(dec.projection - np.round(dec.projection))) > 1e-3
-    traj = simulate(model, dec, ControllerSpec(variant="BilinearPhi", mu=0.25),
+    traj = simulate_law(model, dec, ControllerSpec(variant="BilinearPhi", mu=0.25),
                     T @ np.array([0.5, 1.0, 1.0]), IntegrationOpts(t_max=1.0, sample_dt=0.01))
     report = verify_split(model, dec, traj)
     worst, tol = _split_deviation_loop(model, dec, traj)
@@ -443,7 +453,7 @@ def test_verify_split_from_wperp_matches_the_per_sample_loop(y0):
                      np.diag([0.0, 1.0, 1.0]))
     dec = finished_dec(model)
     assert np.array_equal(dec.projection, np.diag([0.0, 1.0, 1.0]))
-    traj = simulate(model, dec, ControllerSpec(variant="BilinearPhi", mu=0.25),
+    traj = simulate_law(model, dec, ControllerSpec(variant="BilinearPhi", mu=0.25),
                     np.array(y0), IntegrationOpts(t_max=1.0, sample_dt=0.01))
     assert (not ((np.eye(3) - dec.projection) @ traj.states[0]).any()) == (y0[0] == 0.0)
     report = verify_split(model, dec, traj)

@@ -700,13 +700,19 @@ def test_cli_check_rejects_malformed_documents(tmp_path, capsys, overrides, caus
     ("beam-rankone", "integration", "t_max", 1e30, "limit of 1000000"),
     ("transport-heat-settling", "frontend", "grid_n", 10**30, "grid_n must be at most 1024"),
     ("transport-heat-settling", "integration", "t_max", 1e308, "limit of 1000000"),
+    # the default grid of t_max / 2000 passes the sample limit, the stepper's dt_max does not
+    (None, "integration", "t_max", 1e30, "at dt_max 0.05 needs at least 2e+31 steps, "
+                                         "more than the limit of 10000000"),
 ], ids=["heat-settling-t_max-1e308", "beam-rankone-t_max-1e30",
-        "transport-heat-settling-grid_n-1e30", "transport-heat-settling-t_max-1e308"])
+        "transport-heat-settling-grid_n-1e30", "transport-heat-settling-t_max-1e308",
+        "heat-n8-default-grid-t_max-1e30"])
 def test_cli_run_refuses_sizes_past_the_limits(tmp_path, capsys, name, section, key, value,
                                                limit):
-    # a suite scenario with one size past its limit: refused before the grid is allocated
+    # a suite scenario (or Heat1D n 8 on the default grid) with one size past its
+    # limit: refused before the grid is allocated
     from finstab.suite import SCENARIOS
-    doc = json.loads(json.dumps(SCENARIOS[name]))
+    doc = (json.loads(json.dumps(SCENARIOS[name])) if name else
+           heat_doc(frontend={"kind": "Heat1D", "n_modes": 8}, integration={}))
     doc[section][key] = value
     cp = main_cli(capsys, "run", "--config", str(write_config(tmp_path, doc)),
                   "--out", str(tmp_path / "out"))
@@ -825,6 +831,49 @@ def test_cli_hybrid_run_shorter_than_the_exit_horizon(tmp_path, capsys, variant)
     assert failed == [] and cp.returncode == 0
     if variant == "BilinearPhi":
         assert checks["settled_within_bound"]["applicable"] is False
+
+
+@pytest.mark.parametrize("variant, phi", [
+    ("BilinearPhi", {"kind": "Constant", "value": 50}),
+    ("ZeroControl", {"kind": "WaveK", "q": 1, "half": 2}),
+], ids=["bilinear-phi-constant-50", "zero-control-wavek"])
+def test_cli_hybrid_refuses_a_phi_it_cannot_apply(tmp_path, capsys, variant, phi):
+    # the splitter applies u = -V^-mu alone: a phi would be reported in
+    # summary.json without ever acting on the trajectory
+    doc = {"name": "hybrid-phi",
+           "frontend": {"kind": "TransportHeat2D", "n_modes": 4, "grid_n": 16,
+                        "omega_h": 0.25},
+           "controller": {"variant": variant, "mu": 0.25, "phi": phi},
+           "initial_state": "hybrid-bump", "integration": {"t_max": 1.0}}
+    out = tmp_path / "out"
+    cp = main_cli(capsys, "run", "--config", str(write_config(tmp_path, doc)), "--out", str(out))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("config error: ") and f"not {variant} with a {phi['kind']} phi" in cp.stderr
+    assert "Traceback" not in cp.stdout + cp.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["heat-settling", "beam-rankone"])
+def test_a_modal_run_assembles_one_law_bundle(tmp_path, monkeypatch, name):
+    # the bound, the stepper, the recorded law and the decay check share one
+    # bundle; a check integrates nothing and assembles none
+    from finstab import controllers
+    from finstab.suite import SCENARIOS
+    assemble = controllers.assemble_kernel_args
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("finstab") and hasattr(module, "assemble_kernel_args"):
+            monkeypatch.setattr(module, "assemble_kernel_args", counting)
+    config = scenario_from_json(json.loads(json.dumps(SCENARIOS[name])))
+    assert check_scenario(config)[0] == 0
+    assert calls == []
+    assert run_scenario(config, tmp_path / "out")[0] == 0
+    assert len(calls) == 1
 
 
 def _grad_heat_doc(t_max):
