@@ -12,8 +12,8 @@ the decay envelopes and settling-time bounds those laws promise.
 # deletes it.
 import scipy  # noqa: F401
 
-from .controllers import (DEFAULT_DEAD_ZONE, DEFAULT_U_MAX, DEFAULT_WAVE_CAP, UNBOUNDED,
-                          ControllerSpec, PhiSpec, controller_from_json, controller_to_json,
+from .controllers import (DEFAULT_DEAD_ZONE, DEFAULT_U_MAX, DEFAULT_WAVE_CAP, ControllerSpec,
+                          PhiSpec, controller_from_json, controller_to_json,
                           settling_bound_details, validate_law_for_model)
 from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gamma,
                             gamma_certificate, unobservable_subspace)
@@ -37,7 +37,7 @@ USING_NUMBA = False
 
 __all__ = [
     "USING_NUMBA",
-    "ControllerSpec", "PhiSpec", "UNBOUNDED",
+    "ControllerSpec", "PhiSpec",
     "DEFAULT_DEAD_ZONE", "DEFAULT_U_MAX", "DEFAULT_WAVE_CAP",
     "controller_from_json", "controller_to_json",
     "settling_bound_details", "validate_law_for_model",

@@ -12,7 +12,7 @@ the observable set):
 
 assemble_kernel_args builds a run's one law bundle (KernelOps).  It also
 decides the law's rate r, read by every settling quantity: the bound
-T(V0) = V0^mu / (2 r mu), the stepper's clamp, the decay check and the plot.
+kernels.settling_time(V0), the stepper's clamp, the decay check and the plot.
 """
 from __future__ import annotations
 
@@ -39,16 +39,6 @@ MU_RANGES = {
 DEFAULT_DEAD_ZONE = 1e-12
 DEFAULT_U_MAX = 1e6
 DEFAULT_WAVE_CAP = 1e3
-
-
-class _Unbounded:
-    """Sentinel: no finite settling bound (unobservable component cannot die)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "Unbounded"
-
-
-UNBOUNDED = _Unbounded()
 
 
 @dataclass(frozen=True)
@@ -155,7 +145,7 @@ class KernelOps:
     their diagonals, stack holds only the law's rows (law_from = 0), and the
     stepper carries e^{tA} as an integrating factor.
 
-    V^mu falls at least at 2 r mu, so V settles by T(V) = V^mu / (2 r mu).  rate
+    V^mu falls at least at 2 r mu, so V settles by kernels.settling_time.  rate
     is r: gamma, or ||zeta||_M^(2 - 2 mu) for RankOne (V = s^2 / ||zeta||_M^2);
     None without a law or without gamma.  v_dead_zone is the law's V at the
     regrowth trigger 2 eps_dz: 2 eps_dz / gamma for BilinearGrad (||B P y||^2
@@ -236,7 +226,7 @@ def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
 
 def settling_bound_details(ops: KernelOps, model: ModalModel, dec: DecompositionResult,
                            y0: np.ndarray):
-    """Settling-time bound T(V0) at the law's V at y0 and the bundle's r (Unbounded,
+    """Settling-time bound T(V0) at the law's V at y0 and the bundle's r ("Unbounded",
     or None for no law) plus reporting extras (RankOne's looser published form)."""
     spec = ops.spec
     if spec.variant == "ZeroControl":
@@ -250,9 +240,9 @@ def settling_bound_details(ops: KernelOps, model: ModalModel, dec: Decomposition
     in_wperp = resid_norm <= 1e-12 * max(1.0, y0_norm)
     # the modal flow on W != {0} never reaches zero, so a W component cannot die
     if dec.dim_w and not in_wperp:
-        return UNBOUNDED, {"reason": "unobservable component present, flow not nilpotent"}
+        return "Unbounded", {"reason": "unobservable component present, flow not nilpotent"}
     V0 = float(kernels.closed_loop_law(y0, ops, False)[1])
-    t1 = max(V0, 0.0) ** spec.mu / (2.0 * ops.read_rate() * spec.mu)
+    t1 = kernels.settling_time(V0, ops.read_rate(), spec.mu)
     extras: dict[str, Any] = {"t1": t1}
     if spec.variant == "RankOne":
         s0 = abs(float(y01 @ M @ spec.zeta))

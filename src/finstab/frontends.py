@@ -22,9 +22,9 @@ import numpy as np
 
 from .controllers import ControllerSpec, DEFAULT_WAVE_CAP, PhiSpec
 from .decomposition import DecompositionResult, decomposition_from_axes
-from .integrator import DECAY_TOL, Trajectory, _pre_settling_mask, _settling_time
-from .kernels import dead_zone_rule
-from .model import CheckReport, ModalModel, ModelError, _float_array, _is_int
+from .integrator import DECAY_TOL, Trajectory, _pre_settling_mask, _settling_time, decay_envelope
+from .kernels import dead_zone_rule, settling_time
+from .model import CheckReport, ModalModel, ModelError, _float_array, _is_int, check_state_dim
 
 MAX_GRID_N = 1024   # transport cells per axis: a grid of 8 MB per stored psi
 
@@ -49,6 +49,9 @@ class FrontendSpec:
             raise ModelError(f"grid_n must be at most {MAX_GRID_N}, got {self.grid_n}")
         if self.n_modes <= 0:
             raise ModelError("n_modes must be positive")
+        # heat keeps n modes, wave and beam a position and a velocity each, the hybrid n^2
+        per_mode = {"Heat1D": 1, "TransportHeat2D": self.n_modes}.get(self.kind, 2)
+        check_state_dim(per_mode * self.n_modes, f"{self.kind} n_modes {self.n_modes}")
 
 
 @dataclass
@@ -201,6 +204,14 @@ def hybrid_v(model: HybridModel, state: HybridState) -> float:
     return float(np.sum(state.c ** 2)) + vw
 
 
+HYBRID_RATE = 1.0   # the hybrid law's r: under u = -V^-mu, V^mu falls at least at 2 mu
+
+
+def hybrid_law(V: float, spec: ControllerSpec, latched: bool = False) -> float:
+    """The hybrid's control u = -V^-mu, off once latched and inside the dead zone."""
+    return -(V ** (-spec.mu)) if V > spec.dead_zone and not latched else 0.0
+
+
 @dataclass(kw_only=True)
 class HybridTrajectory(Trajectory):
     """Heat modal coefficients as states, norms over heat and grid, plus the grid."""
@@ -213,15 +224,15 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
                     t_max: float, eps_settle: float = 1e-8) -> HybridTrajectory:
     """Frozen-control splitting: exact heat exponential + exact transport shift.
 
-    The dead zone follows the adaptive integrator's kernels.dead_zone_rule at
-    each macro step: the control latches off once V falls to the dead zone,
-    and the observed part (all heat modes plus the in-patch transport
-    samples) is clamped to zero when T(V) = V^mu / (2 r mu), the settling
-    time of the decay envelope at the hybrid law's rate r = 1, fits in one
-    step.  A step-end V is also the next step's V: a clamp comes
-    only with the latch, after which no step reads V.  Each sample takes one
-    sum of psi^2, from which psi_norms = sqrt(sum psi^2) / G and
-    norms = sqrt(sum c^2 + sum psi^2 / G^2) are formed once the run ends.
+    Each step applies hybrid_law.  The dead zone follows the adaptive
+    integrator's kernels.dead_zone_rule at each macro step: the control
+    latches off once V falls to the dead zone, and the observed part (all
+    heat modes plus the in-patch transport samples) is clamped to zero when
+    settling_time(V) at HYBRID_RATE fits in one step.  A step-end V is also
+    the next step's V: a clamp comes only with the latch, after which no step
+    reads V.  Each sample takes one sum of psi^2, from which psi_norms =
+    sqrt(sum psi^2) / G and norms = sqrt(sum c^2 + sum psi^2 / G^2) are
+    formed once the run ends.
     """
     if spec.variant not in ("BilinearPhi", "ZeroControl"):
         raise ModelError("hybrid simulation supports BilinearPhi or ZeroControl")
@@ -232,15 +243,12 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
     clamp_time = None
     regrow = False
     k = model.n_omega
-    mu = spec.mu
     state = y0.copy()
     V = hybrid_v(model, state)
     # (t, heat coefficients, sum psi^2, V, u) per macro step end
     rows = [(0.0, state.c.ravel().copy(), float(np.sum(state.psi ** 2)), V, 0.0)]
     for step in range(n_steps):
-        u = 0.0
-        if controlled and latch_time is None and V > spec.dead_zone:
-            u = -(V ** (-mu))
+        u = hybrid_law(V, spec, latch_time is not None) if controlled else 0.0
         state = HybridState(
             c=state.c * np.exp((model.eigenvalues + u) * dt),
             psi=transport_step(model, state.psi, u),
@@ -249,8 +257,8 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
         V = hybrid_v(model, state)
         if controlled:
             latch_now, clamp_now, regrown = dead_zone_rule(
-                V, V ** mu / (2.0 * mu), latch_time is not None, clamp_time is not None,
-                dt, spec.dead_zone)
+                V, settling_time(V, HYBRID_RATE, spec.mu), latch_time is not None,
+                clamp_time is not None, dt, spec.dead_zone)
             if latch_now:
                 latch_time = t
             if clamp_now:
@@ -278,16 +286,16 @@ def hybrid_decay_check(model: HybridModel, traj: HybridTrajectory, mu: float,
     Freezing the control over a step of length dt loses at most
     mu * dt * log(V(0)^mu / V(t)^mu) of envelope headroom (one-step excess
     ~ (V^mu)'' dt^2 / 2 summed along the run), so the check is
-    V(t)^mu <= V(0)^mu - 2 mu t + allowance(t) + DECAY_TOL.
+    V(t)^mu <= decay_envelope(t) + allowance(t) + DECAY_TOL, with the
+    envelope max(V(0)^mu - 2 r mu t, 0) at the rate HYBRID_RATE.
     """
     mask = _pre_settling_mask(traj)
     t = traj.times[mask]
     V = traj.lyapunov[mask]
-    V0m = V[0] ** mu
     floor = dead_zone ** mu
     Vm = np.maximum(V, 0.0) ** mu
-    allowance = mu * model.dt_macro * np.log(np.maximum(V0m, floor) / np.maximum(Vm, floor))
-    excess = Vm - (V0m - 2.0 * mu * t) - allowance
+    allowance = mu * model.dt_macro * np.log(np.maximum(Vm[0], floor) / np.maximum(Vm, floor))
+    excess = Vm - decay_envelope(V[0], HYBRID_RATE, mu, t) - allowance
     worst = float(np.max(excess))
     return CheckReport("decay_envelope", worst <= DECAY_TOL,
                        {"max_violation": worst, "allowance_final": float(allowance[-1]),

@@ -208,14 +208,19 @@ def fill_law(ys, ops, latch_from: int) -> tuple[np.ndarray, np.ndarray]:
     return us, Vs
 
 
+def settling_time(V: float, rate: float, mu: float) -> float:
+    """T(V) = max(V, 0)^mu / (2 r mu): V^mu falls at least at 2 r mu, so V settles by then."""
+    return max(V, 0.0) ** mu / (2.0 * rate * mu)
+
+
 def dead_zone_rule(trigger, time_left: float, latched: bool, clamped: bool, dt: float,
                    eps_dz: float) -> tuple[bool, bool, bool]:
     """The dead-zone latch at the end of an accepted step: (latch_now, clamp_now, regrown).
 
     The control latches off once the trigger falls to eps_dz.  While it stays
     there, the observed component is clamped once, when the decay envelope
-    predicts settling within the next step: time_left = T(V) = V^mu / (2 r mu)
-    <= dt, at the law's rate r.  A trigger above 2 eps_dz after the latch is
+    predicts settling within the next step: time_left = settling_time(V) <= dt,
+    at the law's rate r.  A trigger above 2 eps_dz after the latch is
     regrowth.  The caller applies its own clamp and keeps its own times.
     """
     below = trigger <= eps_dz
@@ -267,7 +272,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, opts):
     D = ops.decay
     eps_dz = ops.spec.dead_zone
     mu = ops.spec.mu
-    two_r_mu = 2.0 * ops.read_rate() * mu   # T(V) = V^mu / (2 r mu)
+    rate = ops.read_rate()
     n = y0.shape[0]
     ns = sample_ts.shape[0]
     ys = np.zeros((ns, n))
@@ -363,7 +368,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, opts):
             fac = 1.0  # no step growth while resolving the dead-zone approach
         dt = h * fac
         latch_now, clamp_now, regrown = dead_zone_rule(
-            trig_new, max(V_new, 0.0) ** mu / two_r_mu, latched, clamped, dt, eps_dz)
+            trig_new, settling_time(V_new, rate, mu), latched, clamped, dt, eps_dz)
         if latch_now:
             latched = True
             latch_time = float(t)

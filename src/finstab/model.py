@@ -16,6 +16,7 @@ import numpy as np
 SYM_TOL = 1e-12
 STRUCT_TOL = 1e-10
 KERNEL_RTOL = 1e-10   # values at or below KERNEL_RTOL * ||matrix||_F count as zero
+MAX_STATE_DIM = 1024  # the state dimension a document may imply: 8 MB per n x n matrix
 
 
 class ModelError(ValueError):
@@ -226,6 +227,13 @@ def _float_array(obj: Any, what: str) -> np.ndarray:
     return arr
 
 
+def check_state_dim(dim: int, what: str) -> None:
+    """Refuse a state dimension past MAX_STATE_DIM before anything is allocated for it."""
+    if dim > MAX_STATE_DIM:
+        raise ModelError(f"the state dimension of {what} is {dim}, more than the limit of "
+                         f"{MAX_STATE_DIM}")
+
+
 def _matrix_from_json(obj: Any, n: int, what: str) -> np.ndarray:
     if obj == "identity":
         return np.eye(n)
@@ -248,6 +256,7 @@ def model_from_json(doc: dict[str, Any]) -> ModalModel:
         raise ModelError("model JSON requires an integer 'dim'") from exc
     if not _is_int(n):
         raise ModelError(f"model JSON requires an integer 'dim', got {n!r}")
+    check_state_dim(n, "the matrices")
     metric = _matrix_from_json(doc.get("metric", "identity"), n, "metric")
     if "generator" not in doc:
         raise ModelError("model JSON requires 'generator'")

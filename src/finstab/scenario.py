@@ -24,17 +24,17 @@ from typing import Any
 import numpy as np
 
 from . import svgplot
-from .controllers import (UNBOUNDED, ControllerSpec, KernelOps, assemble_kernel_args,
-                          controller_from_json, controller_to_json, settling_bound_details,
-                          validate_law_for_model)
+from .controllers import (ControllerSpec, KernelOps, assemble_kernel_args, controller_from_json,
+                          controller_to_json, settling_bound_details, validate_law_for_model)
 from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gamma,
                             gamma_certificate, unobservable_subspace)
-from .frontends import (FrontendBundle, FrontendSpec, HybridModel, HybridState,
+from .frontends import (HYBRID_RATE, FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         build_frontend, hybrid_decay_check, hybrid_split_check, hybrid_v,
                         simulate_hybrid)
 from .integrator import (IntegrationOpts, IntegrationStalledError, check_sample_count,
                          decay_envelope, simulate, verify_decay, verify_lyapunov_stability,
                          verify_split)
+from .kernels import settling_time
 from .model import (CheckReport, ModalModel, ModelError, _float, _float_array, _is_int,
                     _jsonify, model_from_json, quasi_contraction_type,
                     validate_control_operator)
@@ -384,12 +384,6 @@ def _delta_json(dec: DecompositionResult) -> Any:
     return 0.0 if dec.dim_w == 0 else "NotNilpotent"
 
 
-def _bound_json(bound) -> Any:
-    if bound is UNBOUNDED:
-        return "Unbounded"
-    return bound
-
-
 _CSV_BLOCK_ROWS = 32   # rows per format call; a whole table at once raises peak memory
 
 
@@ -509,8 +503,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
     if built.kind == "hybrid":
         V0 = hybrid_v(model, built.y0)
         summary["lyapunov_initial"] = V0
-        rate = 1.0 if spec.variant == "BilinearPhi" else None   # the hybrid law's r
-        bound = None if rate is None else max(V0 ** spec.mu / (2.0 * rate * spec.mu), model.delta)
+        rate = HYBRID_RATE if spec.variant == "BilinearPhi" else None
+        bound = None if rate is None else max(settling_time(V0, rate, spec.mu), model.delta)
         grid_slack, omega = model.dt_macro, 0.0
     else:
         dec = built.dec
@@ -529,7 +523,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
                                    if isinstance(v, (int, float))}
         grid_slack = built.opts.sample_dt
         rate = built.ops.rate
-    summary["settling_bound"] = _bound_json(bound)
+    summary["settling_bound"] = bound
     stalled = False
     try:
         traj = simulate_scenario(built)

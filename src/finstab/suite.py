@@ -14,7 +14,7 @@ import numpy as np
 
 from .controllers import ControllerSpec, PhiSpec, assemble_kernel_args, settling_bound_details
 from .decomposition import compute_gamma, gamma_certificate, unobservable_subspace
-from .frontends import (FrontendSpec, HybridState, build_frontend, hybrid_v,
+from .frontends import (FrontendSpec, HybridState, build_frontend, hybrid_law, hybrid_v,
                         transport_heat_model)
 from .integrator import expm, verify_decay, verify_lyapunov_stability
 from .kernels import closed_loop_law
@@ -442,22 +442,22 @@ def criterion_control_invariance() -> CriterionResult:
                 worst_rel = max(worst_rel, rel)
     hybrid = transport_heat_model(FrontendSpec(kind="TransportHeat2D", n_modes=4,
                                                grid_n=16, omega_h=0.25))
-    mu = 0.25
+    hybrid_spec = ControllerSpec(variant="BilinearPhi", mu=0.25)   # the law the splitter applies
     for _ in range(states_per_case):
         c = rng.standard_normal((4, 4))
         psi = rng.standard_normal((16, 16))
         state = HybridState(c=c, psi=psi)
-        u = -hybrid_v(hybrid, state) ** -mu
+        u = hybrid_law(hybrid_v(hybrid, state), hybrid_spec)
         delta = rng.standard_normal((16, 16))
         delta[: hybrid.n_omega, : hybrid.n_omega] = 0.0
         pert = HybridState(c=c, psi=psi + delta)
-        u_pert = -hybrid_v(hybrid, pert) ** -mu
+        u_pert = hybrid_law(hybrid_v(hybrid, pert), hybrid_spec)
         if u != u_pert:
             exact_ok = False
         for cc in (0.5, 2.0, 10.0):
             scaled_state = HybridState(c=cc * c, psi=cc * psi)
-            u_scaled = -hybrid_v(hybrid, scaled_state) ** -mu
-            rel = abs(u_scaled - cc ** (-2.0 * mu) * u) / abs(u_scaled)
+            u_scaled = hybrid_law(hybrid_v(hybrid, scaled_state), hybrid_spec)
+            rel = abs(u_scaled - cc ** (-2.0 * hybrid_spec.mu) * u) / abs(u_scaled)
             worst_rel = max(worst_rel, rel)
     clauses = [
         _clause("unobservable shifts leave the control unchanged",

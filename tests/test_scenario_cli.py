@@ -721,6 +721,40 @@ def test_cli_run_refuses_sizes_past_the_limits(tmp_path, capsys, name, section, 
     assert "Traceback" not in cp.stdout + cp.stderr
 
 
+def _sized_doc(**route):
+    return {"name": "big", **route, "controller": {"variant": "BilinearPhi", "mu": 0.25},
+            "initial_state": "zero", "integration": {"t_max": 1.0}}
+
+
+@pytest.mark.parametrize("doc, what", [
+    (_sized_doc(frontend={"kind": "Heat1D", "n_modes": 10**7}),
+     "the state dimension of Heat1D n_modes 10000000 is 10000000"),
+    (_sized_doc(matrices={"dim": 10**7, "generator": "identity", "control_op": "identity"}),
+     "the state dimension of the matrices is 10000000"),
+    (_sized_doc(frontend={"kind": "Wave1D", "n_modes": 513, "q": 3}),
+     "the state dimension of Wave1D n_modes 513 is 1026"),
+    (_sized_doc(frontend={"kind": "TransportHeat2D", "n_modes": 33, "grid_n": 16,
+                             "omega_h": 0.25}),
+     "the state dimension of TransportHeat2D n_modes 33 is 1089"),
+], ids=["heat1d-n_modes-1e7", "matrices-dim-1e7-identity", "wave1d-n_modes-513",
+        "transport-heat-n_modes-33"])
+def test_cli_check_refuses_state_dimensions_past_the_limit(tmp_path, capsys, doc, what):
+    # refused before any matrix or grid is allocated for it
+    cp = main_cli(capsys, "check", "--config", str(write_config(tmp_path, doc)))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("config error: ")
+    assert f"{what}, more than the limit of 1024" in cp.stderr
+    assert "Traceback" not in cp.stdout + cp.stderr
+
+
+def test_the_state_dimension_limit_admits_the_largest_planned_sizes():
+    # wave and hybrid at the limit; a matrices document of dim 1024
+    FrontendSpec(kind="Wave1D", n_modes=512, q=3)
+    FrontendSpec(kind="TransportHeat2D", n_modes=32, grid_n=16, omega_h=0.25)
+    assert model_module.model_from_json(
+        {"dim": 1024, "generator": "identity", "control_op": "identity"}).dim == 1024
+
+
 def test_cli_run_prints_the_stepper_line(tmp_path, capsys):
     path = write_config(tmp_path, heat_doc())
     out = tmp_path / "out"
@@ -831,6 +865,26 @@ def test_cli_hybrid_run_shorter_than_the_exit_horizon(tmp_path, capsys, variant)
     assert failed == [] and cp.returncode == 0
     if variant == "BilinearPhi":
         assert checks["settled_within_bound"]["applicable"] is False
+
+
+def test_cli_hybrid_decay_envelope_is_clipped_at_zero(tmp_path, capsys):
+    # T(V0) = 0.632: the clamp sets V to 0 at t = 0.672 and the run settles at
+    # 0.75, within its bound of 1.0; at the samples after the clamp the
+    # envelope V(0)^mu - 2 mu t is negative, and its clip at zero holds V = 0
+    doc = {"name": "hyb-small",
+           "frontend": {"kind": "TransportHeat2D", "n_modes": 8, "grid_n": 64,
+                        "omega_h": 0.25},
+           "controller": {"variant": "BilinearPhi", "mu": 0.25},
+           "initial_state": {"phi_modes": [[0, 0, 0.1]], "psi": "bump"},
+           "integration": {"t_max": 2.0}}
+    out = tmp_path / "out"
+    cp = main_cli(capsys, "run", "--config", str(write_config(tmp_path, doc)), "--out", str(out))
+    assert cp.returncode == 0, cp.stdout + cp.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    checks = {r["name"]: r for r in summary["checks"]}
+    assert checks["decay_envelope"]["passed"]
+    assert checks["decay_envelope"]["max_violation"] <= 1e-6
+    assert summary["diagnostics"]["clamp_time"] < summary["settling_time"] == 0.75
 
 
 @pytest.mark.parametrize("variant, phi", [
