@@ -207,6 +207,14 @@ def hybrid_v(model: HybridModel, state: HybridState) -> float:
 HYBRID_RATE = 1.0   # the hybrid law's r: under u = -V^-mu, V^mu falls at least at 2 mu
 
 
+def check_hybrid_law(spec: ControllerSpec) -> None:
+    """Refuse a law the splitter cannot apply. It applies BilinearPhi (hybrid_law) or
+    ZeroControl, each with no phi."""
+    if spec.variant not in ("BilinearPhi", "ZeroControl") or spec.phi.kind != "Zero":
+        raise ModelError("the transport-heat front-end supports BilinearPhi (u = -V^-mu) or "
+                         f"ZeroControl with no phi, not {spec.variant} with a {spec.phi.kind} phi")
+
+
 def hybrid_law(V: float, spec: ControllerSpec, latched: bool = False) -> float:
     """The hybrid's control u = -V^-mu, off once latched and inside the dead zone."""
     return -(V ** (-spec.mu)) if V > spec.dead_zone and not latched else 0.0
@@ -214,9 +222,8 @@ def hybrid_law(V: float, spec: ControllerSpec, latched: bool = False) -> float:
 
 @dataclass(kw_only=True)
 class HybridTrajectory(Trajectory):
-    """Heat modal coefficients as states, norms over heat and grid, plus the grid."""
+    """Heat modal coefficients as states, norms over heat and grid, plus the final grid."""
     psi_norms: np.ndarray       # (ns,)
-    psi_initial: np.ndarray
     psi_final: np.ndarray
 
 
@@ -234,8 +241,7 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
     sqrt(sum psi^2) / G and norms = sqrt(sum c^2 + sum psi^2 / G^2) are
     formed once the run ends.
     """
-    if spec.variant not in ("BilinearPhi", "ZeroControl"):
-        raise ModelError("hybrid simulation supports BilinearPhi or ZeroControl")
+    check_hybrid_law(spec)
     dt = model.dt_macro
     n_steps = int(np.ceil(t_max / dt - 1e-9))
     controlled = spec.variant != "ZeroControl"
@@ -273,7 +279,7 @@ def simulate_hybrid(model: HybridModel, spec: ControllerSpec, y0: HybridState,
         times=times, states=heat, psi_norms=np.sqrt(psi_sq) / model.grid_n,
         controls=us.reshape(-1, 1), lyapunov=Vs, norms=norms,
         settling_time=_settling_time(times, norms, eps_settle),
-        psi_initial=y0.psi.copy(), psi_final=state.psi.copy(),
+        psi_final=state.psi.copy(),
         diagnostics={"latch_time": latch_time, "clamp_time": clamp_time,
                      "dead_zone_regrow": regrow, "steps": n_steps},
     )

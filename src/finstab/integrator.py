@@ -23,17 +23,8 @@ from .model import CheckReport, ModalModel, ModelError, _effective_control_matri
 
 DECAY_TOL = 1e-6    # allowed excess of V(t)^mu over its decay envelope
 SPLIT_TOL = 1e-8    # allowed deviation of (I-P) y(t), relative to max(1, ||y0||)
-MAX_SAMPLES = 10**6  # sample intervals t_max / sample_dt of one run (the hybrid's: t_max grid_n)
+MAX_SAMPLES = 10**6  # sample intervals t_max / sample_dt of one run
 MAX_STEPS = 10**7    # least step count t_max / dt_max that a run may ask of the stepper
-
-
-def check_sample_count(t_max: float, sample_dt: float) -> None:
-    """Refuse a sample grid past MAX_SAMPLES intervals, or an infinite one, before
-    anything is allocated for it."""
-    intervals = t_max / sample_dt
-    if not intervals <= MAX_SAMPLES:
-        raise ModelError(f"t_max {t_max:g} at sample step {sample_dt:g} needs {intervals:.3g} "
-                         f"samples, more than the limit of {MAX_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +51,10 @@ class IntegrationOpts:
             object.__setattr__(self, "sample_dt", self.t_max / 2000.0)
         if not self.sample_dt > 0:
             raise ModelError("sample_dt must be positive")
-        check_sample_count(self.t_max, self.sample_dt)
+        intervals = self.t_max / self.sample_dt   # refused before a grid is allocated
+        if not intervals <= MAX_SAMPLES:
+            raise ModelError(f"t_max {self.t_max:g} at sample step {self.sample_dt:g} needs "
+                             f"{intervals:.3g} samples, more than the limit of {MAX_SAMPLES}")
         steps = self.t_max / self.dt_max
         if not steps <= MAX_STEPS:
             raise ModelError(f"t_max {self.t_max:g} at dt_max {self.dt_max:g} needs at least "

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,11 +28,10 @@ from .controllers import (ControllerSpec, KernelOps, assemble_kernel_args, contr
 from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gamma,
                             gamma_certificate, unobservable_subspace)
 from .frontends import (HYBRID_RATE, FrontendBundle, FrontendSpec, HybridModel, HybridState,
-                        build_frontend, hybrid_decay_check, hybrid_split_check, hybrid_v,
-                        simulate_hybrid)
-from .integrator import (IntegrationOpts, IntegrationStalledError, check_sample_count,
-                         decay_envelope, simulate, verify_decay, verify_lyapunov_stability,
-                         verify_split)
+                        build_frontend, check_hybrid_law, hybrid_decay_check,
+                        hybrid_split_check, hybrid_v, simulate_hybrid)
+from .integrator import (IntegrationOpts, IntegrationStalledError, decay_envelope, simulate,
+                         verify_decay, verify_lyapunov_stability, verify_split)
 from .kernels import settling_time
 from .model import (CheckReport, ModalModel, ModelError, _float, _float_array, _is_int,
                     _jsonify, model_from_json, quasi_contraction_type,
@@ -48,6 +46,7 @@ _CONFIG_KEYS = {"name", "frontend", "matrices", "controller", "initial_state",
                 "integration", "seed", "plot"}
 _OPTS_KEYS = {"t_max", "rtol", "atol", "dt_init", "dt_min", "dt_max", "eps_settle",
               "sample_dt"}
+MAX_TRAJECTORY_ENTRIES = 10**7   # samples x recorded state width of one run: 80 MB of states
 
 
 class ConfigError(Exception):
@@ -111,19 +110,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return scenario_from_json(doc)
 
 
-def resolve_seed(config: ScenarioConfig) -> int:
-    raw = os.environ.get("FINSTAB_SEED")
-    if raw is None:
-        return config.seed
-    try:
-        seed = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"FINSTAB_SEED must be an integer, got {raw!r}") from exc
-    if seed < 0:
-        raise ConfigError(f"FINSTAB_SEED must be non-negative, got {raw!r}")
-    return seed
-
-
 # ---------------------------------------------------------------------------
 # Building
 
@@ -145,8 +131,16 @@ class BuiltScenario:
         """The modal run's one law bundle, assembled on first use: a check reads none."""
         return assemble_kernel_args(self.spec, self.model, self.dec)
 
+    @functools.cached_property
+    def omega(self) -> float:
+        """The quasi-contraction type of the free flow, computed on first use: a check
+        reads none.  The hybrid's splitter is a contraction (0)."""
+        return 0.0 if self.kind == "hybrid" else quasi_contraction_type(self.model)
 
-def _integration_opts(doc: dict[str, Any]) -> IntegrationOpts:
+
+def _integration_opts(doc: dict[str, Any], width: int) -> IntegrationOpts:
+    """The integration options, refused when their samples of a state of the given
+    width would record more than MAX_TRAJECTORY_ENTRIES entries."""
     unknown = set(doc) - _OPTS_KEYS
     if unknown:
         raise ConfigError(f"unknown integration keys: {sorted(unknown)}")
@@ -162,9 +156,15 @@ def _integration_opts(doc: dict[str, Any]) -> IntegrationOpts:
             raise ConfigError(f"integration option {key!r} must be a number, "
                               f"got {value!r}") from exc
     try:
-        return IntegrationOpts(**values)
+        opts = IntegrationOpts(**values)
     except ModelError as exc:
         raise ConfigError(f"invalid integration options: {exc}") from exc
+    samples = opts.t_max / opts.sample_dt + 1
+    if samples * width > MAX_TRAJECTORY_ENTRIES:
+        raise ConfigError(f"invalid integration options: {samples:.3g} samples of {width} state "
+                          f"entries make {samples * width:.3g} trajectory entries, more than "
+                          f"the limit of {MAX_TRAJECTORY_ENTRIES}")
+    return opts
 
 
 def _controller_spec(config: ScenarioConfig, bundle: FrontendBundle | None) -> ControllerSpec:
@@ -183,7 +183,6 @@ def _controller_spec(config: ScenarioConfig, bundle: FrontendBundle | None) -> C
 
 
 def build_scenario(config: ScenarioConfig) -> BuiltScenario:
-    seed = resolve_seed(config)
     if config.frontend is not None:
         try:
             bundle = build_frontend(FrontendSpec(**{
@@ -191,7 +190,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         except (TypeError, ValueError) as exc:   # ModelError is a ValueError
             raise ConfigError(f"invalid frontend: {exc}") from exc
         if isinstance(bundle, HybridModel):
-            return _build_hybrid(config, bundle, seed)
+            return _build_hybrid(config, bundle)
         model, dec = bundle.model, bundle.dec
     else:
         bundle = None
@@ -212,27 +211,27 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
         validate_law_for_model(spec, model)
     except ModelError as exc:
         raise ConfigError(str(exc)) from exc
-    y0 = parse_initial_state(config.initial_state, model, dec, seed)
-    opts = _integration_opts(config.integration)
-    return BuiltScenario(kind="modal", spec=spec, seed=seed, model=model, y0=y0, opts=opts,
-                         dec=dec, control=control, h1=h1)
+    y0 = parse_initial_state(config.initial_state, model, dec, config.seed)
+    opts = _integration_opts(config.integration, model.dim)
+    return BuiltScenario(kind="modal", spec=spec, seed=config.seed, model=model, y0=y0,
+                         opts=opts, dec=dec, control=control, h1=h1)
 
 
-def _build_hybrid(config: ScenarioConfig, hybrid: HybridModel, seed: int) -> BuiltScenario:
+def _build_hybrid(config: ScenarioConfig, hybrid: HybridModel) -> BuiltScenario:
     spec = _controller_spec(config, None)
-    if spec.variant not in ("BilinearPhi", "ZeroControl") or spec.phi.kind != "Zero":
-        raise ConfigError("the transport-heat front-end supports BilinearPhi (u = -V^-mu) or "
-                          f"ZeroControl with no phi, not {spec.variant} with a {spec.phi.kind} phi")
+    try:
+        check_hybrid_law(spec)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from exc
     unknown = set(config.integration) - {"t_max", "eps_settle"}
     if unknown:
         raise ConfigError(f"hybrid integration accepts t_max/eps_settle only, got {sorted(unknown)}")
-    opts = _integration_opts(config.integration)
-    try:   # one sample per macro step of 1/grid_n
-        check_sample_count(opts.t_max, hybrid.dt_macro)
-    except ModelError as exc:
-        raise ConfigError(f"invalid integration options: {exc}") from exc
+    # one sample per macro step; each records the n_modes^2 heat coefficients
+    opts = _integration_opts({**config.integration, "sample_dt": hybrid.dt_macro},
+                             hybrid.n_modes ** 2)
     y0 = hybrid_initial_state(config.initial_state, hybrid)
-    return BuiltScenario(kind="hybrid", spec=spec, seed=seed, model=hybrid, y0=y0, opts=opts)
+    return BuiltScenario(kind="hybrid", spec=spec, seed=config.seed, model=hybrid, y0=y0,
+                         opts=opts)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +444,7 @@ def simulate_scenario(built: BuiltScenario):
     return simulate(built.model, built.dec, built.ops, built.y0, built.opts)
 
 
-def _trajectory_checks(built: BuiltScenario, traj, rate: float | None,
-                       omega: float) -> list[CheckReport]:
+def _trajectory_checks(built: BuiltScenario, traj, rate: float | None) -> list[CheckReport]:
     """The kind's checks of a completed run: decay envelope at the law's rate
     (when a law acts), free-flow split, Lyapunov stability, then the transport
     exit or the free wave's norm conservation."""
@@ -463,7 +461,7 @@ def _trajectory_checks(built: BuiltScenario, traj, rate: float | None,
     else:
         reports.append(CheckReport("split", True, {"applicable": False,
                                                    "reason": "H1 not certified"}))
-    reports.append(verify_lyapunov_stability(traj, omega))
+    reports.append(verify_lyapunov_stability(traj, built.omega))
     if hybrid:
         after = traj.psi_norms[traj.times >= model.delta - 1e-12]
         details = {"horizon": model.delta}
@@ -498,21 +496,19 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
     summary: dict[str, Any] = {"name": config.name, "kind": built.kind, "seed": built.seed,
                                "frontend": config.frontend,
                                "controller": controller_to_json(spec)}
-    # each kind: its header keys, the bound, the slack of its time grid and the
-    # rate of its decay envelope (None when no law acts)
+    # each kind: its header keys, the bound and the rate of its decay envelope
+    # (None when no law acts)
     if built.kind == "hybrid":
         V0 = hybrid_v(model, built.y0)
         summary["lyapunov_initial"] = V0
         rate = HYBRID_RATE if spec.variant == "BilinearPhi" else None
         bound = None if rate is None else max(settling_time(V0, rate, spec.mu), model.delta)
-        grid_slack, omega = model.dt_macro, 0.0
     else:
         dec = built.dec
-        omega = quasi_contraction_type(model)
         summary.update({
             "matrices_dim": None if config.matrices is None else model.dim,
             "decomposition": {**_decomposition_json(dec), "h1_holds": built.h1.passed},
-            "quasi_contraction_omega": omega,
+            "quasi_contraction_omega": built.omega,
             "initial_state": config.initial_state if isinstance(config.initial_state, str)
             else np.asarray(built.y0).tolist(),
         })
@@ -521,7 +517,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
         bound, extras = settling_bound_details(built.ops, model, dec, built.y0)
         summary["bound_extras"] = {k: float(v) for k, v in extras.items()
                                    if isinstance(v, (int, float))}
-        grid_slack = built.opts.sample_dt
         rate = built.ops.rate
     summary["settling_bound"] = bound
     stalled = False
@@ -531,8 +526,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
         traj = exc.trajectory
         stalled = True
     if not stalled:
-        checks += _trajectory_checks(built, traj, rate, omega)
+        checks += _trajectory_checks(built, traj, rate)
         if isinstance(bound, float):
+            grid_slack = built.opts.sample_dt
             details = {"settling_time": traj.settling_time, "bound": bound,
                        "grid_slack": grid_slack}
             short = traj.settling_time is None and built.opts.t_max < bound + grid_slack
@@ -547,7 +543,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path) -> tuple[int, dict
                          traj.lyapunov, built.kind == "hybrid" or model.is_bilinear())
     artifacts = ["trajectory.csv", "summary.json"]
     if built.kind == "hybrid":
-        write_grid_csv(out / "psi_initial.csv", traj.psi_initial)
+        write_grid_csv(out / "psi_initial.csv", built.y0.psi)
         write_grid_csv(out / "psi_final.csv", traj.psi_final)
         artifacts += ["psi_initial.csv", "psi_final.csv"]
     if config.make_plot:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finstab import (ControllerSpec, FrontendSpec, HybridState,
-                     ModelError, build_frontend, check_H1, compute_gamma,
+                     ModelError, PhiSpec, build_frontend, check_H1, compute_gamma,
                      hybrid_decay_check, hybrid_split_check,
                      hybrid_v, quasi_contraction_type, simulate_hybrid, transport_heat_model,
                      Trajectory, validate_control_operator, validate_law_for_model)
@@ -220,7 +220,6 @@ def test_hybrid_settles_and_transport_exits():
     assert np.all(traj.psi_norms[after] == 0.0)
     assert hybrid_decay_check(model, traj, spec.mu, spec.dead_zone).passed
     assert hybrid_split_check(model, y0, traj).passed
-    assert np.array_equal(traj.psi_initial, y0.psi)
 
 
 def test_hybrid_trajectory_is_a_validated_trajectory():
@@ -230,6 +229,14 @@ def test_hybrid_trajectory_is_a_validated_trajectory():
     assert isinstance(traj, Trajectory)
     with pytest.raises(ModelError, match="equal length"):
         dataclasses.replace(traj, norms=traj.norms[:-1])
+
+
+def test_simulate_hybrid_refuses_a_law_it_cannot_apply():
+    # the splitter applies u = -V^-mu with no phi; a Constant phi would be dropped silently
+    model, y0 = hybrid_setup(grid_n=16)
+    spec = ControllerSpec(variant="BilinearPhi", mu=0.25, phi=PhiSpec("Constant", value=1.0))
+    with pytest.raises(ModelError, match="not BilinearPhi with a Constant phi"):
+        simulate_hybrid(model, spec, y0, t_max=0.5)
 
 
 def test_hybrid_zero_control_keeps_heat_alive():

@@ -14,7 +14,7 @@ from finstab import (ConfigError, build_scenario, check_scenario, load_scenario,
                      run_scenario, scenario_from_json)
 from finstab import cli, compute_gamma, gamma_certificate, scenario
 from finstab import model as model_module
-from finstab.scenario import hybrid_initial_state, parse_initial_state, resolve_seed
+from finstab.scenario import hybrid_initial_state, parse_initial_state
 from finstab.frontends import transport_heat_model
 from finstab import FrontendSpec
 
@@ -86,18 +86,10 @@ def test_load_scenario_errors(tmp_path):
         load_scenario(bad)
 
 
-def test_seed_env_override(monkeypatch):
-    config = scenario_from_json(heat_doc(seed=7))
-    monkeypatch.delenv("FINSTAB_SEED", raising=False)
-    assert resolve_seed(config) == 7
-    monkeypatch.setenv("FINSTAB_SEED", "99")
-    assert resolve_seed(config) == 99
-    monkeypatch.setenv("FINSTAB_SEED", "pi")
-    with pytest.raises(ConfigError):
-        resolve_seed(config)
-    monkeypatch.setenv("FINSTAB_SEED", "-1")   # numpy's generators take no negative seed
-    with pytest.raises(ConfigError, match="FINSTAB_SEED must be non-negative"):
-        resolve_seed(config)
+def test_the_seed_comes_from_the_document():
+    assert build_scenario(scenario_from_json(heat_doc(seed=7))).seed == 7
+    with pytest.raises(ConfigError, match="'seed' must be non-negative"):
+        scenario_from_json(heat_doc(seed=-1))   # numpy's generators take no negative seed
 
 
 def test_unknown_integration_key_is_rejected():
@@ -467,12 +459,10 @@ def test_check_scenario_heat_passes_and_wave_reports_h2():
     assert not h2["passed"]
 
 
-def test_seed_override_changes_the_drawn_state(monkeypatch):
-    doc = heat_doc(initial_state="wperp-random")
-    monkeypatch.setenv("FINSTAB_SEED", "11")
-    y_a = build_scenario(scenario_from_json(doc)).y0
-    monkeypatch.setenv("FINSTAB_SEED", "12")
-    y_b = build_scenario(scenario_from_json(doc)).y0
+def test_the_document_seed_changes_the_drawn_state():
+    y_a, y_b = (build_scenario(scenario_from_json(heat_doc(initial_state="wperp-random",
+                                                           seed=seed))).y0
+                for seed in (11, 12))
     assert not np.array_equal(y_a, y_b)
 
 
@@ -699,7 +689,9 @@ def test_cli_check_rejects_malformed_documents(tmp_path, capsys, overrides, caus
     ("heat-settling", "integration", "t_max", 1e308, "limit of 1000000"),
     ("beam-rankone", "integration", "t_max", 1e30, "limit of 1000000"),
     ("transport-heat-settling", "frontend", "grid_n", 10**30, "grid_n must be at most 1024"),
-    ("transport-heat-settling", "integration", "t_max", 1e308, "limit of 1000000"),
+    # one sample per macro step of 1/64
+    ("transport-heat-settling", "integration", "t_max", 1e308,
+     "at sample step 0.015625 needs inf samples, more than the limit of 1000000"),
     # the default grid of t_max / 2000 passes the sample limit, the stepper's dt_max does not
     (None, "integration", "t_max", 1e30, "at dt_max 0.05 needs at least 2e+31 steps, "
                                          "more than the limit of 10000000"),
@@ -747,9 +739,31 @@ def test_cli_check_refuses_state_dimensions_past_the_limit(tmp_path, capsys, doc
     assert "Traceback" not in cp.stdout + cp.stderr
 
 
+@pytest.mark.parametrize("doc, what", [
+    ({**_sized_doc(frontend={"kind": "Wave1D", "n_modes": 512, "q": 3}),
+      "controller": {"variant": "ZeroControl"}, "initial_state": "wperp-random(1)",
+      "integration": {"t_max": 1000.0, "sample_dt": 0.001}},
+     "1e+06 samples of 1024 state entries make 1.02e+09 trajectory entries"),
+    ({**_sized_doc(frontend={"kind": "TransportHeat2D", "n_modes": 32, "grid_n": 1024,
+                             "omega_h": 0.25}),
+      "initial_state": "phi00", "integration": {"t_max": 976.0}},
+     "9.99e+05 samples of 1024 state entries make 1.02e+09 trajectory entries"),
+], ids=["wave1d-n_modes-512-sample_dt-1e-3-t_max-1000", "transport-heat-grid_n-1024-t_max-976"])
+def test_cli_check_refuses_trajectories_past_the_entry_limit(tmp_path, capsys, doc, what):
+    # each would record 8.2 GB of states; check builds the run and allocates no trajectory
+    cp = main_cli(capsys, "check", "--config", str(write_config(tmp_path, doc)))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("config error: ")
+    assert f"{what}, more than the limit of 10000000" in cp.stderr
+    assert "Traceback" not in cp.stdout + cp.stderr
+
+
 def test_the_state_dimension_limit_admits_the_largest_planned_sizes():
-    # wave and hybrid at the limit; a matrices document of dim 1024
-    FrontendSpec(kind="Wave1D", n_modes=512, q=3)
+    # wave and hybrid at the limit, the wave's run on its default grid of 2001
+    # samples; a matrices document of dim 1024
+    wave = build_scenario(scenario_from_json(
+        _sized_doc(frontend={"kind": "Wave1D", "n_modes": 512, "q": 3})))
+    assert wave.model.dim == 1024 and wave.opts.sample_dt == 1.0 / 2000
     FrontendSpec(kind="TransportHeat2D", n_modes=32, grid_n=16, omega_h=0.25)
     assert model_module.model_from_json(
         {"dim": 1024, "generator": "identity", "control_op": "identity"}).dim == 1024
@@ -968,21 +982,22 @@ def test_settled_within_bound_is_not_applicable_before_the_bound(tmp_path):
     assert code == 1 and not check["passed"] and "applicable" not in check
 
 
-def test_cli_seed_env_changes_the_run(tmp_path, capsys, monkeypatch):
-    doc = heat_doc(initial_state="wperp-random",
-                   controller={"variant": "ZeroControl"},
-                   integration={"t_max": 0.1, "sample_dt": 0.01})
-    path = write_config(tmp_path, doc)
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    for out, seed in ((a, "5"), (b, "5"), (c, "6")):
-        monkeypatch.setenv("FINSTAB_SEED", seed)
-        assert main_cli(capsys, "run", "--config", str(path), "--out", str(out)).returncode == 0
-    csv = lambda d: (d / "trajectory.csv").read_bytes()
-    assert csv(a) == csv(b)
-    assert csv(a) != csv(c)
-    monkeypatch.setenv("FINSTAB_SEED", "-1")
-    cp = main_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "d"))
-    assert cp.returncode == 2 and "FINSTAB_SEED must be non-negative" in cp.stderr
+def test_cli_document_seed_changes_the_run(tmp_path, capsys, monkeypatch):
+    def run(name, seed):
+        doc = heat_doc(initial_state="wperp-random", controller={"variant": "ZeroControl"},
+                       integration={"t_max": 0.1, "sample_dt": 0.01}, seed=seed)
+        path = write_config(tmp_path, doc, f"{name}.json")
+        return main_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / name))
+
+    for name, seed in (("a", 5), ("b", 5), ("c", 6)):
+        assert run(name, seed).returncode == 0
+    monkeypatch.setenv("FINSTAB_SEED", "6")   # no environment variable overrides the seed
+    assert run("d", 5).returncode == 0
+    csv = lambda name: (tmp_path / name / "trajectory.csv").read_bytes()
+    assert csv("a") == csv("b") == csv("d")
+    assert csv("a") != csv("c")
+    cp = run("e", -1)
+    assert cp.returncode == 2 and "'seed' must be non-negative" in cp.stderr
 
 
 def _metric_matrices_doc():
