@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from .decomposition import DecompositionResult
 from .model import (ModalModel, ModelError, _effective_control_matrix, _float, _float_array,
-                    _is_int)
+                    _is_diagonal, _is_identity, _is_int)
 
 VARIANTS = ("ZeroControl", "BilinearPhi", "BilinearGrad", "LinearPhi", "RankOne")
 
@@ -131,9 +131,9 @@ def validate_law_for_model(spec: ControllerSpec, model: ModalModel) -> None:
 class KernelOps:
     """Constant operators of one law, assembled once per run for the kernels.
 
-    stack holds the rows of A, then B for the bilinear laws (not for
-    ZeroControl), then the law's own rows from row law_from on, so one
-    mat-vec gives A y and every linear quantity the law reads from P y:
+    stack holds the rows of A, then B for the bilinear laws, then the law's
+    own rows from row law_from on, so one mat-vec gives A y and every linear
+    quantity the law reads from P y:
 
     - BilinearPhi, BilinearGrad, ZeroControl: Q = P* M B P (V = <y, Q y>);
       BilinearGrad adds the Gram form P* B* M B P and the pairing P* A* M B P.
@@ -141,9 +141,11 @@ class KernelOps:
     - RankOne: (P* M zeta)^T and (P* A* M zeta)^T.
     - a WaveK phi appends the rows of P.
 
-    When A and B are both diagonal under BilinearPhi, decay and slope hold
-    their diagonals, stack holds only the law's rows (law_from = 0), and the
-    stepper carries e^{tA} as an integrating factor.
+    A bundle that is never stepped (ZeroControl: integrator.free_flow samples
+    it) keeps only the law's rows (law_from = 0).  So does BilinearPhi when A
+    and B are both diagonal: decay and slope hold their diagonals, and the
+    stepper carries e^{tA} as an integrating factor.  In both, a diagonal Q
+    is kept as the vector q_diag (V = <y, q_diag * y>) instead of as rows.
 
     V^mu falls at least at 2 r mu, so V settles by kernels.settling_time.  rate
     is r: gamma, or ||zeta||_M^(2 - 2 mu) for RankOne (V = s^2 / ||zeta||_M^2);
@@ -161,6 +163,7 @@ class KernelOps:
     zeta_normsq: float = 1.0
     decay: np.ndarray | None = None   # diag(A) when the stepper carries e^{tA}
     slope: np.ndarray | None = None   # diag(B) in that case
+    q_diag: np.ndarray | None = None  # diag(Q) when Q is diagonal and law_from = 0
     rate: float | None = None
     v_dead_zone: float = 0.0
 
@@ -173,8 +176,7 @@ class KernelOps:
 
 def _diagonal(matrix: np.ndarray) -> np.ndarray | None:
     """The diagonal of a matrix that has no other nonzero entry, else None."""
-    diag = np.diagonal(matrix).copy()
-    return diag if np.array_equal(matrix, np.diag(diag)) else None
+    return np.diagonal(matrix).copy() if _is_diagonal(matrix) else None
 
 
 def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
@@ -185,32 +187,31 @@ def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
     A = model.generator
     P = dec.projection
     L = model.input_map
+    identity = _is_identity(M)
     width = 1 if L is None else L.shape[1]
     zeta_normsq = 1.0
     level = 2.0 * spec.dead_zone
     rate = None if spec.variant == "ZeroControl" else dec.gamma   # RankOne's is set below
     v_dead_zone = level / rate if rate is not None and spec.variant == "BilinearGrad" else level
-    rows = [A]
+    field, law = [A], []   # the rows the stepped field reads, then the law's own
     if spec.variant == "RankOne":
         m_zeta = M @ spec.zeta
-        rows += [(P.T @ m_zeta)[None, :], (P.T @ (A.T @ m_zeta))[None, :]]
+        law += [(P.T @ m_zeta)[None, :], (P.T @ (A.T @ m_zeta))[None, :]]
         width = spec.varpi.shape[0]
         zeta_normsq = float(spec.zeta @ m_zeta)
         rate, v_dead_zone = zeta_normsq ** (1.0 - spec.mu), level * level / zeta_normsq
     elif spec.variant == "LinearPhi":
-        rows.append(L.T @ M @ P)
+        law.append(L.T @ M @ P)
     else:
         B = _effective_control_matrix(model)
         BP = B @ P
-        if spec.variant != "ZeroControl":
-            rows.append(B)
-        rows.append(P.T @ M @ BP)
+        field = [] if spec.variant == "ZeroControl" else [A, B]
+        law.append((P.T if identity else P.T @ M) @ BP)
         if spec.variant == "BilinearGrad":
-            MBP = M @ BP
-            rows += [BP.T @ MBP, P.T @ A.T @ MBP]
-    law_from = (2 if spec.variant in ("BilinearPhi", "BilinearGrad") else 1) * model.dim
+            MBP = BP if identity else M @ BP
+            law += [BP.T @ MBP, P.T @ A.T @ MBP]
     if spec.variant in ("BilinearPhi", "LinearPhi") and spec.phi.kind == "WaveK":
-        rows.append(P)
+        law.append(P)
     # BilinearGrad's pairing term cancels A along the state, so a factor would
     # turn its slow closed loop into a fast growth of the stepped variable
     decay = _diagonal(A) if spec.variant == "BilinearPhi" else None
@@ -218,10 +219,15 @@ def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
     if slope is None:
         decay = None
     else:   # A and B act through their diagonals, so the stack keeps the law's rows
-        rows, law_from = rows[2:], 0
-    return KernelOps(spec=spec, stack=np.vstack(rows), input_map=L, width=width,
-                     law_from=law_from, zeta_normsq=zeta_normsq, decay=decay, slope=slope,
-                     rate=rate, v_dead_zone=v_dead_zone)
+        field = []
+    q_diag = None if field else _diagonal(law[0])   # law[0] is Q here
+    if q_diag is not None:
+        law = law[1:]
+    rows = field + law
+    stack = np.vstack(rows) if rows else np.empty((0, model.dim))
+    return KernelOps(spec=spec, stack=stack, input_map=L, width=width,
+                     law_from=len(field) * model.dim, zeta_normsq=zeta_normsq, decay=decay,
+                     slope=slope, q_diag=q_diag, rate=rate, v_dead_zone=v_dead_zone)
 
 
 def settling_bound_details(ops: KernelOps, model: ModalModel, dec: DecompositionResult,

@@ -126,13 +126,12 @@ def decomposition_from_axes(model: ModalModel, w_axes: tuple[int, ...]) -> Decom
     n = model.dim
     if not _is_identity(model.metric):
         raise ModelError("axis-aligned decomposition requires the identity metric")
-    w_axes = tuple(sorted(w_axes))
-    perp_axes = tuple(i for i in range(n) if i not in w_axes)
+    w_axes = sorted(w_axes)
+    mask = np.ones(n)   # 1 on the W_perp axes, 0 on the W axes
+    mask[w_axes] = 0.0
     eye = np.eye(n)
-    w_basis = eye[:, list(w_axes)]
-    wperp_basis = eye[:, list(perp_axes)]
-    projection = np.diag(np.array([0.0 if i in w_axes else 1.0 for i in range(n)]))
-    return DecompositionResult(w_basis=w_basis, wperp_basis=wperp_basis, projection=projection)
+    return DecompositionResult(w_basis=eye[:, w_axes], wperp_basis=eye[:, mask == 1.0],
+                               projection=np.diag(mask))
 
 
 def check_H1(model: ModalModel, dec: DecompositionResult) -> CheckReport:

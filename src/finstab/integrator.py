@@ -6,7 +6,10 @@ provides the three trajectory checks: the comparison-principle decay
 envelope at the law's rate r (KernelOps.rate), the free evolution of
 the unobservable component, and the pre-settling Lyapunov stability bound.
 A run with no law (ZeroControl) is the linear flow y' = Ay, which free_flow
-samples exactly instead of stepping.
+samples exactly instead of stepping.  Where H1 holds, W and W_perp are both
+A-invariant, so that flow splits as the paper's decomposition does: each
+nonzero part of y0 flows in its own metric-orthonormal coordinates, and an
+exponential is formed only of the (dim W_perp)- and (dim W)-square blocks.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import numpy as np
 from . import kernels
 from .controllers import KernelOps
 from .decomposition import DecompositionResult, _metric_normsq, _metric_orthonormalize
-from .model import CheckReport, ModalModel, ModelError, _effective_control_matrix
+from .model import CheckReport, ModalModel, ModelError, _effective_control_matrix, _is_identity
 
 DECAY_TOL = 1e-6    # allowed excess of V(t)^mu over its decay envelope
 SPLIT_TOL = 1e-8    # allowed deviation of (I-P) y(t), relative to max(1, ||y0||)
@@ -156,6 +159,27 @@ def free_flow(A: np.ndarray, dt: float, y0: np.ndarray, ns: int) -> np.ndarray:
     return ys
 
 
+def _split_free_flow(model: ModalModel, dec: DecompositionResult, dt: float, y0: np.ndarray,
+                    ns: int) -> np.ndarray:
+    """free_flow of y' = Ay from y0 on W_perp and on W apart, for A-invariant W and W_perp.
+
+    A part with basis Q (metric-orthonormal columns) has the coordinates
+    c0 = Q* M y0 and the generator A_r = Q* M A Q, so it samples as
+    free_flow(A_r, dt, c0, ns) Q*.  An exactly zero part is skipped; the
+    first sample is y0 itself.
+    """
+    A, M = model.generator, model.metric
+    identity = _is_identity(M)
+    ys = np.zeros((ns, model.dim))
+    for Q in (dec.wperp_basis, dec.w_basis):
+        MQ = Q if identity else M @ Q
+        c0 = y0 @ MQ
+        if c0.any():
+            ys += free_flow(MQ.T @ (A @ Q), dt, c0, ns) @ Q.T
+    ys[0] = y0
+    return ys
+
+
 # the stepper's counters for a run that takes no step
 _NO_STEPS = {"steps": 0, "rejections": 0, "rhs_calls": 0, "dt_min_accepted": None,
              "dt_max_accepted": None, "saturation_events": 0, "v_increase_events": 0,
@@ -168,15 +192,18 @@ def _sample_grid(opts: IntegrationOpts) -> np.ndarray:
 
 
 def simulate(model: ModalModel, dec: DecompositionResult, ops: KernelOps,
-             y0: np.ndarray, opts: IntegrationOpts) -> Trajectory:
+             y0: np.ndarray, opts: IntegrationOpts, h1_holds: bool = False) -> Trajectory:
     """Integrate the closed loop of the law bundle ops over [0, t_max], on the sample grid.
 
     Samples between step ends come from the stepper's dense output
     (kernels.integrate_adaptive).  ZeroControl has no law, so its closed loop
-    is y' = Ay: free_flow samples it exactly.  Such a run takes no step, so
-    it cannot stall, and its diagnostics count zero steps, rejections and
-    RHS calls, with no dt range.  Either way every recorded sample takes its
-    control and V from one kernels.fill_law call over the sampled states.
+    is y' = Ay: free_flow samples it exactly, split into its W_perp and W
+    parts (_split_free_flow) when h1_holds, the verdict of the run's H1 report,
+    says both are A-invariant and neither is the whole space.  Such a run
+    takes no step, so it cannot stall, and its diagnostics count zero steps,
+    rejections and RHS calls, with no dt range.  Either way every recorded
+    sample takes its control and V from one kernels.fill_law call over the
+    sampled states.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (model.dim,):
@@ -184,7 +211,11 @@ def simulate(model: ModalModel, dec: DecompositionResult, ops: KernelOps,
     sample_ts = _sample_grid(opts)
     if ops.spec.variant == "ZeroControl":
         ns = sample_ts.shape[0]
-        ys = free_flow(model.generator, float(sample_ts[1] - sample_ts[0]), y0, ns)
+        dt = float(sample_ts[1] - sample_ts[0])
+        if h1_holds and dec.dim_w and dec.dim_wperp:
+            ys = _split_free_flow(model, dec, dt, y0, ns)
+        else:
+            ys = free_flow(model.generator, dt, y0, ns)
         latch_from, status, reached, diagnostics = ns, kernels.STATUS_OK, ns - 1, dict(_NO_STEPS)
     else:
         ys, latch_from, status, reached, diagnostics = kernels.integrate_adaptive(
@@ -257,8 +288,11 @@ def verify_split(model: ModalModel, dec: DecompositionResult, traj: Trajectory) 
     trajectory's grid, as it samples a law-free run.  Under H1, (I-P) A P = 0
     and the control enters through range(B) or range(L) inside W_perp, so the
     control never forces the unobservable component; callers skip the check
-    when H1 fails.  A run started in W_perp, (I-P) y0 = 0 exactly, has the
-    zero reference path, so no exponential is formed.
+    when H1 fails.  The reference path is the full-space free_flow, never the
+    split one a law-free run samples, so it checks that split too.  A run
+    started in W_perp, (I-P) y0 = 0 exactly, has the zero reference path: no
+    exponential is formed, and ||(I-P) y|| is the Euclidean norm of y's W
+    coordinates w_basis* M y.
     """
     M = model.metric
     IP = np.eye(model.dim) - dec.projection
@@ -270,9 +304,12 @@ def verify_split(model: ModalModel, dec: DecompositionResult, traj: Trajectory) 
         dt = float(traj.times[1] - traj.times[0]) if ns > 1 else 0.0
         zs = free_flow(model.generator, dt, z0, ns)
         zs -= traj.states @ IP.T   # in place: minus the deviation, one (ns, n) array fewer
+        normsq = _metric_normsq(zs, M)
     else:
-        zs = traj.states @ IP.T    # a run started in W_perp has the zero reference path
-    worst = float(np.sqrt(max(np.max(_metric_normsq(zs, M)), 0.0)))
+        W = dec.w_basis
+        cs = traj.states @ (W if _is_identity(M) else M @ W)
+        normsq = np.einsum("ij,ij->i", cs, cs)
+    worst = float(np.sqrt(max(np.max(normsq), 0.0)))
     return CheckReport("split", worst <= tol,
                        {"max_deviation": worst, "tolerance": tol})
 

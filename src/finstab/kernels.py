@@ -16,7 +16,9 @@ BilinearPhi (the heat truncation), the same tableau runs in
 integrating-factor (Lawson) form: the exact decay e^{tA} is carried by the
 factor, so the steps follow the law, not the stiffest mode.  A run with no
 law (ZeroControl) never comes here: integrator.free_flow samples its linear
-flow exactly, and fill_law gives it u and V the same way.
+flow exactly, on W_perp and W apart where H1 holds, and fill_law gives it u
+and V the same way.  Both bundles without field rows (ZeroControl and the
+factor's) hold a diagonal Q as the vector ops.q_diag, so V costs O(n) a state.
 Status codes: 0 completed, 3 stalled at dt_min.
 """
 from __future__ import annotations
@@ -116,10 +118,10 @@ def closed_loop_rhs(y: np.ndarray, ops, latched: bool, v: np.ndarray):
             scale = wnormsq ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone)
             dy = dy + ops.input_map @ (-scale * w)
         return dy, wnormsq, wnormsq, False
-    # bilinear laws, rows: A, B (both left out under a factor), Q; the rows of
-    # P follow for WaveK
+    # bilinear laws, rows: A, B (both left out under a factor), Q (the vector
+    # q_diag instead, when set); the rows of P follow for WaveK
     q = ops.law_from
-    V = y @ z[q:q + n]
+    V = y @ (z[q:q + n] if ops.q_diag is None else ops.q_diag * y)
     trigger = V
     u = 0.0
     saturated = False
@@ -176,8 +178,9 @@ def closed_loop_law(ys: np.ndarray, ops, latched) -> tuple[np.ndarray, np.ndarra
         scale = wnormsq[on] ** (-spec.mu) + phi_value(spec.phi, z[on][:, -n:], eps_dz)
         controls[on] = -scale[:, None] * w[on]
         return controls, wnormsq
-    # the bilinear laws: Q first, then Gram and pairing for BilinearGrad
-    V = _rowdot(ys, z[..., :n])
+    # the bilinear laws: Q first (or the vector q_diag), then Gram and pairing
+    # for BilinearGrad
+    V = _rowdot(ys, z[..., :n] if ops.q_diag is None else ys * ops.q_diag)
     u = np.zeros(V.shape)
     if law == "BilinearGrad":
         bnormsq = _rowdot(ys, z[..., n:2 * n])

@@ -441,7 +441,8 @@ def simulate_scenario(built: BuiltScenario):
     if built.kind == "hybrid":
         return simulate_hybrid(built.model, built.spec, built.y0, built.opts.t_max,
                                eps_settle=built.opts.eps_settle)
-    return simulate(built.model, built.dec, built.ops, built.y0, built.opts)
+    return simulate(built.model, built.dec, built.ops, built.y0, built.opts,
+                    h1_holds=built.h1.passed)
 
 
 def _trajectory_checks(built: BuiltScenario, traj, rate: float | None) -> list[CheckReport]:

@@ -430,13 +430,18 @@ def _no_convergence(*args, **kwargs):
                                                    DEFAULT_DEAD_ZONE, samples=10)),
 ])
 def test_solver_failure_is_a_model_error(monkeypatch, target, call):
-    model = bilinear(np.diag([-1.0, -2.0, -3.0]), np.diag([0.0, 1.0, 1.0]))
+    # B couples its two live axes, so its spectrum is not read off a diagonal
+    model = bilinear(np.diag([-1.0, -2.0, -3.0]), [[0.0, 0.0, 0.0], [0.0, 1.0, 0.5],
+                                                   [0.0, 0.5, 1.0]])
     dec = unobservable_subspace(model)
     control = validate_control_operator(model)   # before the patch: only the call's solver fails
     monkeypatch.setattr(target, _no_convergence)
     with pytest.raises(ModelError, match="did not converge") as info:
         call(model, dec, control)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    # a diagonal B's spectrum is its sorted diagonal: no solver runs
+    diagonal = bilinear(np.diag([-1.0, -2.0, -3.0]), np.diag([0.0, 1.0, 1.0]))
+    assert validate_control_operator(diagonal).details["min_positive_eigenvalue"] == 1.0
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (3, 3), (2, 4), (4, 2)])

@@ -5,12 +5,14 @@ from dataclasses import replace
 
 from finstab import (ControllerSpec, FrontendSpec, IntegrationOpts, IntegrationStalledError,
                      ModalModel, ModelError, Trajectory, build_frontend, build_scenario,
-                     compute_gamma, kernels, scenario_from_json, simulate,
-                     settling_bound_details, unobservable_subspace, validate_control_operator,
-                     verify_decay, verify_lyapunov_stability, verify_split)
+                     compute_gamma, integrator, kernels, run_scenario, scenario_from_json,
+                     simulate, settling_bound_details, unobservable_subspace,
+                     validate_control_operator, verify_decay, verify_lyapunov_stability,
+                     verify_split)
 from finstab.controllers import assemble_kernel_args
 from finstab.integrator import _settling_time, clamp_projector, expm
 from finstab.kernels import closed_loop_law
+from finstab.scenario import simulate_scenario
 
 
 def with_gamma(model, dec):
@@ -485,3 +487,42 @@ def test_expm_trivial_cases():
     for x in (-700.0, -3.0, 1e-3, 2.5, 300.0):
         one = np.array([[x]])
         assert expm(one)[0, 0] == pytest.approx(scipy.linalg.expm(one)[0, 0], rel=1e-11)
+
+
+@pytest.mark.parametrize("frontend", [
+    {"kind": "Wave1D", "n_modes": 8, "q": 3},
+    {"kind": "Wave1D", "n_modes": 64, "q": 3},
+    {"kind": "Beam1D", "n_modes": 8, "h_coeffs": [1.0, 0.5]},
+], ids=["wave-n8", "wave-n64", "beam-n8"])
+def test_split_free_flow_is_the_matrix_exponential(frontend):
+    # a law-free run under H1 flows its W_perp and W parts apart; a state with
+    # both parts against scipy's exponential of the whole generator
+    n = 2 * frontend["n_modes"]
+    y0 = np.random.default_rng(n).standard_normal(n)
+    built = build_scenario(scenario_from_json({
+        "name": "split", "frontend": frontend, "controller": {"variant": "ZeroControl"},
+        "initial_state": y0.tolist(), "integration": {"t_max": 1.0, "sample_dt": 1.0 / 256}}))
+    assert built.h1.passed and built.dec.dim_w and built.dec.dim_wperp
+    traj = simulate_scenario(built)
+    assert np.array_equal(traj.states[0], y0)
+    A = built.model.generator
+    for k in range(0, 257, 32):
+        exact = scipy.linalg.expm(traj.times[k] * A) @ y0
+        assert np.linalg.norm(traj.states[k] - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_law_free_wave_forms_no_exponential_beyond_w_perp(tmp_path, monkeypatch):
+    shapes = []
+    real_expm = integrator.expm
+
+    def recording_expm(A):
+        shapes.append(A.shape)
+        return real_expm(A)
+
+    monkeypatch.setattr(integrator, "expm", recording_expm)
+    doc = {"name": "wave-n128", "frontend": {"kind": "Wave1D", "n_modes": 128, "q": 3},
+           "controller": {"variant": "ZeroControl"}, "initial_state": "wperp-random",
+           "integration": {"t_max": 0.3, "sample_dt": 0.0015}, "seed": 1}
+    code, summary = run_scenario(scenario_from_json(doc), tmp_path / "wave")
+    assert code == 0 and summary["decomposition"]["dim_wperp"] == 6
+    assert shapes == [(6, 6)]   # the split's W_perp block; the split check forms none

@@ -9,7 +9,7 @@ from finstab import (CheckReport, FrontendSpec, ModalModel, ModelError, build_fr
                      check_H1, model_from_json, quasi_contraction_type, run_scenario,
                      scenario_from_json, unobservable_subspace, validate_control_operator)
 from finstab.decomposition import _metric_normsq
-from finstab.model import SolverError, _is_identity, pencil_eigvalsh
+from finstab.model import SolverError, _is_diagonal, _is_identity, pencil_eigvalsh
 from finstab.suite import SCENARIOS
 
 
@@ -122,7 +122,10 @@ def test_validate_control_operator_skips_input_map_models():
 
 
 def test_validate_control_operator_solver_failure_is_a_model_error(monkeypatch):
-    model = bilinear(-np.eye(2), np.diag([0.0, 3.0]))
+    # a non-diagonal B reaches the solver; a diagonal one is read without it
+    model = bilinear(-np.eye(2), [[1.0, 1.0], [1.0, 1.0]])
+    diagonal = bilinear(-np.eye(2), np.diag([0.0, 3.0]))
+    expected = validate_control_operator(diagonal).as_dict()
 
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
@@ -130,6 +133,7 @@ def test_validate_control_operator_solver_failure_is_a_model_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     with pytest.raises(SolverError, match="validate_control_operator: did not converge"):
         validate_control_operator(model)
+    assert validate_control_operator(diagonal).as_dict() == expected
 
 
 def test_model_json_roundtrip():
@@ -223,3 +227,27 @@ def test_identity_shortcut_is_the_general_arithmetic(tmp_path, monkeypatch):
         if name.startswith("finstab") and hasattr(module, "_is_identity"):
             monkeypatch.setattr(module, "_is_identity", general)
     assert _identity_path_outputs(tmp_path / "general") == direct
+
+
+def _diagonal_path_outputs():
+    outputs = []
+    for _, model, _ in _identity_cases():
+        outputs += [quasi_contraction_type(model).hex(),
+                    json.dumps(validate_control_operator(model).as_dict())]
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 64, 257):
+        for d in (rng.standard_normal(n), -(np.pi * np.arange(1, n + 1)) ** 2, np.zeros(n),
+                  (rng.random(n) < 0.5) * 1.0):
+            outputs.append(pencil_eigvalsh(np.diag(d), np.eye(n)).tobytes())
+    return outputs
+
+
+def test_diagonal_spectrum_is_the_solver_arithmetic(monkeypatch):
+    # the heat operators, the wave's B and the zero symmetric part of its skew A
+    # are exactly diagonal, and their spectra are read without eigvalsh
+    assert _is_diagonal(np.diag([3.0, -1.0])) and not _is_diagonal(np.ones((2, 2)))
+    direct = _diagonal_path_outputs()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("finstab") and hasattr(module, "_is_diagonal"):
+            monkeypatch.setattr(module, "_is_diagonal", lambda S: False)
+    assert _diagonal_path_outputs() == direct
