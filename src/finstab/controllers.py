@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from .decomposition import DecompositionResult
 from .model import (ModalModel, ModelError, _effective_control_matrix, _float, _float_array,
-                    _is_diagonal, _is_identity, _is_int)
+                    _is_diagonal, _is_int)
 
 VARIANTS = ("ZeroControl", "BilinearPhi", "BilinearGrad", "LinearPhi", "RankOne")
 
@@ -187,7 +187,6 @@ def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
     A = model.generator
     P = dec.projection
     L = model.input_map
-    identity = _is_identity(M)
     width = 1 if L is None else L.shape[1]
     zeta_normsq = 1.0
     level = 2.0 * spec.dead_zone
@@ -206,9 +205,9 @@ def assemble_kernel_args(spec: ControllerSpec, model: ModalModel,
         B = _effective_control_matrix(model)
         BP = B @ P
         field = [] if spec.variant == "ZeroControl" else [A, B]
-        law.append((P.T if identity else P.T @ M) @ BP)
+        law.append((P.T if model.identity_metric else P.T @ M) @ BP)
         if spec.variant == "BilinearGrad":
-            MBP = BP if identity else M @ BP
+            MBP = BP if model.identity_metric else M @ BP
             law += [BP.T @ MBP, P.T @ A.T @ MBP]
     if spec.variant in ("BilinearPhi", "LinearPhi") and spec.phi.kind == "WaveK":
         law.append(P)

@@ -63,14 +63,14 @@ def _metric_orthonormalize(vecs: np.ndarray, metric: np.ndarray) -> np.ndarray:
     return vecs @ (evecs[:, keep] / np.sqrt(evals[keep]))
 
 
-def _metric_normsq(rows: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """<x, M x> for each row x.
+def _metric_normsq(rows: np.ndarray, model: ModalModel) -> np.ndarray:
+    """<x, M x> for each row x, in the model's metric M.
 
     One BLAS product and a row-wise einsum: a three-operand einsum does the
     n^2 work of every row in its own loop (9.5 ms against 0.2 ms for 1001
     rows at n = 128 on a 2-vCPU x86 host).  M = I needs no product.
     """
-    return np.einsum("ij,ij->i", rows if _is_identity(metric) else rows @ metric, rows)
+    return np.einsum("ij,ij->i", rows if model.identity_metric else rows @ model.metric, rows)
 
 
 def _projector_from_basis(wperp: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -147,18 +147,14 @@ def check_H1(model: ModalModel, dec: DecompositionResult) -> CheckReport:
     residuals = leak_norm / np.maximum(image_norm, 1.0)
     worst_column = int(np.argmax(residuals)) if residuals.size else None
     worst = float(np.max(residuals, initial=0.0))
-    AtM, MA = (A.T, A) if _is_identity(M) else (A.T @ M, M @ A)
-    scale = max(1.0, float(np.max(np.abs(AtM))))
-    sym_residual = float(np.max(np.abs(AtM - MA))) / scale
-    skew_residual = float(np.max(np.abs(AtM + MA))) / scale
     return CheckReport(
         "H1",
         worst < H1_TOL,
         {
             "invariance_residual": worst,
             "worst_column": worst_column,
-            "generator_symmetric": sym_residual < 1e-10,
-            "generator_skew": skew_residual < 1e-10,
+            "generator_symmetric": model.generator_symmetric,
+            "generator_skew": model.generator_skew,
         },
     )
 
@@ -231,18 +227,18 @@ def check_H2(model: ModalModel, dec: DecompositionResult, phi, dead_zone: float,
     rng = np.random.default_rng(seed)
     # one row per sample: y = Q c normalised in the metric
     ys = rng.standard_normal((samples, k)) @ Q.T
-    ys /= np.maximum(np.sqrt(np.maximum(_metric_normsq(ys, M), 0.0)), 1e-300)[:, None]
+    ys /= np.maximum(np.sqrt(np.maximum(_metric_normsq(ys, model), 0.0)), 1e-300)[:, None]
     bys = ys @ B.T
     pairing = np.einsum("ij,ij->i", (ys @ A.T) @ M, bys)
     phi_y = kernels.phi_value(phi, ys, dead_zone)
-    margins = phi_y * _metric_normsq(bys, M) - pairing
+    margins = phi_y * _metric_normsq(bys, model) - pairing
     worst_sample = int(np.argmin(margins))
     min_margin = margins[worst_sample]
     # Lipschitz quotients of y -> phi(y) B y between consecutive draws
-    dist = np.sqrt(np.maximum(_metric_normsq(np.diff(ys, axis=0), M), 0.0))
+    dist = np.sqrt(np.maximum(_metric_normsq(np.diff(ys, axis=0), model), 0.0))
     dfs = np.diff((phi_y * bys.T).T, axis=0)
     apart = dist > 1e-12
-    lipschitz = float(np.max(np.sqrt(np.maximum(_metric_normsq(dfs[apart], M), 0.0))
+    lipschitz = float(np.max(np.sqrt(np.maximum(_metric_normsq(dfs[apart], model), 0.0))
                              / dist[apart], initial=0.0))
     return CheckReport("H2", bool(min_margin >= -H2_TOL),
                        {"min_margin": float(min_margin), "worst_sample": worst_sample,

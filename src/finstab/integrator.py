@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .controllers import KernelOps
 from .decomposition import DecompositionResult, _metric_normsq, _metric_orthonormalize
-from .model import CheckReport, ModalModel, ModelError, _effective_control_matrix, _is_identity
+from .model import CheckReport, ModalModel, ModelError, _effective_control_matrix
 
 DECAY_TOL = 1e-6    # allowed excess of V(t)^mu over its decay envelope
 SPLIT_TOL = 1e-8    # allowed deviation of (I-P) y(t), relative to max(1, ||y0||)
@@ -169,10 +169,9 @@ def _split_free_flow(model: ModalModel, dec: DecompositionResult, dt: float, y0:
     first sample is y0 itself.
     """
     A, M = model.generator, model.metric
-    identity = _is_identity(M)
     ys = np.zeros((ns, model.dim))
     for Q in (dec.wperp_basis, dec.w_basis):
-        MQ = Q if identity else M @ Q
+        MQ = Q if model.identity_metric else M @ Q
         c0 = y0 @ MQ
         if c0.any():
             ys += free_flow(MQ.T @ (A @ Q), dt, c0, ns) @ Q.T
@@ -222,7 +221,7 @@ def simulate(model: ModalModel, dec: DecompositionResult, ops: KernelOps,
             y0, sample_ts, ops, clamp_projector(model, dec), opts)
     times, ys = sample_ts[:reached + 1], ys[:reached + 1]
     us, Vs = kernels.fill_law(ys, ops, latch_from)
-    norms = np.sqrt(np.maximum(_metric_normsq(ys, model.metric), 0.0))
+    norms = np.sqrt(np.maximum(_metric_normsq(ys, model), 0.0))
     traj = Trajectory(
         times=times, states=ys, controls=us, lyapunov=np.maximum(Vs, 0.0), norms=norms,
         settling_time=_settling_time(times, norms, opts.eps_settle),
@@ -304,10 +303,10 @@ def verify_split(model: ModalModel, dec: DecompositionResult, traj: Trajectory) 
         dt = float(traj.times[1] - traj.times[0]) if ns > 1 else 0.0
         zs = free_flow(model.generator, dt, z0, ns)
         zs -= traj.states @ IP.T   # in place: minus the deviation, one (ns, n) array fewer
-        normsq = _metric_normsq(zs, M)
+        normsq = _metric_normsq(zs, model)
     else:
         W = dec.w_basis
-        cs = traj.states @ (W if _is_identity(M) else M @ W)
+        cs = traj.states @ (W if model.identity_metric else M @ W)
         normsq = np.einsum("ij,ij->i", cs, cs)
     worst = float(np.sqrt(max(np.max(normsq), 0.0)))
     return CheckReport("split", worst <= tol,

@@ -74,6 +74,10 @@ class ModalModel:
     control_op: np.ndarray | None = None
     input_map: np.ndarray | None = None
     basis_labels: tuple[str, ...] = ()
+    # the structure of the operators, decided once here and read by every layer
+    identity_metric: bool = field(init=False)      # M == I exactly
+    generator_symmetric: bool = field(init=False)  # A*M - MA below STRUCT_TOL, relative
+    generator_skew: bool = field(init=False)       # A*M + MA below STRUCT_TOL, relative
 
     def __post_init__(self):
         n = self.dim
@@ -89,8 +93,17 @@ class ModalModel:
             raise ModelError("metric and generator must be finite")
         if np.max(np.abs(metric - metric.T)) > SYM_TOL * max(1.0, np.max(np.abs(metric))):
             raise ModelError("metric must be symmetric")
-        if not _is_identity(metric) and np.min(np.linalg.eigvalsh(metric)) <= 0:
+        identity = _is_identity(metric)
+        if not identity and np.min(np.linalg.eigvalsh(metric)) <= 0:
             raise ModelError("metric must be positive definite")
+        A = generator
+        AtM, MA = (A.T, A) if identity else (A.T @ metric, metric @ A)
+        scale = max(1.0, float(np.max(np.abs(AtM))))
+        object.__setattr__(self, "identity_metric", identity)
+        object.__setattr__(self, "generator_symmetric",
+                           float(np.max(np.abs(AtM - MA))) / scale < STRUCT_TOL)
+        object.__setattr__(self, "generator_skew",
+                           float(np.max(np.abs(AtM + MA))) / scale < STRUCT_TOL)
         if (self.control_op is None) == (self.input_map is None):
             raise ModelError("exactly one of control_op / input_map must be present")
         if self.control_op is not None:
@@ -134,16 +147,16 @@ def _is_diagonal(S: np.ndarray) -> bool:
     return np.count_nonzero(S) == np.count_nonzero(np.diagonal(S))
 
 
-def pencil_eigvalsh(S: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric-definite pencil (S, M), ascending.
+def pencil_eigvalsh(S: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues of the symmetric-definite pencil (S, M), ascending; M = None is I.
 
     With the Cholesky factor M = L L^T these are the eigenvalues of
-    L^-1 S L^-T, the reduction LAPACK's sygvd makes; for M = I, of S.  For a
+    L^-1 S L^-T, the reduction LAPACK's sygvd makes; for M = None, of S.  For a
     diagonal S that is its sorted diagonal, read without a solver: eigvalsh
     returns the same bits unless LAPACK rescales an S whose norm lies outside
     about [1e-146, 1e146], where the diagonal is exact and eigvalsh rounds.
     """
-    if _is_identity(M):
+    if M is None:
         if _is_diagonal(S):
             d = np.diagonal(S)
             # sorted() on Python floats: numpy's SIMD sort would fault in about
@@ -161,8 +174,8 @@ def quasi_contraction_type(model: ModalModel) -> float:
     Equals the largest eigenvalue of the metric-symmetrized generator,
     i.e. of the pencil (sym(M A), M).
     """
-    A, M = model.generator, model.metric
-    S = 0.5 * (A.T + A) if _is_identity(M) else 0.5 * (A.T @ M + M @ A)
+    A, M = model.generator, None if model.identity_metric else model.metric
+    S = 0.5 * (A.T + A) if M is None else 0.5 * (A.T @ M + M @ A)
     return float(np.max(pencil_eigvalsh(S, M)))
 
 
@@ -183,9 +196,9 @@ def validate_control_operator(model: ModalModel) -> CheckReport:
     ker B cutoff KERNEL_RTOL ||B||_F; the least above it, min_positive_eigenvalue,
     is gamma, as B is self-adjoint and vanishes on W.
     """
-    M = model.metric
+    M = None if model.identity_metric else model.metric
     B = _effective_control_matrix(model)
-    BtM, MB = (B.T, B) if _is_identity(M) else (B.T @ M, M @ B)
+    BtM, MB = (B.T, B) if M is None else (B.T @ M, M @ B)
     evals = pencil_eigvalsh(0.5 * (BtM + MB), M)
     positive = evals[evals > KERNEL_RTOL * np.linalg.norm(B)]
     spectrum = {"dim_ker_b": evals.size - positive.size,

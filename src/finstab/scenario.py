@@ -25,8 +25,8 @@ import numpy as np
 from . import svgplot
 from .controllers import (ControllerSpec, KernelOps, assemble_kernel_args, controller_from_json,
                           controller_to_json, settling_bound_details, validate_law_for_model)
-from .decomposition import (DecompositionResult, check_H1, check_H2, compute_gamma,
-                            gamma_certificate, unobservable_subspace)
+from .decomposition import (DecompositionResult, _metric_normsq, check_H1, check_H2,
+                            compute_gamma, gamma_certificate, unobservable_subspace)
 from .frontends import (HYBRID_RATE, FrontendBundle, FrontendSpec, HybridModel, HybridState,
                         build_frontend, check_hybrid_law, hybrid_decay_check,
                         hybrid_split_check, hybrid_v, simulate_hybrid)
@@ -212,6 +212,13 @@ def build_scenario(config: ScenarioConfig) -> BuiltScenario:
     except ModelError as exc:
         raise ConfigError(str(exc)) from exc
     y0 = parse_initial_state(config.initial_state, model, dec, config.seed)
+    # V, the bound and the norms all scale with <y0, M y0>: past the float range
+    # they would read inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        y0_normsq = float(_metric_normsq(y0[None, :], model)[0])
+    if not np.isfinite(y0_normsq):
+        raise ConfigError(f"the squared metric norm of initial_state is {y0_normsq}, "
+                          "past the float range")
     opts = _integration_opts(config.integration, model.dim)
     return BuiltScenario(kind="modal", spec=spec, seed=config.seed, model=model, y0=y0,
                          opts=opts, dec=dec, control=control, h1=h1)
@@ -471,7 +478,7 @@ def _trajectory_checks(built: BuiltScenario, traj, rate: float | None) -> list[C
         else:   # no sample reaches the horizon
             details.update(applicable=False, reason="the run ends before the exit horizon")
         reports.append(CheckReport("transport_exit", bool(np.all(after == 0.0)), details))
-    elif spec.variant == "ZeroControl" and built.h1.details["generator_skew"]:
+    elif spec.variant == "ZeroControl" and model.generator_skew:
         drift = float(np.max(np.abs(traj.norms - traj.norms[0])))
         budget = 1e-9 * max(1.0, built.opts.t_max)
         reports.append(CheckReport("norm_conservation", drift <= budget,

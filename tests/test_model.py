@@ -8,6 +8,7 @@ import scipy.linalg
 from finstab import (CheckReport, FrontendSpec, ModalModel, ModelError, build_frontend,
                      check_H1, model_from_json, quasi_contraction_type, run_scenario,
                      scenario_from_json, unobservable_subspace, validate_control_operator)
+from finstab import model as model_module
 from finstab.decomposition import _metric_normsq
 from finstab.model import SolverError, _is_diagonal, _is_identity, pencil_eigvalsh
 from finstab.suite import SCENARIOS
@@ -70,6 +71,49 @@ def test_default_labels_and_input_map_reshape():
     assert model.basis_labels == ("y1", "y2", "y3")
     assert model.input_map.shape == (3, 1)
     assert not model.is_bilinear()
+
+
+def _structure_cases():
+    """(name, model, expected (identity_metric, generator_symmetric, generator_skew))."""
+    yield "Heat1D", build_frontend(FrontendSpec("Heat1D", n_modes=16)).model, (True, True, False)
+    yield ("Wave1D", build_frontend(FrontendSpec("Wave1D", n_modes=8, q=3)).model,
+           (True, False, True))
+    yield ("Beam1D", build_frontend(FrontendSpec("Beam1D", n_modes=8, h_coeffs=(1.0, 0.5))).model,
+           (True, False, True))
+    rng = np.random.default_rng(7)
+    R = rng.standard_normal((4, 4))
+    M = R @ R.T + np.eye(4)
+    C = rng.standard_normal((4, 4))
+    for name, A, expected in (
+            ("matrices-non-normal", np.triu(C, 1) * 3.0 - np.eye(4), (False, False, False)),
+            ("matrices-self-adjoint", np.linalg.solve(M, C + C.T), (False, True, False)),
+            ("matrices-skew-adjoint", np.linalg.solve(M, C - C.T), (False, False, True))):
+        yield name, model_from_json({"dim": 4, "metric": M.tolist(), "generator": A.tolist(),
+                                     "control_op": "identity"}), expected
+
+
+@pytest.mark.parametrize("model, expected", [pytest.param(model, expected, id=name)
+                                             for name, model, expected in _structure_cases()])
+def test_structure_flags_are_the_operators_structure(model, expected):
+    # the form <x, A y> = x^T (M A) y is symmetric for a self-adjoint A and
+    # antisymmetric for a skew-adjoint one
+    M, A = model.metric, model.generator
+    form = M @ A
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(form))))
+    independent = (np.array_equal(M, np.eye(model.dim)),
+                   np.allclose(form, form.T, rtol=0.0, atol=tol),
+                   np.allclose(form, -form.T, rtol=0.0, atol=tol))
+    flags = (model.identity_metric, model.generator_symmetric, model.generator_skew)
+    assert flags == independent == expected
+    details = check_H1(model, unobservable_subspace(model)).details
+    assert (details["generator_symmetric"], details["generator_skew"]) == flags[1:]
+
+
+@pytest.mark.parametrize("flag", ["identity_metric", "generator_symmetric", "generator_skew"])
+def test_structure_flags_are_not_constructor_parameters(flag):
+    with pytest.raises(TypeError):
+        ModalModel(dim=2, metric=np.eye(2), generator=-np.eye(2), control_op=np.eye(2),
+                   **{flag: True})
 
 
 def test_quasi_contraction_type_diagonal():
@@ -183,10 +227,12 @@ def test_pencil_eigvalsh_matches_scipy(seed):
     R = rng.standard_normal((n, n))
     S = rng.standard_normal((n, n))
     S = S + S.T
-    for M in (R @ R.T + 0.1 * np.eye(n), np.eye(n)):
-        ref = scipy.linalg.eigvalsh(S, M)
-        assert np.allclose(pencil_eigvalsh(S, M), ref, rtol=1e-9,
-                           atol=1e-11 * np.max(np.abs(ref)))
+    # None is the identity's own form; an identity matrix takes the Cholesky path
+    for M in (R @ R.T + 0.1 * np.eye(n), np.eye(n), None):
+        for SS in (S, np.diag(np.diagonal(S))):
+            ref = scipy.linalg.eigvalsh(SS, np.eye(n) if M is None else M)
+            assert np.allclose(pencil_eigvalsh(SS, M), ref, rtol=1e-9,
+                               atol=1e-11 * np.max(np.abs(ref)))
 
 
 def _identity_cases():
@@ -209,7 +255,7 @@ def _identity_path_outputs(tmp_path):
         rows = np.random.default_rng(3).standard_normal((5, model.dim))
         outputs[name] = (quasi_contraction_type(model).hex(),
                          bits(validate_control_operator(model)), bits(check_H1(model, dec)),
-                         _metric_normsq(rows, model.metric).tobytes())
+                         _metric_normsq(rows, model).tobytes())
     doc = {**SCENARIOS["heat-settling"], "integration": {"t_max": 0.3, "sample_dt": 0.001}}
     out = tmp_path / "heat-settling"
     run_scenario(scenario_from_json(doc), out)
@@ -222,10 +268,13 @@ def test_identity_shortcut_is_the_general_arithmetic(tmp_path, monkeypatch):
         # the axis-aligned decomposition's precondition is a check, not a choice of path
         return sys._getframe(1).f_code.co_name == "decomposition_from_axes" and _is_identity(M)
 
+    assert all(model.identity_metric for _, model, _ in _identity_cases())
     direct = _identity_path_outputs(tmp_path / "direct")
     for name, module in list(sys.modules.items()):
         if name.startswith("finstab") and hasattr(module, "_is_identity"):
             monkeypatch.setattr(module, "_is_identity", general)
+    # the models built now take the general metric path everywhere
+    assert not any(model.identity_metric for _, model, _ in _identity_cases())
     assert _identity_path_outputs(tmp_path / "general") == direct
 
 
@@ -238,7 +287,7 @@ def _diagonal_path_outputs():
     for n in (1, 2, 7, 64, 257):
         for d in (rng.standard_normal(n), -(np.pi * np.arange(1, n + 1)) ** 2, np.zeros(n),
                   (rng.random(n) < 0.5) * 1.0):
-            outputs.append(pencil_eigvalsh(np.diag(d), np.eye(n)).tobytes())
+            outputs.append(pencil_eigvalsh(np.diag(d)).tobytes())
     return outputs
 
 
@@ -246,7 +295,16 @@ def test_diagonal_spectrum_is_the_solver_arithmetic(monkeypatch):
     # the heat operators, the wave's B and the zero symmetric part of its skew A
     # are exactly diagonal, and their spectra are read without eigvalsh
     assert _is_diagonal(np.diag([3.0, -1.0])) and not _is_diagonal(np.ones((2, 2)))
+    verdicts = []
+
+    def spied(S):
+        verdicts.append(_is_diagonal(S))
+        return verdicts[-1]
+
+    monkeypatch.setattr(model_module, "_is_diagonal", spied)
     direct = _diagonal_path_outputs()
+    # every pencil_eigvalsh call of the explicit spectra reached the shortcut
+    assert verdicts.count(True) >= 20
     for name, module in list(sys.modules.items()):
         if name.startswith("finstab") and hasattr(module, "_is_diagonal"):
             monkeypatch.setattr(module, "_is_diagonal", lambda S: False)

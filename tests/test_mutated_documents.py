@@ -3,6 +3,7 @@ import copy
 import json
 
 import numpy as np
+import pytest
 
 from finstab import cli
 from finstab.suite import SCENARIOS
@@ -48,6 +49,7 @@ def _mutate(doc, rng):
     return doc
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mutated_suite_documents_end_in_an_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(17)
     names = sorted(SCENARIOS)

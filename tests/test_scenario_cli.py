@@ -13,6 +13,7 @@ import scipy.linalg
 from finstab import (ConfigError, build_scenario, check_scenario, load_scenario,
                      run_scenario, scenario_from_json)
 from finstab import cli, compute_gamma, gamma_certificate, scenario
+from finstab.integrator import IntegrationStalledError, simulate
 from finstab import model as model_module
 from finstab.scenario import hybrid_initial_state, parse_initial_state
 from finstab.frontends import transport_heat_model
@@ -377,19 +378,43 @@ def test_stalled_run_exits_3(tmp_path):
     assert summary["status"] == "stalled"
 
 
-def test_a_nan_error_estimate_is_a_rejection(tmp_path):
+def test_a_nan_error_estimate_is_a_rejection():
     # V and the pairing overflow at y0, so every slope is NaN: the stepper
-    # must reject each step down to dt_min and stall, never accept one
+    # must reject each step down to dt_min and stall, never accept one.  A
+    # document naming this y0 is refused (its squared norm is 1e320), so the
+    # stepper is driven directly
     doc = {"name": "nan", "frontend": {"kind": "Heat1D", "n_modes": 8},
            "controller": {"variant": "BilinearGrad", "mu": 0.25},
-           "initial_state": [0.0, 1e160] + [0.0] * 6, "integration": {"t_max": 0.1}}
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, summary = run_scenario(scenario_from_json(doc), tmp_path / "out")
-    assert code == 3
-    assert summary["status"] == "stalled"
-    assert summary["diagnostics"]["steps"] == 0
-    assert summary["diagnostics"]["rejections"] > 0
-    assert summary["settling_time"] is None
+           "initial_state": "zero", "integration": {"t_max": 0.1}}
+    built = build_scenario(scenario_from_json(doc))
+    y0 = np.array([0.0, 1e160] + [0.0] * 6)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationStalledError) as stalled:
+        simulate(built.model, built.dec, built.ops, y0, built.opts)
+    traj = stalled.value.trajectory
+    assert traj.diagnostics["steps"] == 0
+    assert traj.diagnostics["rejections"] > 0
+    assert traj.settling_time is None
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("heat-settling", None, "1e308*mode2"),
+    ("beam-rankone", 8, 1e308),
+], ids=["heat-settling-1e308-mode2", "beam-rankone-initial_state-8-1e308"])
+def test_cli_run_refuses_an_initial_state_whose_squared_norm_overflows(tmp_path, capsys, name,
+                                                                       index, value):
+    # V, the settling bound and the norms would read inf or NaN
+    from finstab.suite import SCENARIOS
+    doc = json.loads(json.dumps(SCENARIOS[name]))
+    if index is None:
+        doc["initial_state"] = value
+    else:
+        doc["initial_state"][index] = value
+    out = tmp_path / "out"
+    cp = main_cli(capsys, "run", "--config", str(write_config(tmp_path, doc)), "--out", str(out))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("config error: ")
+    assert not (out / "summary.json").exists()
 
 
 def test_zero_control_run_is_the_exact_free_flow(tmp_path, capsys):
