@@ -54,12 +54,13 @@ class DecompositionResult:
 
 
 def _metric_orthonormalize(vecs: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of vecs w.r.t. the metric (thin, stable)."""
+    """Orthonormalize the columns of vecs w.r.t. the metric (thin, stable),
+    dropping Gram eigenvalues at or below 1e-14 of the largest."""
     if vecs.shape[1] == 0:
         return vecs
     gram = vecs.T @ metric @ vecs
     evals, evecs = linalg.eigh(gram)
-    keep = evals > 1e-14 * max(evals.max(), 1.0)
+    keep = evals > 1e-14 * max(evals.max(), 0.0)
     return vecs @ (evecs[:, keep] / np.sqrt(evals[keep]))
 
 
@@ -71,10 +72,6 @@ def _metric_normsq(rows: np.ndarray, model: ModalModel) -> np.ndarray:
     rows at n = 128 on a 2-vCPU x86 host).  M = I needs no product.
     """
     return np.einsum("ij,ij->i", rows if model.identity_metric else rows @ model.metric, rows)
-
-
-def _projector_from_basis(wperp: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    return wperp @ (wperp.T @ metric)
 
 
 def _null_space(mat: np.ndarray, cutoff: float) -> np.ndarray:
@@ -91,7 +88,8 @@ def unobservable_subspace(model: ModalModel) -> DecompositionResult:
     kernel of the leak (I - V V^T) A V of an orthonormal basis V of W_k.  The
     dimension falls at every step until W_k is A-invariant.  Singular values
     below KERNEL_RTOL times the Frobenius norm of B (for ker B) or of A (for
-    the leak) count as zero.
+    the leak) count as zero.  W_perp is the null space of w_basis* M.  A metric
+    so ill-conditioned that the two bases do not span R^n is a ModelError.
     """
     n = model.dim
     B = _effective_control_matrix(model)
@@ -106,14 +104,17 @@ def unobservable_subspace(model: ModalModel) -> DecompositionResult:
             break
         w_raw = w_raw @ kept  # (n, dim W), Euclidean-orthonormal
     w_basis = _metric_orthonormalize(w_raw, model.metric)
-    if w_basis.shape[1] == 0:
-        wperp_basis = _metric_orthonormalize(np.eye(n), model.metric)
-    else:
-        # W_perp = null space of (w_basis^T M): metric-orthogonality to W
-        _, sv2, vt2 = linalg.svd(w_basis.T @ model.metric)
-        rank2 = int(np.sum(sv2 > KERNEL_RTOL * max(sv2[0], 1.0)))
-        wperp_basis = _metric_orthonormalize(vt2[rank2:].T, model.metric)
-    projection = _projector_from_basis(wperp_basis, model.metric)
+    # w_basis^T M has full row rank dim W (w_basis^T M w_basis = I); for dim W = 0
+    # the SVD of the 0-by-n matrix gives V = I
+    dim_w = w_basis.shape[1]
+    _, _, vt = linalg.svd(w_basis.T @ model.metric)
+    wperp_basis = _metric_orthonormalize(vt[dim_w:].T, model.metric)
+    if dim_w + wperp_basis.shape[1] != n:
+        raise ModelError(
+            f"unobservable_subspace: dim W {dim_w} + dim W_perp {wperp_basis.shape[1]} != {n}; "
+            f"the metric (condition number {np.linalg.cond(model.metric):.3g}) is too "
+            "ill-conditioned to split the space")
+    projection = wperp_basis @ (wperp_basis.T @ model.metric)
     return DecompositionResult(w_basis=w_basis, wperp_basis=wperp_basis, projection=projection)
 
 
@@ -254,7 +255,7 @@ def _exact_constant_phi(A: np.ndarray, B: np.ndarray, M: np.ndarray, Q: np.ndarr
     G_r = Q.T @ G @ Q
     G_r = 0.5 * (G_r + G_r.T)
     evals, evecs = linalg.eigh(G_r)
-    tol = 1e-12 * max(np.max(np.abs(evals)), 1.0)
+    tol = 1e-12 * max(evals.max(), 0.0)
     pos = evals > tol
     if not np.any(pos):
         return 0.0

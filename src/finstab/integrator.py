@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .controllers import KernelOps
 from .decomposition import DecompositionResult, _metric_normsq, _metric_orthonormalize
-from .model import CheckReport, ModalModel, ModelError, _effective_control_matrix
+from .model import KERNEL_RTOL, CheckReport, ModalModel, ModelError, _effective_control_matrix
 
 DECAY_TOL = 1e-6    # allowed excess of V(t)^mu over its decay envelope
 SPLIT_TOL = 1e-8    # allowed deviation of (I-P) y(t), relative to max(1, ||y0||)
@@ -92,16 +92,17 @@ class IntegrationStalledError(RuntimeError):
         self.trajectory = trajectory
 
 
-def clamp_projector(model: ModalModel, dec: DecompositionResult) -> np.ndarray:
+def clamp_projector(model: ModalModel) -> np.ndarray:
     """Metric-orthoprojector onto the component the dead zone asserts is zero.
 
-    That is range(B P), with B = L L* for input-map models.  Clamping
-    y -> y - Cy zeroes exactly B P y, nothing more, so a premature latch
-    shows up as regrowth instead of being hidden.
+    That is range(B P) = range(B), with B = L L* for input-map models, as B
+    vanishes on W (the gamma certificate checks it), at the ker B cutoff.
+    Clamping y -> y - Cy zeroes exactly B P y, nothing more, so a premature
+    latch shows up as regrowth instead of being hidden.
     """
-    cols = _effective_control_matrix(model) @ dec.projection
-    u, sv, _ = np.linalg.svd(cols)
-    rank = int(np.sum(sv > 1e-12 * max(sv[0] if sv.size else 1.0, 1.0)))
+    B = _effective_control_matrix(model)
+    u, sv, _ = np.linalg.svd(B)
+    rank = int(np.sum(sv > KERNEL_RTOL * np.linalg.norm(B)))
     basis = _metric_orthonormalize(u[:, :rank], model.metric)
     return basis @ (basis.T @ model.metric)
 
@@ -218,7 +219,7 @@ def simulate(model: ModalModel, dec: DecompositionResult, ops: KernelOps,
         latch_from, status, reached, diagnostics = ns, kernels.STATUS_OK, ns - 1, dict(_NO_STEPS)
     else:
         ys, latch_from, status, reached, diagnostics = kernels.integrate_adaptive(
-            y0, sample_ts, ops, clamp_projector(model, dec), opts)
+            y0, sample_ts, ops, clamp_projector(model), opts)
     times, ys = sample_ts[:reached + 1], ys[:reached + 1]
     us, Vs = kernels.fill_law(ys, ops, latch_from)
     norms = np.sqrt(np.maximum(_metric_normsq(ys, model), 0.0))

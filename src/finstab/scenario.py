@@ -237,6 +237,12 @@ def _build_hybrid(config: ScenarioConfig, hybrid: HybridModel) -> BuiltScenario:
     opts = _integration_opts({**config.integration, "sample_dt": hybrid.dt_macro},
                              hybrid.n_modes ** 2)
     y0 = hybrid_initial_state(config.initial_state, hybrid)
+    # the squared norm, which bounds V: past the float range the run would read inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        y0_normsq = float(np.sum(y0.c ** 2) + np.sum(y0.psi ** 2) / hybrid.grid_n ** 2)
+    if not np.isfinite(y0_normsq):
+        raise ConfigError(f"the squared norm of initial_state is {y0_normsq}, "
+                          "past the float range")
     return BuiltScenario(kind="hybrid", spec=spec, seed=config.seed, model=hybrid, y0=y0,
                          opts=opts)
 

@@ -14,10 +14,10 @@ import numpy as np
 
 from .controllers import ControllerSpec, PhiSpec, assemble_kernel_args, settling_bound_details
 from .decomposition import compute_gamma, gamma_certificate, unobservable_subspace
-from .frontends import (FrontendSpec, HybridState, build_frontend, hybrid_law, hybrid_v,
-                        transport_heat_model)
+from .frontends import (HYBRID_RATE, FrontendSpec, HybridState, build_frontend, hybrid_law,
+                        hybrid_v, transport_heat_model)
 from .integrator import expm, verify_decay, verify_lyapunov_stability
-from .kernels import closed_loop_law
+from .kernels import closed_loop_law, settling_time
 from .model import ModalModel, pencil_eigvalsh, validate_control_operator
 from .scenario import BuiltScenario, build_scenario, scenario_from_json, simulate_scenario
 
@@ -145,7 +145,7 @@ def criterion_heat_settling() -> CriterionResult:
     traj = run.traj
     mu = run.built.spec.mu
     V0 = float(traj.lyapunov[0])
-    bound = V0 ** mu / (2.0 * mu)
+    bound = settling_time(V0, 1.0, mu)
     decay = verify_decay(traj, 1.0, mu, 0.0)   # the bare envelope, no dead-zone floor
     clauses = [
         _clause("initial Lyapunov value", "V(0) == 1.25", V0, V0 == 1.25),
@@ -205,7 +205,7 @@ def criterion_transport_heat() -> CriterionResult:
     traj = run.traj
     mu = run.built.spec.mu
     V0 = float(traj.lyapunov[0])
-    bound = max(V0 ** mu / (2.0 * mu), run.built.model.delta)
+    bound = max(settling_time(V0, HYBRID_RATE, mu), run.built.model.delta)
     free = _get_run("transport-heat-free")
     ft = free.traj
     after = ft.times >= 1.0 - 1e-12

@@ -10,6 +10,7 @@ from finstab import (DEFAULT_DEAD_ZONE, FrontendSpec, ModalModel, ModelError, Ph
                      unobservable_subspace, validate_control_operator)
 from finstab import kernels
 from finstab.decomposition import decomposition_from_axes
+from finstab.integrator import clamp_projector
 
 
 def gamma_of(model, dec):
@@ -403,6 +404,34 @@ def test_h2_exact_constant_threshold():
     assert tight.details["needed_phi"] == pytest.approx(0.5, abs=1e-9)
     assert not check_H2(model, dec, PhiSpec("Constant", value=0.4),
                         DEFAULT_DEAD_ZONE, samples=128, seed=0).passed
+
+
+@pytest.mark.parametrize("s_b", [1e-13, 1.0, 1e13])
+@pytest.mark.parametrize("s_m", [1e-20, 1.0, 1e20])
+def test_rank_decisions_do_not_depend_on_the_scale_of_m_or_b(s_m, s_b):
+    # every rank cutoff is relative to the operator it judges, so scaling the
+    # metric or B moves no dimension and no projector
+    M = s_m * np.diag([1.0, 2.0, 1.0, 1.0])
+    B = s_b * np.diag([0.0, 1.0, 1.0, 1.0])
+    model = bilinear(np.diag([-1.0, -4.0, -9.0, -16.0]), B, M=M)
+    dec = unobservable_subspace(model)
+    control = validate_control_operator(model)
+    assert (dec.dim_w, dec.dim_wperp, control.details["dim_ker_b"]) == (1, 3, 1)
+    C = clamp_projector(model)
+    assert np.trace(C) == pytest.approx(3.0, rel=1e-12)
+    assert np.linalg.norm(C @ C - C) <= 1e-12 * np.linalg.norm(C)
+    assert np.linalg.norm(M @ C - C.T @ M) <= 1e-12 * np.linalg.norm(M)
+    assert np.linalg.norm(C @ B - B) <= 1e-12 * np.linalg.norm(B)
+    assert gamma_of(model, dec) == pytest.approx(s_b, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-7, 1e-13])
+def test_h2_exact_verdict_does_not_depend_on_the_scale_of_b(s):
+    # <Ay, By> = s <Ay, y> peaks at 0.5 s |y|^2 on y = e1, where |By|^2 = s^2 |y|^2
+    model = bilinear(np.diag([0.5, -1.0]), s * np.eye(2))
+    report = check_H2(model, unobservable_subspace(model), PhiSpec("Zero"), DEFAULT_DEAD_ZONE)
+    assert not report.passed
+    assert report.details["needed_phi"] * s == pytest.approx(0.5, rel=1e-12)
 
 
 def test_h2_oscillator_cross_coupling_defeats_any_constant():

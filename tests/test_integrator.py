@@ -227,14 +227,43 @@ def test_verify_lyapunov_stability_detects_excess_growth():
     assert verify_lyapunov_stability(traj, 1.0).passed
 
 
+def range_bp_projector(model):
+    """The metric-orthoprojector onto range(B P), built as SVD of B P, then a
+    metric re-orthonormalization of its range."""
+    M = model.metric
+    B = model.control_op if model.control_op is not None else \
+        model.input_map @ model.input_map.T @ M
+    u, sv, _ = np.linalg.svd(B @ unobservable_subspace(model).projection)
+    U = u[:, :int(np.sum(sv > 1e-12 * max(sv[0], 1.0)))]
+    return U @ np.linalg.solve(U.T @ M @ U, U.T @ M)
+
+
 def test_clamp_projector_targets_the_controlled_range():
-    model = bilinear(np.diag([-1.0, -2.0, -3.0]), np.diag([0.0, 1.0, 1.0]))
-    dec = finished_dec(model)
-    C = clamp_projector(model, dec)
+    C = clamp_projector(bilinear(np.diag([-1.0, -2.0, -3.0]), np.diag([0.0, 1.0, 1.0])))
     assert np.allclose(C, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
-    full = bilinear(np.diag([-1.0, -2.0]), np.eye(2))
-    Cf = clamp_projector(full, finished_dec(full))
-    assert np.allclose(Cf, np.eye(2), atol=1e-12)
+    assert np.allclose(clamp_projector(bilinear(np.diag([-1.0, -2.0]), np.eye(2))), np.eye(2),
+                       atol=1e-12)
+    # a general metric, W = span(e1): B = M^-1 K with K PSD and K e1 = 0 is M-self-adjoint
+    rng = np.random.default_rng(3)
+    R = rng.standard_normal((4, 4))
+    M = R @ R.T + np.eye(4)
+    K = np.zeros((4, 4))
+    K[1:, 1:] = R[1:, 1:] @ R[1:, 1:].T + 0.5 * np.eye(3)
+    general = ModalModel(dim=4, metric=M, generator=np.diag([-1.0, -2.0, -3.0, -4.0]),
+                         control_op=np.linalg.solve(M, K))
+    # an input map L of rank 2 with L* e1 = 0 under a metric that keeps e1 apart
+    M2 = np.eye(4)
+    M2[1:, 1:] = M[1:, 1:]
+    A2 = np.diag([-1.0, -2.0, -3.0, -4.0])
+    A2[1:, 1:] += 0.3 * np.triu(R[1:, 1:], 1)
+    L = np.zeros((4, 2))
+    L[1:] = rng.standard_normal((3, 2))
+    linear = ModalModel(dim=4, metric=M2, generator=A2, input_map=L)
+    for model, rank in ((general, 3), (linear, 2)):
+        assert unobservable_subspace(model).dim_w >= 1
+        C = clamp_projector(model)
+        assert np.trace(C) == pytest.approx(rank, rel=1e-12)
+        assert np.allclose(C, range_bp_projector(model), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

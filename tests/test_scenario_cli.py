@@ -397,10 +397,20 @@ def test_a_nan_error_estimate_is_a_rejection():
     assert traj.settling_time is None
 
 
+def _psi_spike(G=64, cell=(40, 40), value=1e200):
+    psi = np.zeros((G, G))
+    psi[cell] = value
+    return psi.tolist()
+
+
 @pytest.mark.parametrize("name, index, value", [
     ("heat-settling", None, "1e308*mode2"),
     ("beam-rankone", 8, 1e308),
-], ids=["heat-settling-1e308-mode2", "beam-rankone-initial_state-8-1e308"])
+    ("transport-heat-settling", None, {"phi_modes": [[0, 0, 1e308], [1, 0, 1e308]]}),
+    # the cell lies outside the 16 x 16 patch: V is finite, the norm is not
+    ("transport-heat-settling", None, {"phi_modes": [[0, 0, 1.0]], "psi": _psi_spike()}),
+], ids=["heat-settling-1e308-mode2", "beam-rankone-initial_state-8-1e308",
+        "transport-heat-settling-phi_modes-1e308", "transport-heat-settling-psi-1e200"])
 def test_cli_run_refuses_an_initial_state_whose_squared_norm_overflows(tmp_path, capsys, name,
                                                                        index, value):
     # V, the settling bound and the norms would read inf or NaN
@@ -414,6 +424,26 @@ def test_cli_run_refuses_an_initial_state_whose_squared_norm_overflows(tmp_path,
     cp = main_cli(capsys, "run", "--config", str(write_config(tmp_path, doc)), "--out", str(out))
     assert cp.returncode == 2
     assert cp.stderr.startswith("config error: ")
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_cli_refuses_a_decomposition_that_loses_a_direction(tmp_path, capsys, command):
+    # ker B = W = span(e1); the metric's 1e-17 weight on e2 sinks below the
+    # metric basis's cutoff, so W_perp would come out 2-dimensional of 3
+    doc = {"name": "lost", "matrices": {"dim": 4, "metric": {"diagonal": [1.0, 1e-17, 1.0, 1.0]},
+                                        "generator": {"diagonal": [-1.0, -4.0, -9.0, -16.0]},
+                                        "control_op": {"diagonal": [0.0, 1.0, 1.0, 1.0]}},
+           "controller": {"variant": "BilinearPhi", "mu": 0.25},
+           "initial_state": [0.0, 0.0, 1.0, 1.0], "integration": {"t_max": 1.0}}
+    out = tmp_path / "out"
+    args = [command, "--config", str(write_config(tmp_path, doc))]
+    if command == "run":
+        args += ["--out", str(out)]
+    cp = main_cli(capsys, *args)
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("model error: unobservable_subspace: dim W 1 + dim W_perp 2 != 4")
+    assert "condition number 1e+17" in cp.stderr
     assert not (out / "summary.json").exists()
 
 
