@@ -58,6 +58,10 @@ def _cmd_check(args) -> int:
     for report in summary["checks"]:
         status = "pass" if report["passed"] else "FAIL"
         print(f"  [{status}] {report['name']}")
+    dec = summary.get("decomposition")
+    if dec is not None:
+        print(f"  decomposition: dim W {dec['dim_w']}, dim W_perp {dec['dim_wperp']}, "
+              f"{dec['route']} route")
     verdict = "all checks passed" if code == EXIT_OK else "checks FAILED"
     print(f"{summary['name']}: {verdict}")
     return code

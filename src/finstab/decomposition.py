@@ -1,11 +1,18 @@
 """Unobservable-subspace decomposition and hypothesis certification.
 
 W is the set of states invisible to the control pairing: B e^{tA} x = 0 for
-all t, i.e. the largest A-invariant subspace of ker B.  It is found by the
-invariant-subspace recursion W_0 = ker B, W_{k+1} = {x in W_k : Ax in W_k} on
-orthonormal bases (Van Dooren 1981), never by powers of A.  The state space
-splits as W + W_perp (metric-orthogonal); the projector P onto W_perp and the
-positivity constant gamma drive the settling bounds.
+all t, i.e. the largest A-invariant subspace of ker B.  It is found on one of
+two routes, never by powers of A:
+
+- spectral, for A symmetric or skew in the metric: W is the sum over A's
+  eigenvalue clusters E of the largest A-invariant subspace of ker B inside E
+  (the Hautus test; Hautus 1969), read from one eigendecomposition;
+- recursion, for any other A: W_0 = ker B, W_{k+1} = {x in W_k : Ax in W_k}
+  on orthonormal bases (Van Dooren 1981).  Its error grows with the number
+  of steps, which is up to n for a rank-one B.
+
+The state space splits as W + W_perp (metric-orthogonal); the projector P
+onto W_perp and the positivity constant gamma drive the settling bounds.
 
 gamma is B's least eigenvalue above the ker B cutoff, read from the one
 spectrum of B that model.validate_control_operator computes.  gamma_certificate
@@ -25,11 +32,12 @@ import numpy as np
 
 from . import kernels
 from .model import (KERNEL_RTOL, CheckReport, ModalModel, ModelError,
-                    _effective_control_matrix, _is_identity, _solver_errors)
+                    _effective_control_matrix, _is_diagonal, _is_identity, _solver_errors)
 
 H1_TOL = 1e-9
 H2_TOL = 1e-9
-B_ON_W_TOL = 2.0 * KERNEL_RTOL   # a recursion W stays within KERNEL_RTOL; 2x for roundoff
+B_ON_W_TOL = 2.0 * KERNEL_RTOL   # a computed W stays within KERNEL_RTOL; 2x for roundoff
+CLUSTER_RTOL = 1e-10   # eigenvalues within CLUSTER_RTOL max|lambda| of a neighbour: one cluster
 
 
 # every SVD and eigensolver here is looked up through this one name, so this
@@ -42,6 +50,7 @@ class DecompositionResult:
     w_basis: np.ndarray        # (n, dim W), metric-orthonormal columns
     wperp_basis: np.ndarray    # (n, dim W_perp), metric-orthonormal columns
     projection: np.ndarray     # (n, n) metric-orthogonal projector onto W_perp
+    route: str                 # how W was found: "axes", "spectral" or "recursion"
     gamma: float | None = None
 
     @property
@@ -74,35 +83,44 @@ def _metric_normsq(rows: np.ndarray, model: ModalModel) -> np.ndarray:
     return np.einsum("ij,ij->i", rows if model.identity_metric else rows @ model.metric, rows)
 
 
-def _null_space(mat: np.ndarray, cutoff: float) -> np.ndarray:
-    """Orthonormal basis of the right singular vectors with sigma <= cutoff."""
-    _, sv, vt = linalg.svd(mat)
-    return vt[int(np.sum(sv > cutoff)):].T
+def _kernel_split(mat: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the right singular vectors with sigma <= cutoff (the
+    kernel) and with sigma > cutoff (the rest).  The thin SVD holds every right
+    singular vector unless mat has fewer rows than columns."""
+    _, sv, vt = linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    rank = int(np.sum(sv > cutoff))
+    return vt[rank:].T, vt[:rank].T
 
 
-@_solver_errors
-def unobservable_subspace(model: ModalModel) -> DecompositionResult:
-    """Bases of W and W_perp plus the projector, by the invariant-subspace recursion.
+def _largest_invariant(A: np.ndarray, w: np.ndarray,
+                       leak_cutoff: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The largest A-invariant subspace of span(w), w with orthonormal columns, by
+    the invariant-subspace recursion, and the pieces of span(w) it dropped.
 
-    W_0 = ker B; W_{k+1} keeps the x in W_k whose image Ax stays in W_k, the
-    kernel of the leak (I - V V^T) A V of an orthonormal basis V of W_k.  The
-    dimension falls at every step until W_k is A-invariant.  Singular values
-    below KERNEL_RTOL times the Frobenius norm of B (for ker B) or of A (for
-    the leak) count as zero.  W_perp is the null space of w_basis* M.  A metric
-    so ill-conditioned that the two bases do not span R^n is a ModelError.
+    Each step keeps the x in span(w) whose image Ax stays in it: the kernel of
+    the leak (I - w w^T) A w at leak_cutoff.  The dimension falls at every step
+    until span(w) is A-invariant.
     """
-    n = model.dim
-    B = _effective_control_matrix(model)
-    A = model.generator
-    w_raw = _null_space(B, KERNEL_RTOL * np.linalg.norm(B))
-    leak_cutoff = KERNEL_RTOL * np.linalg.norm(A)
-    while w_raw.shape[1]:
-        image = A @ w_raw
-        leak = image - w_raw @ (w_raw.T @ image)
-        kept = _null_space(leak, leak_cutoff)
-        if kept.shape[1] == w_raw.shape[1]:
+    dropped = []
+    while w.shape[1]:
+        image = A @ w
+        leak = image - w @ (w.T @ image)
+        kept, leaking = _kernel_split(leak, leak_cutoff)
+        if not leaking.shape[1]:
             break
-        w_raw = w_raw @ kept  # (n, dim W), Euclidean-orthonormal
+        dropped.append(w @ leaking)
+        w = w @ kept
+    return w, dropped
+
+
+def _recursion_bases(model: ModalModel, A: np.ndarray,
+                     B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Metric-orthonormal bases of W and W_perp for any A, by the recursion from
+    W_0 = ker B.  W_perp is the null space of w_basis* M; a metric so
+    ill-conditioned that the two bases do not span R^n is a ModelError."""
+    n = model.dim
+    w_raw, _ = _largest_invariant(A, _kernel_split(B, KERNEL_RTOL * np.linalg.norm(B))[0],
+                                  KERNEL_RTOL * np.linalg.norm(A))
     w_basis = _metric_orthonormalize(w_raw, model.metric)
     # w_basis^T M has full row rank dim W (w_basis^T M w_basis = I); for dim W = 0
     # the SVD of the 0-by-n matrix gives V = I
@@ -114,8 +132,82 @@ def unobservable_subspace(model: ModalModel) -> DecompositionResult:
             f"unobservable_subspace: dim W {dim_w} + dim W_perp {wperp_basis.shape[1]} != {n}; "
             f"the metric (condition number {np.linalg.cond(model.metric):.3g}) is too "
             "ill-conditioned to split the space")
-    projection = wperp_basis @ (wperp_basis.T @ model.metric)
-    return DecompositionResult(w_basis=w_basis, wperp_basis=wperp_basis, projection=projection)
+    return w_basis, wperp_basis
+
+
+def _spectral_bases(model: ModalModel, A: np.ndarray,
+                    B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Metric-orthonormal bases of W and W_perp for A symmetric or skew in M, from
+    one eigendecomposition.
+
+    On the Cholesky basis M = L L^T, A_hat = L^T A L^-T is symmetric or skew.
+    The eigenspaces of A_hat (symmetric) or of A_hat^T A_hat (skew: A's real
+    invariant planes) are grouped into clusters, and W is the sum over the
+    clusters of the largest A-invariant subspace of ker B inside each.  A
+    cluster B never sees lies in W; a seen cluster that is one eigenvector or
+    one rotation pair with omega != 0 lies in W_perp; any other cluster runs
+    the recursion on its own basis.  Bases map back by V = L^-T V_hat.
+    """
+    n = model.dim
+    if model.identity_metric:
+        A_hat, B_hat = A, B
+    else:
+        L = linalg.cholesky(model.metric)
+        L_inv_t = linalg.inv(L).T
+        A_hat, B_hat = L.T @ A @ L_inv_t, L.T @ B @ L_inv_t
+    skew = not model.generator_symmetric
+    # the part of A_hat that the model's flag certifies
+    A_hat = 0.5 * (A_hat - A_hat.T) if skew else 0.5 * (A_hat + A_hat.T)
+    S = A_hat.T @ A_hat if skew else A_hat
+    if _is_diagonal(S):
+        # eigenpairs read off the diagonal, ordered by sorted() on Python floats
+        # as in model.pencil_eigvalsh, not by numpy's sort
+        d = np.diagonal(S).tolist()
+        order = sorted(range(n), key=d.__getitem__)
+        lam, V_hat = np.take(d, order), np.eye(n)[:, order]
+        BV = B_hat[:, order]
+    else:
+        lam, V_hat = linalg.eigh(S)
+        BV = B_hat @ V_hat
+    b_cutoff = KERNEL_RTOL * np.linalg.norm(B_hat)
+    leak_cutoff = KERNEL_RTOL * np.linalg.norm(A_hat)
+    gap = CLUSTER_RTOL * max(abs(lam[0]), abs(lam[-1]))
+    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > gap)   # each cluster's first column
+    sizes = np.diff(starts, append=n)
+    seen = np.logical_or.reduceat(np.linalg.norm(BV, axis=0) > b_cutoff, starts)
+    # one eigenvector, or one rotation pair of a skew A with omega^2 above the gap
+    simple = (sizes == 1) | (skew & (sizes == 2) & (lam[starts] > gap))
+    w_parts = [V_hat[:, np.repeat(~seen, sizes)]]
+    wperp_parts = [V_hat[:, np.repeat(seen & simple, sizes)]]
+    for start, size in zip(starts[seen & ~simple], sizes[seen & ~simple]):
+        Vc = V_hat[:, start:start + size]
+        kernel, rest = _kernel_split(BV[:, start:start + size], b_cutoff)
+        w_c, dropped = _largest_invariant(Vc.T @ A_hat @ Vc, kernel, leak_cutoff)
+        w_parts.append(Vc @ w_c)
+        wperp_parts.append(Vc @ np.hstack([rest, *dropped]))
+    w_hat, wperp_hat = np.hstack(w_parts), np.hstack(wperp_parts)
+    if model.identity_metric:
+        return w_hat, wperp_hat
+    return L_inv_t @ w_hat, L_inv_t @ wperp_hat
+
+
+@_solver_errors
+def unobservable_subspace(model: ModalModel) -> DecompositionResult:
+    """Bases of W and W_perp plus the projector, on the spectral route for A
+    symmetric or skew in the metric and on the recursion route for any other A.
+
+    Singular values at or below KERNEL_RTOL times the Frobenius norm of B (for
+    ker B) or of A (for the leak) count as zero.
+    """
+    B = _effective_control_matrix(model)
+    A = model.generator
+    if model.generator_symmetric or model.generator_skew:
+        route, (w_basis, wperp_basis) = "spectral", _spectral_bases(model, A, B)
+    else:
+        route, (w_basis, wperp_basis) = "recursion", _recursion_bases(model, A, B)
+    wperp_t = wperp_basis.T if model.identity_metric else wperp_basis.T @ model.metric
+    return DecompositionResult(w_basis=w_basis, wperp_basis=wperp_basis,
+                               projection=wperp_basis @ wperp_t, route=route)
 
 
 def decomposition_from_axes(model: ModalModel, w_axes: tuple[int, ...]) -> DecompositionResult:
@@ -132,7 +224,7 @@ def decomposition_from_axes(model: ModalModel, w_axes: tuple[int, ...]) -> Decom
     mask[w_axes] = 0.0
     eye = np.eye(n)
     return DecompositionResult(w_basis=eye[:, w_axes], wperp_basis=eye[:, mask == 1.0],
-                               projection=np.diag(mask))
+                               projection=np.diag(mask), route="axes")
 
 
 def check_H1(model: ModalModel, dec: DecompositionResult) -> CheckReport:
@@ -179,7 +271,7 @@ def compute_gamma(model: ModalModel, dec: DecompositionResult, control: CheckRep
 def gamma_certificate(model: ModalModel, dec: DecompositionResult,
                       control: CheckReport) -> CheckReport:
     """Exact report on gamma: it exists, and B vanishes on W (else gamma is not B's
-    least eigenvalue on W_perp).  A W from the recursion keeps b_on_w_residual =
+    least eigenvalue on W_perp).  A W from either route keeps b_on_w_residual =
     ||B w_basis||_F / (||B||_F ||w_basis||_F) within KERNEL_RTOL.  dim_ker_b_wperp,
     the dimension of ker B in W_perp, is reported, not judged.
     """

@@ -22,7 +22,8 @@ import numpy as np
 from . import kernels
 from .controllers import KernelOps
 from .decomposition import DecompositionResult, _metric_normsq, _metric_orthonormalize
-from .model import KERNEL_RTOL, CheckReport, ModalModel, ModelError, _effective_control_matrix
+from .model import (KERNEL_RTOL, CheckReport, ModalModel, ModelError, _effective_control_matrix,
+                    _solver_errors)
 
 DECAY_TOL = 1e-6    # allowed excess of V(t)^mu over its decay envelope
 SPLIT_TOL = 1e-8    # allowed deviation of (I-P) y(t), relative to max(1, ||y0||)
@@ -92,6 +93,7 @@ class IntegrationStalledError(RuntimeError):
         self.trajectory = trajectory
 
 
+@_solver_errors
 def clamp_projector(model: ModalModel) -> np.ndarray:
     """Metric-orthoprojector onto the component the dead zone asserts is zero.
 

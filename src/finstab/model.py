@@ -192,7 +192,7 @@ def validate_control_operator(model: ModalModel) -> CheckReport:
     """Check that B is self-adjoint and PSD w.r.t. the metric, and report its spectrum.
 
     The one metric eigendecomposition of B (L L* for an input map, self-adjoint
-    PSD by construction): dim_ker_b eigenvalues lie at or below the recursion's
+    PSD by construction): dim_ker_b eigenvalues lie at or below the decomposition's
     ker B cutoff KERNEL_RTOL ||B||_F; the least above it, min_positive_eigenvalue,
     is gamma, as B is self-adjoint and vanishes on W.
     """

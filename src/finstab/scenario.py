@@ -442,7 +442,7 @@ def write_summary(path: Path, summary: dict[str, Any]) -> None:
 
 def _decomposition_json(dec: DecompositionResult) -> dict[str, Any]:
     return {"dim_w": dec.dim_w, "dim_wperp": dec.dim_wperp, "gamma": dec.gamma,
-            "delta": _delta_json(dec)}
+            "delta": _delta_json(dec), "route": dec.route}
 
 
 def simulate_scenario(built: BuiltScenario):

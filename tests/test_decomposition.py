@@ -102,6 +102,146 @@ def test_planted_rotated_subspace_recovered_at_larger_sizes(n, seed):
     assert angles(dec.w_basis, w_true) < 1e-8
 
 
+def assert_exact_split(model, dec, dim_w):
+    """dim W, W invariant under A and B vanishing on W, each relative to the operator."""
+    A, M = model.generator, model.metric
+    B = model.control_op
+    W = dec.w_basis
+    assert (dec.dim_w, dec.dim_wperp) == (dim_w, model.dim - dim_w)
+    assert np.linalg.norm(A @ W - W @ (W.T @ M @ A @ W)) <= 1e-12 * np.linalg.norm(A)
+    assert np.linalg.norm(B @ W) <= 1e-12 * np.linalg.norm(B)
+
+
+def _point_actuator(x0, n):
+    # b_j = sqrt(2) sin(j pi x0), with exact zeros where j x0 is an integer
+    j = np.arange(1, n + 1)
+    b = np.sqrt(2.0) * np.sin(j * np.pi * x0)
+    b[np.isclose(j * x0, np.round(j * x0))] = 0.0
+    return np.outer(b, b)
+
+
+@pytest.mark.parametrize("x0, n, dim_w", [
+    (0.5, 32, 16), (0.5, 64, 32), (0.5, 128, 64),
+    (1.0 / 3.0, 32, 10), (1.0 / 3.0, 64, 21), (1.0 / 3.0, 128, 42),
+])
+def test_heat_point_actuator_keeps_every_unseen_mode(x0, n, dim_w):
+    # B = b b^T sees mode j iff b_j != 0, so dim W counts the zeros of b
+    model = bilinear(np.diag(-(np.arange(1, n + 1) * np.pi) ** 2), _point_actuator(x0, n))
+    dec = unobservable_subspace(model)
+    assert dec.route == "spectral"
+    assert_exact_split(model, dec, dim_w)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_planted_symmetric_family_with_a_rank_one_b(n):
+    # A = Q diag(lambda) Q^T, W = 5 columns of Q, and b sees every other column
+    rng = np.random.default_rng(n)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = -n * rng.random(n)
+    b = Q[:, 5:] @ (1.0 + rng.random(n - 5))
+    model = bilinear(Q @ np.diag(lam) @ Q.T, np.outer(b, b))
+    dec = unobservable_subspace(model)
+    assert dec.route == "spectral"
+    assert_exact_split(model, dec, 5)
+    assert angles(dec.w_basis, Q[:, :5]) < 1e-12
+
+
+@pytest.mark.parametrize("m, dim_w", [(6, 15), (8, 30)])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_heat2d_point_actuator_splits_each_repeated_eigenvalue(m, dim_w, rotated):
+    # Dirichlet sines on the unit square: lambda_jk = -pi^2 (j^2 + k^2) repeats,
+    # and b_jk = 2 sin(j pi 0.3) sin(k pi 0.3) sees one direction of each
+    # eigenspace, so dim W = n - (number of distinct eigenvalues)
+    j, k = np.divmod(np.arange(m * m), m) + np.ones((2, 1), dtype=int)
+    A = np.diag(-np.pi ** 2 * (j ** 2 + k ** 2))
+    b = 2.0 * np.sin(j * np.pi * 0.3) * np.sin(k * np.pi * 0.3)
+    B = np.outer(b, b)
+    if rotated:
+        Q, _ = np.linalg.qr(np.random.default_rng(m).standard_normal((m * m, m * m)))
+        A, B = Q @ A @ Q.T, Q @ B @ Q.T
+    model = bilinear(A, B)
+    dec = unobservable_subspace(model)
+    assert dec.route == "spectral"
+    assert_exact_split(model, dec, dim_w)
+
+
+def test_rotated_skew_generator_with_a_repeated_frequency_and_a_zero_pair():
+    # canonical planes: omega = 1 twice (axes 0-3), omega = 2 (axes 4, 5) and
+    # A = 0 on axes 6, 7.  B sees e0 - e2, e4 and e6: W is the plane
+    # span(e0 + e2, e1 + e3) of the repeated frequency plus e7
+    J = np.zeros((8, 8))
+    for (p, q), omega in zip([(0, 1), (2, 3), (4, 5)], [1.0, 1.0, 2.0]):
+        J[p, q], J[q, p] = omega, -omega
+    eye = np.eye(8)
+    C = np.column_stack([eye[0] - eye[2], eye[4], eye[6]])
+    W = np.column_stack([eye[0] + eye[2], eye[1] + eye[3], eye[7]])
+    Q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))
+    model = bilinear(Q @ J @ Q.T, Q @ C @ C.T @ Q.T)
+    assert model.generator_skew
+    dec = unobservable_subspace(model)
+    assert dec.route == "spectral"
+    assert_exact_split(model, dec, 3)
+    assert angles(dec.w_basis, Q @ W) < 1e-12
+
+
+def _planted_in_metric(n, dim_w, skew, seed):
+    """A symmetric (or skew) in a general metric M with a planted W, and a rank-one
+    M-self-adjoint B that sees every eigenvector (or plane) outside W."""
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((n, n))
+    M = R @ R.T + n * np.eye(n)
+    # V M-orthonormal: V^T M V = I, so A = V D V^T M is M-symmetric (M-skew) with D
+    V = np.linalg.solve(np.linalg.cholesky(M).T, np.linalg.qr(rng.standard_normal((n, n)))[0])
+    freqs = np.sort(1.0 + (n - 1.0) * rng.random(n))
+    if skew:
+        D = np.zeros((n, n))
+        D[np.arange(0, n, 2), np.arange(1, n, 2)] = freqs[::2]
+        D = D - D.T
+    else:
+        D = np.diag(-freqs)
+    c = V[:, dim_w:] @ (1.0 + rng.random(n - dim_w))
+    model = ModalModel(dim=n, metric=M, generator=V @ D @ V.T @ M,
+                       control_op=np.outer(c, c) @ M)
+    return model, V[:, :dim_w]
+
+
+@pytest.mark.parametrize("n", [6, 12, 20])
+@pytest.mark.parametrize("skew", [False, True])
+def test_planted_w_under_a_general_metric(n, skew):
+    dim_w = 2 * (n // 6) if skew else n // 3
+    model, w_true = _planted_in_metric(n, dim_w, skew, seed=n + skew)
+    assert (model.generator_skew, model.generator_symmetric) == (skew, not skew)
+    dec = unobservable_subspace(model)
+    assert dec.route == "spectral"
+    assert_exact_split(model, dec, dim_w)
+    assert angles(dec.w_basis, w_true) < 1e-12
+    assert np.linalg.norm(dec.w_basis.T @ model.metric @ dec.wperp_basis) < 1e-12
+    P = dec.projection
+    assert np.linalg.norm(P @ P - P) < 1e-12 * np.linalg.norm(P)
+
+
+def test_a_merged_cluster_keeps_the_eigenvector_b_never_sees():
+    # lambda = -3 and -3 - 1e-12 fall within the cluster gap 1e-10 * 10; B sees
+    # the first of the pair but not the second, which stays in W with q(-7)
+    lam = np.array([-10.0, -7.0, -5.0, -3.0, -3.0 - 1e-12, -1.0])
+    Q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))
+    seen = Q[:, [0, 2, 3, 5]]
+    model = bilinear(Q @ np.diag(lam) @ Q.T, seen @ seen.T)
+    dec = unobservable_subspace(model)
+    assert dec.route == "spectral"
+    assert_exact_split(model, dec, 2)
+    assert angles(dec.w_basis, Q[:, [1, 4]]) < 1e-10
+
+
+def test_each_decomposition_names_its_route():
+    A = np.diag([-1.0, -2.0, -3.0])
+    B = np.diag([0.0, 1.0, 1.0])
+    assert unobservable_subspace(bilinear(A, B)).route == "spectral"
+    assert decomposition_from_axes(bilinear(A, B), (0,)).route == "axes"
+    A[0, 1] = 1.0
+    assert unobservable_subspace(bilinear(A, B)).route == "recursion"
+
+
 @pytest.mark.parametrize("kind, n_modes, extra", [
     ("Heat1D", 8, {}), ("Heat1D", 32, {}), ("Heat1D", 128, {}),
     ("Wave1D", 8, {"q": 3}), ("Wave1D", 32, {"q": 3}), ("Wave1D", 64, {"q": 3}),
@@ -292,7 +432,7 @@ def _localized_heat(n, a=0.2, b=0.5):
 @pytest.mark.parametrize("n, gamma, dim_ker", [(8, 3.52e-7, 1), (16, 2.91e-9, 4)])
 def test_localized_heat_actuator_gamma_is_read_above_the_kernel_cutoff(n, gamma, dim_ker):
     # B is definite in exact arithmetic, but its smallest eigenvalues sink below
-    # the cutoff 1e-10 ||B||_F that the recursion takes for ker B; gamma is
+    # the ker B cutoff 1e-10 ||B||_F; gamma is
     # the least eigenvalue above it (a 1e-12 max|lambda| cutoff took 7.2e-11
     # at n = 8 and 3.3e-12 at n = 16, both roundoff)
     model = _localized_heat(n)
@@ -459,9 +599,12 @@ def _no_convergence(*args, **kwargs):
                                                    DEFAULT_DEAD_ZONE, samples=10)),
 ])
 def test_solver_failure_is_a_model_error(monkeypatch, target, call):
-    # B couples its two live axes, so its spectrum is not read off a diagonal
-    model = bilinear(np.diag([-1.0, -2.0, -3.0]), [[0.0, 0.0, 0.0], [0.0, 1.0, 0.5],
-                                                   [0.0, 0.5, 1.0]])
+    # B couples its two live axes, so its spectrum is not read off a diagonal;
+    # A's entry off the diagonal makes A non-normal, so W is found by the recursion
+    A = np.diag([-1.0, -2.0, -3.0])
+    A[1, 2] = 1.0
+    model = bilinear(A, [[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    assert unobservable_subspace(model).route == "recursion"
     dec = unobservable_subspace(model)
     control = validate_control_operator(model)   # before the patch: only the call's solver fails
     monkeypatch.setattr(target, _no_convergence)

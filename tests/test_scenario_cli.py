@@ -427,15 +427,22 @@ def test_cli_run_refuses_an_initial_state_whose_squared_norm_overflows(tmp_path,
     assert not (out / "summary.json").exists()
 
 
+def ill_conditioned_doc(generator):
+    return {"name": "lost", "matrices": {"dim": 4, "metric": {"diagonal": [1.0, 1e-17, 1.0, 1.0]},
+                                         "generator": generator,
+                                         "control_op": {"diagonal": [0.0, 1.0, 1.0, 1.0]}},
+            "controller": {"variant": "BilinearPhi", "mu": 0.25},
+            "initial_state": [0.0, 0.0, 1.0, 1.0], "integration": {"t_max": 1.0}}
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_cli_refuses_a_decomposition_that_loses_a_direction(tmp_path, capsys, command):
-    # ker B = W = span(e1); the metric's 1e-17 weight on e2 sinks below the
-    # metric basis's cutoff, so W_perp would come out 2-dimensional of 3
-    doc = {"name": "lost", "matrices": {"dim": 4, "metric": {"diagonal": [1.0, 1e-17, 1.0, 1.0]},
-                                        "generator": {"diagonal": [-1.0, -4.0, -9.0, -16.0]},
-                                        "control_op": {"diagonal": [0.0, 1.0, 1.0, 1.0]}},
-           "controller": {"variant": "BilinearPhi", "mu": 0.25},
-           "initial_state": [0.0, 0.0, 1.0, 1.0], "integration": {"t_max": 1.0}}
+    # ker B = W = span(e1); A[2, 3] makes A non-normal, so W is found by the
+    # recursion, and the metric's 1e-17 weight on e2 sinks below the metric
+    # basis's cutoff, so W_perp would come out 2-dimensional of 3
+    A = np.diag([-1.0, -4.0, -9.0, -16.0])
+    A[2, 3] = 1.0
+    doc = ill_conditioned_doc(A.tolist())
     out = tmp_path / "out"
     args = [command, "--config", str(write_config(tmp_path, doc))]
     if command == "run":
@@ -445,6 +452,20 @@ def test_cli_refuses_a_decomposition_that_loses_a_direction(tmp_path, capsys, co
     assert cp.stderr.startswith("model error: unobservable_subspace: dim W 1 + dim W_perp 2 != 4")
     assert "condition number 1e+17" in cp.stderr
     assert not (out / "summary.json").exists()
+
+
+def test_cli_splits_a_diagonal_model_under_an_ill_conditioned_metric(tmp_path, capsys):
+    # a diagonal A is symmetric in the diagonal metric, so the spectral route
+    # splits the space on the Cholesky basis, with no metric basis to lose e2
+    doc = ill_conditioned_doc({"diagonal": [-1.0, -4.0, -9.0, -16.0]})
+    cp = main_cli(capsys, "check", "--config", str(write_config(tmp_path, doc)))
+    assert cp.returncode == 0, cp.stdout + cp.stderr
+    assert "  decomposition: dim W 1, dim W_perp 3, spectral route\n" in cp.stdout
+    out = tmp_path / "out"
+    cp = main_cli(capsys, "run", "--config", str(write_config(tmp_path, doc)), "--out", str(out))
+    assert cp.returncode == 0, cp.stdout + cp.stderr
+    dec = json.loads((out / "summary.json").read_text())["decomposition"]
+    assert (dec["dim_w"], dec["dim_wperp"], dec["route"]) == (1, 3, "spectral")
 
 
 def test_zero_control_run_is_the_exact_free_flow(tmp_path, capsys):
@@ -846,11 +867,11 @@ def _no_convergence(*args, **kwargs):
     raise np.linalg.LinAlgError("did not converge")
 
 
-def solver_config(tmp_path):
+def solver_config(tmp_path, generator=((-1.0, 1.0), (0.0, -2.0))):
+    # the default generator is non-normal, so W is found by the recursion
     return write_config(tmp_path, {
         "name": "solver",
-        "matrices": {"dim": 2, "generator": {"diagonal": [-1.0, -2.0]},
-                     "control_op": "identity"},
+        "matrices": {"dim": 2, "generator": generator, "control_op": "identity"},
         "controller": {"variant": "BilinearPhi", "mu": 0.25},
         "initial_state": [1.0, 1.0], "integration": {"t_max": 1.0}})
 
@@ -863,6 +884,26 @@ def test_cli_solver_failure_exits_2(tmp_path, capsys, monkeypatch, command):
         args += ["--out", str(tmp_path / "out")]
     assert cli.main(args) == 2
     assert "model error: unobservable_subspace: did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_cli_spectral_solver_failure_exits_2(tmp_path, capsys, monkeypatch, command):
+    # a symmetric A off a diagonal: the spectral route's eigendecomposition fails
+    monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+    args = [command, "--config", str(solver_config(tmp_path, ((-2.0, 1.0), (1.0, -2.0))))]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    assert "model error: unobservable_subspace: did not converge" in capsys.readouterr().err
+
+
+def test_cli_clamp_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # diagonal A and B: the structural pass runs no SVD, so the clamp's is the
+    # only solver that fails
+    config = solver_config(tmp_path, {"diagonal": [-1.0, -2.0]})
+    monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "model error: clamp_projector: did not converge" in capsys.readouterr().err
 
 
 def test_cli_control_spectrum_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
