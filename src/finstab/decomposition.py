@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .model import (KERNEL_RTOL, CheckReport, ModalModel, ModelError,
-                    _effective_control_matrix, _is_diagonal, _is_identity, _solver_errors)
+                    _effective_control_matrix, _is_identity, _solver_errors)
 
 H1_TOL = 1e-9
 H2_TOL = 1e-9
@@ -144,9 +144,9 @@ def _spectral_bases(model: ModalModel, A: np.ndarray,
     The eigenspaces of A_hat (symmetric) or of A_hat^T A_hat (skew: A's real
     invariant planes) are grouped into clusters, and W is the sum over the
     clusters of the largest A-invariant subspace of ker B inside each.  A
-    cluster B never sees lies in W; a seen cluster that is one eigenvector or
-    one rotation pair with omega != 0 lies in W_perp; any other cluster runs
-    the recursion on its own basis.  Bases map back by V = L^-T V_hat.
+    cluster B never sees lies in W; a seen cluster of one eigenvector lies in
+    W_perp; any other seen cluster (a rotation pair, a repeated eigenvalue)
+    runs the recursion on its own basis.  Bases map back by V = L^-T V_hat.
     """
     n = model.dim
     if model.identity_metric:
@@ -159,27 +159,21 @@ def _spectral_bases(model: ModalModel, A: np.ndarray,
     # the part of A_hat that the model's flag certifies
     A_hat = 0.5 * (A_hat - A_hat.T) if skew else 0.5 * (A_hat + A_hat.T)
     S = A_hat.T @ A_hat if skew else A_hat
-    if _is_diagonal(S):
-        # eigenpairs read off the diagonal, ordered by sorted() on Python floats
-        # as in model.pencil_eigvalsh, not by numpy's sort
-        d = np.diagonal(S).tolist()
-        order = sorted(range(n), key=d.__getitem__)
-        lam, V_hat = np.take(d, order), np.eye(n)[:, order]
-        BV = B_hat[:, order]
-    else:
-        lam, V_hat = linalg.eigh(S)
-        BV = B_hat @ V_hat
+    lam, V_hat = linalg.eigh(S)
+    BV = B_hat @ V_hat
     b_cutoff = KERNEL_RTOL * np.linalg.norm(B_hat)
     leak_cutoff = KERNEL_RTOL * np.linalg.norm(A_hat)
     gap = CLUSTER_RTOL * max(abs(lam[0]), abs(lam[-1]))
     starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > gap)   # each cluster's first column
     sizes = np.diff(starts, append=n)
-    seen = np.logical_or.reduceat(np.linalg.norm(BV, axis=0) > b_cutoff, starts)
-    # one eigenvector, or one rotation pair of a skew A with omega^2 above the gap
-    simple = (sizes == 1) | (skew & (sizes == 2) & (lam[starts] > gap))
+    # a cluster's block B_hat V_c at or below the ker B cutoff in Frobenius norm
+    # is ker B on the SVD's rule too (sigma_max <= ||.||_F, equal for one column)
+    seen = np.add.reduceat(np.linalg.norm(BV, axis=0) ** 2, starts) > b_cutoff ** 2
+    single = sizes == 1
     w_parts = [V_hat[:, np.repeat(~seen, sizes)]]
-    wperp_parts = [V_hat[:, np.repeat(seen & simple, sizes)]]
-    for start, size in zip(starts[seen & ~simple], sizes[seen & ~simple]):
+    wperp_parts = [V_hat[:, np.repeat(seen & single, sizes)]]
+    # any other seen cluster: the SVD of its block gives ker B, then the recursion
+    for start, size in zip(starts[seen & ~single], sizes[seen & ~single]):
         Vc = V_hat[:, start:start + size]
         kernel, rest = _kernel_split(BV[:, start:start + size], b_cutoff)
         w_c, dropped = _largest_invariant(Vc.T @ A_hat @ Vc, kernel, leak_cutoff)

@@ -76,8 +76,8 @@ class ModalModel:
     basis_labels: tuple[str, ...] = ()
     # the structure of the operators, decided once here and read by every layer
     identity_metric: bool = field(init=False)      # M == I exactly
-    generator_symmetric: bool = field(init=False)  # A*M - MA below STRUCT_TOL, relative
-    generator_skew: bool = field(init=False)       # A*M + MA below STRUCT_TOL, relative
+    generator_symmetric: bool = field(init=False)  # max|A*M - MA| <= STRUCT_TOL max|A*M|
+    generator_skew: bool = field(init=False)       # max|A*M + MA| <= STRUCT_TOL max|A*M|
 
     def __post_init__(self):
         n = self.dim
@@ -98,12 +98,12 @@ class ModalModel:
             raise ModelError("metric must be positive definite")
         A = generator
         AtM, MA = (A.T, A) if identity else (A.T @ metric, metric @ A)
-        scale = max(1.0, float(np.max(np.abs(AtM))))
+        # relative to A*M itself, with no floor: a floor of 1 would certify any A
+        # whose entries lie below STRUCT_TOL, whatever its structure
+        cutoff = STRUCT_TOL * float(np.max(np.abs(AtM)))
         object.__setattr__(self, "identity_metric", identity)
-        object.__setattr__(self, "generator_symmetric",
-                           float(np.max(np.abs(AtM - MA))) / scale < STRUCT_TOL)
-        object.__setattr__(self, "generator_skew",
-                           float(np.max(np.abs(AtM + MA))) / scale < STRUCT_TOL)
+        object.__setattr__(self, "generator_symmetric", float(np.max(np.abs(AtM - MA))) <= cutoff)
+        object.__setattr__(self, "generator_skew", float(np.max(np.abs(AtM + MA))) <= cutoff)
         if (self.control_op is None) == (self.input_map is None):
             raise ModelError("exactly one of control_op / input_map must be present")
         if self.control_op is not None:

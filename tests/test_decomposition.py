@@ -233,6 +233,34 @@ def test_a_merged_cluster_keeps_the_eigenvector_b_never_sees():
     assert angles(dec.w_basis, Q[:, [1, 4]]) < 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e-11, 1.0])
+def test_a_nilpotent_generator_keeps_its_kernel_at_every_scale(scale):
+    # A e1 = 0 and B e1 = 0, so W = span(e1); A is non-normal at every scale,
+    # and its symmetric part's eigenvectors (e1 +- e2)/sqrt(2) are both seen by B
+    model = bilinear(scale * np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([0.0, 1.0]))
+    assert not (model.generator_symmetric or model.generator_skew)
+    dec = unobservable_subspace(model)
+    assert dec.route == "recursion"
+    assert_exact_split(model, dec, 1)
+    assert angles(dec.w_basis, np.eye(2)[:, :1]) < 1e-12
+
+
+def test_a_cluster_is_ker_b_by_the_svd_of_its_block():
+    # lambda = -1 twice; B = diag(0, 0, 1) + c (e1 + e2)(e1 + e2)^T with c = 0.6e-10:
+    # each column of B on the cluster has norm 0.85e-10, below the cutoff
+    # 1e-10 ||B||_F, but the block has sigma 1.2e-10 and 0, so ker B meets the
+    # cluster in e1 - e2 alone, as B's own spectrum counts it
+    c = 0.6e-10
+    B = np.diag([0.0, 0.0, 1.0]) + c * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    model = bilinear(np.diag([-1.0, -1.0, -2.0]), B)
+    control = validate_control_operator(model)
+    dec = unobservable_subspace(model)
+    assert dec.route == "spectral"
+    assert (control.details["dim_ker_b"], dec.dim_w) == (1, 1)
+    assert angles(dec.w_basis, np.array([[1.0], [-1.0], [0.0]]) / np.sqrt(2.0)) < 1e-12
+    assert gamma_certificate(model, dec, control).details["dim_ker_b_wperp"] == 0
+
+
 def test_each_decomposition_names_its_route():
     A = np.diag([-1.0, -2.0, -3.0])
     B = np.diag([0.0, 1.0, 1.0])
