@@ -1,15 +1,21 @@
 """Unobservable-subspace decomposition and hypothesis certification.
 
 W is the set of states invisible to the control pairing: B e^{tA} x = 0 for
-all t, i.e. the largest A-invariant subspace of ker B.  It is found on one of
-two routes, never by powers of A:
+all t, i.e. the largest A-invariant subspace of ker B.  It is found by one
+routine, never by powers of A, on the Cholesky basis M = L L^T, where the
+metric is the identity.  The space is cut into clusters, and W is the sum over
+the clusters of the largest A-invariant subspace of ker B inside each (the
+Hautus test; Hautus 1969); W_perp is the rest of each cluster.  The route
+names how the clusters are cut:
 
-- spectral, for A symmetric or skew in the metric: W is the sum over A's
-  eigenvalue clusters E of the largest A-invariant subspace of ker B inside E
-  (the Hautus test; Hautus 1969), read from one eigendecomposition;
-- recursion, for any other A: W_0 = ker B, W_{k+1} = {x in W_k : Ax in W_k}
-  on orthonormal bases (Van Dooren 1981).  Its error grows with the number
-  of steps, which is up to n for a rank-one B.
+- spectral, for A symmetric or skew in the metric: A's eigenvalue clusters,
+  read from one eigendecomposition;
+- recursion, for any other A: the whole space is one cluster.
+
+Inside a cluster, ker B comes from one SVD and its largest A-invariant
+subspace from the recursion W_0 = ker B, W_{k+1} = {x in W_k : Ax in W_k} on
+orthonormal bases (Van Dooren 1981).  Its error grows with the number of
+steps, which is up to n for a rank-one B on the recursion route.
 
 The state space splits as W + W_perp (metric-orthogonal); the projector P
 onto W_perp and the positivity constant gamma drive the settling bounds.
@@ -62,17 +68,6 @@ class DecompositionResult:
         return self.wperp_basis.shape[1]
 
 
-def _metric_orthonormalize(vecs: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of vecs w.r.t. the metric (thin, stable),
-    dropping Gram eigenvalues at or below 1e-14 of the largest."""
-    if vecs.shape[1] == 0:
-        return vecs
-    gram = vecs.T @ metric @ vecs
-    evals, evecs = linalg.eigh(gram)
-    keep = evals > 1e-14 * max(evals.max(), 0.0)
-    return vecs @ (evecs[:, keep] / np.sqrt(evals[keep]))
-
-
 def _metric_normsq(rows: np.ndarray, model: ModalModel) -> np.ndarray:
     """<x, M x> for each row x, in the model's metric M.
 
@@ -113,92 +108,61 @@ def _largest_invariant(A: np.ndarray, w: np.ndarray,
     return w, dropped
 
 
-def _recursion_bases(model: ModalModel, A: np.ndarray,
-                     B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Metric-orthonormal bases of W and W_perp for any A, by the recursion from
-    W_0 = ker B.  W_perp is the null space of w_basis* M; a metric so
-    ill-conditioned that the two bases do not span R^n is a ModelError."""
-    n = model.dim
-    w_raw, _ = _largest_invariant(A, _kernel_split(B, KERNEL_RTOL * np.linalg.norm(B))[0],
-                                  KERNEL_RTOL * np.linalg.norm(A))
-    w_basis = _metric_orthonormalize(w_raw, model.metric)
-    # w_basis^T M has full row rank dim W (w_basis^T M w_basis = I); for dim W = 0
-    # the SVD of the 0-by-n matrix gives V = I
-    dim_w = w_basis.shape[1]
-    _, _, vt = linalg.svd(w_basis.T @ model.metric)
-    wperp_basis = _metric_orthonormalize(vt[dim_w:].T, model.metric)
-    if dim_w + wperp_basis.shape[1] != n:
-        raise ModelError(
-            f"unobservable_subspace: dim W {dim_w} + dim W_perp {wperp_basis.shape[1]} != {n}; "
-            f"the metric (condition number {np.linalg.cond(model.metric):.3g}) is too "
-            "ill-conditioned to split the space")
-    return w_basis, wperp_basis
-
-
-def _spectral_bases(model: ModalModel, A: np.ndarray,
-                    B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Metric-orthonormal bases of W and W_perp for A symmetric or skew in M, from
-    one eigendecomposition.
-
-    On the Cholesky basis M = L L^T, A_hat = L^T A L^-T is symmetric or skew.
-    The eigenspaces of A_hat (symmetric) or of A_hat^T A_hat (skew: A's real
-    invariant planes) are grouped into clusters, and W is the sum over the
-    clusters of the largest A-invariant subspace of ker B inside each.  A
-    cluster B never sees lies in W; a seen cluster of one eigenvector lies in
-    W_perp; any other seen cluster (a rotation pair, a repeated eigenvalue)
-    runs the recursion on its own basis.  Bases map back by V = L^-T V_hat.
-    """
-    n = model.dim
-    if model.identity_metric:
-        A_hat, B_hat = A, B
-    else:
-        L = linalg.cholesky(model.metric)
-        L_inv_t = linalg.inv(L).T
-        A_hat, B_hat = L.T @ A @ L_inv_t, L.T @ B @ L_inv_t
-    skew = not model.generator_symmetric
-    # the part of A_hat that the model's flag certifies
-    A_hat = 0.5 * (A_hat - A_hat.T) if skew else 0.5 * (A_hat + A_hat.T)
-    S = A_hat.T @ A_hat if skew else A_hat
-    lam, V_hat = linalg.eigh(S)
-    BV = B_hat @ V_hat
-    b_cutoff = KERNEL_RTOL * np.linalg.norm(B_hat)
-    leak_cutoff = KERNEL_RTOL * np.linalg.norm(A_hat)
-    gap = CLUSTER_RTOL * max(abs(lam[0]), abs(lam[-1]))
-    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > gap)   # each cluster's first column
-    sizes = np.diff(starts, append=n)
-    # a cluster's block B_hat V_c at or below the ker B cutoff in Frobenius norm
-    # is ker B on the SVD's rule too (sigma_max <= ||.||_F, equal for one column)
-    seen = np.add.reduceat(np.linalg.norm(BV, axis=0) ** 2, starts) > b_cutoff ** 2
-    single = sizes == 1
-    w_parts = [V_hat[:, np.repeat(~seen, sizes)]]
-    wperp_parts = [V_hat[:, np.repeat(seen & single, sizes)]]
-    # any other seen cluster: the SVD of its block gives ker B, then the recursion
-    for start, size in zip(starts[seen & ~single], sizes[seen & ~single]):
-        Vc = V_hat[:, start:start + size]
-        kernel, rest = _kernel_split(BV[:, start:start + size], b_cutoff)
-        w_c, dropped = _largest_invariant(Vc.T @ A_hat @ Vc, kernel, leak_cutoff)
-        w_parts.append(Vc @ w_c)
-        wperp_parts.append(Vc @ np.hstack([rest, *dropped]))
-    w_hat, wperp_hat = np.hstack(w_parts), np.hstack(wperp_parts)
-    if model.identity_metric:
-        return w_hat, wperp_hat
-    return L_inv_t @ w_hat, L_inv_t @ wperp_hat
-
-
 @_solver_errors
 def unobservable_subspace(model: ModalModel) -> DecompositionResult:
-    """Bases of W and W_perp plus the projector, on the spectral route for A
-    symmetric or skew in the metric and on the recursion route for any other A.
+    """Metric-orthonormal bases of W and W_perp plus the projector onto W_perp.
 
-    Singular values at or below KERNEL_RTOL times the Frobenius norm of B (for
-    ker B) or of A (for the leak) count as zero.
+    With M = L L^T, A_hat = L^T A L^-T and B_hat = L^T B L^-T act on coordinates
+    in which M is the identity (M = I needs no change of basis).  The spectral
+    route's clusters are the eigenspaces of A_hat (symmetric) or of A_hat^T A_hat
+    (skew: A's real invariant planes), grouped by CLUSTER_RTOL: one B never sees
+    lies in W, a seen one of one eigenvector in W_perp.  Any other cluster, and
+    on the recursion route the whole space, splits by the SVD of its block of
+    B_hat and the recursion; what either drops lies in W_perp.  The bases map
+    back by V = L^-T V_hat, so they are M-orthonormal and span R^n together.
+    Singular values at or below KERNEL_RTOL times the Frobenius norm of B_hat
+    (for ker B) or of A_hat (for the leak) count as zero.
     """
-    B = _effective_control_matrix(model)
-    A = model.generator
-    if model.generator_symmetric or model.generator_skew:
-        route, (w_basis, wperp_basis) = "spectral", _spectral_bases(model, A, B)
+    n = model.dim
+    A, B = model.generator, _effective_control_matrix(model)
+    if model.metric_factor is None:
+        A_hat, B_hat = A, B
     else:
-        route, (w_basis, wperp_basis) = "recursion", _recursion_bases(model, A, B)
+        L, L_inv_t = model.metric_factor
+        A_hat, B_hat = L.T @ A @ L_inv_t, L.T @ B @ L_inv_t
+    b_cutoff = KERNEL_RTOL * np.linalg.norm(B_hat)
+    if model.generator_symmetric or model.generator_skew:
+        route, skew = "spectral", not model.generator_symmetric
+        # the part of A_hat that the model's flag certifies
+        A_hat = 0.5 * (A_hat - A_hat.T) if skew else 0.5 * (A_hat + A_hat.T)
+        lam, V_hat = linalg.eigh(A_hat.T @ A_hat if skew else A_hat)
+        BV = B_hat @ V_hat
+        gap = CLUSTER_RTOL * max(abs(lam[0]), abs(lam[-1]))
+        starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > gap)   # each cluster's first column
+        sizes = np.diff(starts, append=n)
+        # a cluster's block B_hat V_c at or below the ker B cutoff in Frobenius norm
+        # is ker B on the SVD's rule too (sigma_max <= ||.||_F, equal for one column)
+        seen = np.add.reduceat(np.linalg.norm(BV, axis=0) ** 2, starts) > b_cutoff ** 2
+        single = sizes == 1
+        w_parts = [V_hat[:, np.repeat(~seen, sizes)]]
+        wperp_parts = [V_hat[:, np.repeat(seen & single, sizes)]]
+        clusters = []
+        for start, size in zip(starts[seen & ~single], sizes[seen & ~single]):
+            Vc = V_hat[:, start:start + size]
+            clusters.append((Vc, Vc.T @ A_hat @ Vc, BV[:, start:start + size]))
+    else:
+        # one cluster on the coordinates themselves: no basis to multiply by
+        route, w_parts, wperp_parts, clusters = "recursion", [], [], [(None, A_hat, B_hat)]
+    leak_cutoff = KERNEL_RTOL * np.linalg.norm(A_hat)
+    for Vc, A_c, B_c in clusters:
+        kernel, rest = _kernel_split(B_c, b_cutoff)
+        w_c, dropped = _largest_invariant(A_c, kernel, leak_cutoff)
+        wperp_c = np.hstack([rest, *dropped])
+        w_parts.append(w_c if Vc is None else Vc @ w_c)
+        wperp_parts.append(wperp_c if Vc is None else Vc @ wperp_c)
+    w_basis, wperp_basis = np.hstack(w_parts), np.hstack(wperp_parts)
+    if model.metric_factor is not None:
+        w_basis, wperp_basis = L_inv_t @ w_basis, L_inv_t @ wperp_basis
     wperp_t = wperp_basis.T if model.identity_metric else wperp_basis.T @ model.metric
     return DecompositionResult(w_basis=w_basis, wperp_basis=wperp_basis,
                                projection=wperp_basis @ wperp_t, route=route)
@@ -222,7 +186,11 @@ def decomposition_from_axes(model: ModalModel, w_axes: tuple[int, ...]) -> Decom
 
 
 def check_H1(model: ModalModel, dec: DecompositionResult) -> CheckReport:
-    """Invariance of W_perp under A (semigroup invariance for matrix generators)."""
+    """Invariance of W_perp under A (semigroup invariance for matrix generators).
+
+    invariance_residual is the largest metric norm of the part of Av outside
+    W_perp over the W_perp basis vectors v, relative to the largest ||Av||.
+    """
     A = model.generator
     M = model.metric
     P = dec.projection
@@ -231,7 +199,9 @@ def check_H1(model: ModalModel, dec: DecompositionResult) -> CheckReport:
     leaks = images - images @ P.T
     leak_norm = np.sqrt(np.maximum(np.sum((leaks @ M) * leaks, axis=1), 0.0))
     image_norm = np.sqrt(np.maximum(np.sum((images @ M) * images, axis=1), 0.0))
-    residuals = leak_norm / np.maximum(image_norm, 1.0)
+    # relative to the largest image, not per column: a column that A (nearly)
+    # annihilates would read its roundoff as a leak.  A = 0 on W_perp leaks nothing.
+    residuals = leak_norm / (float(np.max(image_norm, initial=0.0)) or 1.0)
     worst_column = int(np.argmax(residuals)) if residuals.size else None
     worst = float(np.max(residuals, initial=0.0))
     return CheckReport(
@@ -350,7 +320,8 @@ def _exact_constant_phi(A: np.ndarray, B: np.ndarray, M: np.ndarray, Q: np.ndarr
     if U_ker.shape[1]:
         cross = U_ker.T @ S_r @ U_pos
         ker_diag = U_ker.T @ S_r @ U_ker
-        if np.max(np.abs(cross)) > 1e-9 or np.max(np.abs(ker_diag)) > 1e-9:
+        coupling = 1e-9 * np.linalg.norm(S_r)
+        if np.max(np.abs(cross)) > coupling or np.max(np.abs(ker_diag)) > coupling:
             return np.inf
     reduced = (U_pos / np.sqrt(evals[pos])).T @ S_r @ (U_pos / np.sqrt(evals[pos]))
     reduced = 0.5 * (reduced + reduced.T)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .controllers import KernelOps
-from .decomposition import DecompositionResult, _metric_normsq, _metric_orthonormalize
+from .decomposition import DecompositionResult, _metric_normsq
 from .model import (KERNEL_RTOL, CheckReport, ModalModel, ModelError, _effective_control_matrix,
                     _solver_errors)
 
@@ -103,10 +103,16 @@ def clamp_projector(model: ModalModel) -> np.ndarray:
     latch shows up as regrowth instead of being hidden.
     """
     B = _effective_control_matrix(model)
-    u, sv, _ = np.linalg.svd(B)
-    rank = int(np.sum(sv > KERNEL_RTOL * np.linalg.norm(B)))
-    basis = _metric_orthonormalize(u[:, :rank], model.metric)
-    return basis @ (basis.T @ model.metric)
+    factor = model.metric_factor
+    # on the Cholesky basis M = L L^T, range(B_hat) = L^T range(B): its
+    # orthonormal basis U maps back to the M-orthonormal basis L^-T U
+    B_hat = B if factor is None else factor[0].T @ B @ factor[1]
+    u, sv, _ = np.linalg.svd(B_hat)
+    u = u[:, :int(np.sum(sv > KERNEL_RTOL * np.linalg.norm(B_hat)))]
+    if factor is None:
+        return u @ u.T
+    L, L_inv_t = factor
+    return (L_inv_t @ u) @ (L @ u).T   # (L^-T U)^T M = U^T L^T
 
 
 # largest 1-norms for which the [m/m] Pade approximant of exp is accurate to

@@ -78,6 +78,9 @@ class ModalModel:
     identity_metric: bool = field(init=False)      # M == I exactly
     generator_symmetric: bool = field(init=False)  # max|A*M - MA| <= STRUCT_TOL max|A*M|
     generator_skew: bool = field(init=False)       # max|A*M + MA| <= STRUCT_TOL max|A*M|
+    # (L, L^-T) with M = L L^T, or None for M == I: the basis on which the
+    # metric is the identity, so x -> L^T x maps M-orthonormal to orthonormal
+    metric_factor: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.dim
@@ -91,17 +94,24 @@ class ModalModel:
             raise ModelError("metric and generator must be n-by-n")
         if not (np.all(np.isfinite(metric)) and np.all(np.isfinite(generator))):
             raise ModelError("metric and generator must be finite")
-        if np.max(np.abs(metric - metric.T)) > SYM_TOL * max(1.0, np.max(np.abs(metric))):
+        # relative with no floor: the factor below reads one triangle only
+        if np.max(np.abs(metric - metric.T)) > SYM_TOL * np.max(np.abs(metric)):
             raise ModelError("metric must be symmetric")
         identity = _is_identity(metric)
-        if not identity and np.min(np.linalg.eigvalsh(metric)) <= 0:
-            raise ModelError("metric must be positive definite")
+        factor = None
+        if not identity:
+            try:
+                L = np.linalg.cholesky(metric)
+            except np.linalg.LinAlgError as exc:
+                raise ModelError("metric must be positive definite") from exc
+            factor = (L, np.linalg.inv(L).T)
         A = generator
         AtM, MA = (A.T, A) if identity else (A.T @ metric, metric @ A)
         # relative to A*M itself, with no floor: a floor of 1 would certify any A
         # whose entries lie below STRUCT_TOL, whatever its structure
         cutoff = STRUCT_TOL * float(np.max(np.abs(AtM)))
         object.__setattr__(self, "identity_metric", identity)
+        object.__setattr__(self, "metric_factor", factor)
         object.__setattr__(self, "generator_symmetric", float(np.max(np.abs(AtM - MA))) <= cutoff)
         object.__setattr__(self, "generator_skew", float(np.max(np.abs(AtM + MA))) <= cutoff)
         if (self.control_op is None) == (self.input_map is None):

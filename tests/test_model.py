@@ -34,6 +34,9 @@ def test_rejects_bad_metric():
     A = -np.eye(2)
     with pytest.raises(ModelError):
         bilinear(A, np.eye(2), M=[[1.0, 0.5], [0.0, 1.0]])  # not symmetric
+    with pytest.raises(ModelError, match="symmetric"):
+        # at any scale: the Cholesky factor would read one triangle only
+        bilinear(A, np.eye(2), M=1e-20 * np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ModelError):
         bilinear(A, np.eye(2), M=np.diag([1.0, -1.0]))  # indefinite
     for near_identity in (np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 1.0, 0.0])):

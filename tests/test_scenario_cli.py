@@ -435,37 +435,34 @@ def ill_conditioned_doc(generator):
             "initial_state": [0.0, 0.0, 1.0, 1.0], "integration": {"t_max": 1.0}}
 
 
-@pytest.mark.parametrize("command", ["check", "run"])
-def test_cli_refuses_a_decomposition_that_loses_a_direction(tmp_path, capsys, command):
-    # ker B = W = span(e1); A[2, 3] makes A non-normal, so W is found by the
-    # recursion, and the metric's 1e-17 weight on e2 sinks below the metric
-    # basis's cutoff, so W_perp would come out 2-dimensional of 3
+def _ill_conditioned_non_normal():
     A = np.diag([-1.0, -4.0, -9.0, -16.0])
     A[2, 3] = 1.0
-    doc = ill_conditioned_doc(A.tolist())
-    out = tmp_path / "out"
-    args = [command, "--config", str(write_config(tmp_path, doc))]
-    if command == "run":
-        args += ["--out", str(out)]
-    cp = main_cli(capsys, *args)
-    assert cp.returncode == 2
-    assert cp.stderr.startswith("model error: unobservable_subspace: dim W 1 + dim W_perp 2 != 4")
-    assert "condition number 1e+17" in cp.stderr
-    assert not (out / "summary.json").exists()
+    return A.tolist()
 
 
-def test_cli_splits_a_diagonal_model_under_an_ill_conditioned_metric(tmp_path, capsys):
-    # a diagonal A is symmetric in the diagonal metric, so the spectral route
-    # splits the space on the Cholesky basis, with no metric basis to lose e2
-    doc = ill_conditioned_doc({"diagonal": [-1.0, -4.0, -9.0, -16.0]})
+@pytest.mark.parametrize("generator, route", [
+    ({"diagonal": [-1.0, -4.0, -9.0, -16.0]}, "spectral"),
+    (_ill_conditioned_non_normal(), "recursion"),
+], ids=["diagonal", "non-normal"])
+def test_cli_splits_a_model_under_an_ill_conditioned_metric(tmp_path, capsys, generator, route):
+    # ker B = W = span(e1).  A diagonal A is symmetric in the diagonal metric and
+    # takes the spectral route; A[2, 3] makes A non-normal, so it takes the
+    # recursion.  Both split the space on the Cholesky basis, whose bases are
+    # M-orthonormal by construction, so the metric's 1e-17 weight on e2 loses
+    # no direction of W_perp
+    doc = ill_conditioned_doc(generator)
     cp = main_cli(capsys, "check", "--config", str(write_config(tmp_path, doc)))
     assert cp.returncode == 0, cp.stdout + cp.stderr
-    assert "  decomposition: dim W 1, dim W_perp 3, spectral route\n" in cp.stdout
+    assert f"  decomposition: dim W 1, dim W_perp 3, {route} route\n" in cp.stdout
     out = tmp_path / "out"
     cp = main_cli(capsys, "run", "--config", str(write_config(tmp_path, doc)), "--out", str(out))
     assert cp.returncode == 0, cp.stdout + cp.stderr
-    dec = json.loads((out / "summary.json").read_text())["decomposition"]
-    assert (dec["dim_w"], dec["dim_wperp"], dec["route"]) == (1, 3, "spectral")
+    summary = json.loads((out / "summary.json").read_text())
+    dec = summary["decomposition"]
+    assert (dec["dim_w"], dec["dim_wperp"], dec["route"]) == (1, 3, route)
+    h1 = next(r for r in summary["checks"] if r["name"] == "H1")
+    assert h1["passed"] and h1["invariance_residual"] < 1e-14
 
 
 def test_zero_control_run_is_the_exact_free_flow(tmp_path, capsys):
