@@ -435,26 +435,15 @@ def ill_conditioned_doc(generator):
             "initial_state": [0.0, 0.0, 1.0, 1.0], "integration": {"t_max": 1.0}}
 
 
-def _ill_conditioned_non_normal():
-    A = np.diag([-1.0, -4.0, -9.0, -16.0])
-    A[2, 3] = 1.0
-    return A.tolist()
-
-
-@pytest.mark.parametrize("generator, route", [
-    ({"diagonal": [-1.0, -4.0, -9.0, -16.0]}, "spectral"),
-    (_ill_conditioned_non_normal(), "recursion"),
-], ids=["diagonal", "non-normal"])
-def test_cli_splits_a_model_under_an_ill_conditioned_metric(tmp_path, capsys, generator, route):
-    # ker B = W = span(e1).  A diagonal A is symmetric in the diagonal metric and
-    # takes the spectral route; A[2, 3] makes A non-normal, so it takes the
-    # recursion.  Both split the space on the Cholesky basis, whose bases are
-    # M-orthonormal by construction, so the metric's 1e-17 weight on e2 loses
-    # no direction of W_perp
-    doc = ill_conditioned_doc(generator)
-    cp = main_cli(capsys, "check", "--config", str(write_config(tmp_path, doc)))
-    assert cp.returncode == 0, cp.stdout + cp.stderr
-    assert f"  decomposition: dim W 1, dim W_perp 3, {route} route\n" in cp.stdout
+def assert_splits_1_3(tmp_path, capsys, doc, route, command):
+    # ker B = W = span(e1), and W_perp the other three axes: the Cholesky
+    # basis makes both bases M-orthonormal by construction, so the metric's
+    # 1e-17 weight on e2 loses no direction of W_perp
+    if command == "check":
+        cp = main_cli(capsys, "check", "--config", str(write_config(tmp_path, doc)))
+        assert cp.returncode == 0, cp.stdout + cp.stderr
+        assert f"  decomposition: dim W 1, dim W_perp 3, {route} route\n" in cp.stdout
+        return
     out = tmp_path / "out"
     cp = main_cli(capsys, "run", "--config", str(write_config(tmp_path, doc)), "--out", str(out))
     assert cp.returncode == 0, cp.stdout + cp.stderr
@@ -463,6 +452,21 @@ def test_cli_splits_a_model_under_an_ill_conditioned_metric(tmp_path, capsys, ge
     assert (dec["dim_w"], dec["dim_wperp"], dec["route"]) == (1, 3, route)
     h1 = next(r for r in summary["checks"] if r["name"] == "H1")
     assert h1["passed"] and h1["invariance_residual"] < 1e-14
+
+
+def test_cli_splits_a_diagonal_model_under_an_ill_conditioned_metric(tmp_path, capsys):
+    # a diagonal A is symmetric in the diagonal metric: the spectral route
+    doc = ill_conditioned_doc({"diagonal": [-1.0, -4.0, -9.0, -16.0]})
+    for command in ("check", "run"):
+        assert_splits_1_3(tmp_path, capsys, doc, "spectral", command)
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_cli_splits_a_non_normal_model_under_an_ill_conditioned_metric(tmp_path, capsys, command):
+    # the same document with A[2, 3] = 1, which makes A non-normal: the recursion
+    A = np.diag([-1.0, -4.0, -9.0, -16.0])
+    A[2, 3] = 1.0
+    assert_splits_1_3(tmp_path, capsys, ill_conditioned_doc(A.tolist()), "recursion", command)
 
 
 def test_zero_control_run_is_the_exact_free_flow(tmp_path, capsys):
