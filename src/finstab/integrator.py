@@ -159,12 +159,14 @@ def expm(A: np.ndarray) -> np.ndarray:
 
 def free_flow(A: np.ndarray, dt: float, y0: np.ndarray, ns: int) -> np.ndarray:
     """Samples y_k = e^{k dt A} y0 for k < ns: one exponential E = e^{dt A}, then
-    y_k = E y_{k-1}, exact up to the roundoff of E and of the products."""
+    y_k = E y_{k-1}, exact up to the roundoff of E and of the products.  Each
+    product is written in place into its row (ndarray.dot: the gemv of @
+    without matmul's dispatch)."""
     E = expm(A * dt)
     ys = np.empty((ns, y0.shape[0]))
     ys[0] = y0
     for i in range(1, ns):
-        ys[i] = E @ ys[i - 1]
+        E.dot(ys[i - 1], out=ys[i])
     return ys
 
 

@@ -3,22 +3,33 @@
 A law only ever reads P y, so its field is a fixed linear map of y plus one
 scalar law.  controllers.assemble_kernel_args folds that map into one stacked
 matrix per run (rows of A over the law's own rows); closed_loop_rhs applies
-it with one mat-vec and evaluates the law named by the variant.
-integrate_adaptive keeps the seven stage slopes of a step as the rows of one
-block, so every stage state, the new state, the error estimate and the
-dense-output term is one small product of a coefficient row with that block.
-It steps by the error control alone and fills the sample grid from the
-Dormand-Prince continuous extension, so the step count does not grow with
-the number of samples.  The stepper records states only: every sample, the
-step ends included, takes its control and V from closed_loop_law, a block
-of rows at a time (fill_law).  When A and B are both diagonal under
-BilinearPhi (the heat truncation), the same tableau runs in
-integrating-factor (Lawson) form: the exact decay e^{tA} is carried by the
-factor, so the steps follow the law, not the stiffest mode.  A run with no
-law (ZeroControl) never comes here: integrator.free_flow samples its linear
-flow exactly, on W_perp and W apart where H1 holds, and fill_law gives it u
-and V the same way.  Both bundles without field rows (ZeroControl and the
-factor's) hold a diagonal Q as the vector ops.q_diag, so V costs O(n) a state.
+it with one mat-vec and evaluates the law.  integrate_adaptive keeps the
+seven stage slopes of a step as the rows of one block, so every stage state,
+the new state, the error estimate and the dense-output term is one small
+product of a coefficient row with that block.  It steps by the error control
+alone and fills the sample grid from the Dormand-Prince continuous
+extension, so the step count does not grow with the number of samples.  The
+stepper records states only: every sample, the step ends included, takes
+its control and V from closed_loop_law, a block of rows at a time
+(fill_law).  When A and B are both diagonal under BilinearPhi (the heat
+truncation), the same tableau runs in integrating-factor (Lawson) form: the
+exact decay e^{tA} is carried by the factor, so the steps follow the law,
+not the stiffest mode.  A run with no law (ZeroControl) never comes here:
+integrator.free_flow samples its linear flow exactly, on W_perp and W apart
+where H1 holds, and fill_law gives it u and V the same way.  Both bundles
+without field rows (ZeroControl and the factor's) hold a diagonal Q as the
+vector ops.q_diag, so V costs O(n) a state.
+
+At the stepper's sizes (a few dozen states) a step costs numpy call
+overhead more than arithmetic, so the loop makes as few calls as it can,
+with the same arithmetic in the same order.  Every buffer (the stage state,
+the rows of the mat-vec, the error scale, |y|) is allocated once per run and
+written in place; each slope goes straight into its row of the block; and
+the law's branch, phi and scalars are resolved once per run into the
+workspace (_RhsWork) that closed_loop_rhs reads.  Every 1-D product is
+ndarray.dot, not @: both reach the same BLAS gemv or ddot with the same
+result, but @ goes through matmul's ufunc dispatch, about twice the call
+cost at this size.
 Status codes: 0 completed, 3 stalled at dt_min.
 """
 from __future__ import annotations
@@ -64,86 +75,148 @@ def phi_value(phi, py: np.ndarray, eps_dz: float):
 
     WaveK is min(cap, max_i |pos_i| / max(|vel_i|, eps_dz)) over the first q
     oscillator blocks, pos_i = py[..., i] and vel_i = py[..., half + i].  Zero
-    and Constant give one scalar for a block too.
+    and Constant give one scalar for a block too.  The stepper does not come
+    here: _RhsWork resolves phi once per run.
     """
     if phi.kind == "Zero":
         return 0.0
     if phi.kind == "Constant":
         return phi.value
-    if py.ndim == 1:
-        # on Python floats: one state's q ratios cost less than seven ufunc calls
-        vals = py.tolist()
-        ratio = 0.0
-        for i in range(phi.q):
-            vel = abs(vals[phi.half + i])
-            r = abs(vals[i]) / (vel if vel > eps_dz else eps_dz)
-            if r > ratio:
-                ratio = r
-        return min(ratio, phi.cap)
     pos = np.abs(py[..., :phi.q])
     vel = np.maximum(np.abs(py[..., phi.half:phi.half + phi.q]), eps_dz)
     ratio = np.maximum.reduce(pos / vel, axis=-1)   # ndarray.max's Python wrapper costs more
     return np.minimum(ratio, phi.cap)
 
 
-def closed_loop_rhs(y: np.ndarray, ops, latched: bool, v: np.ndarray):
-    """Slope of the stepped variable v, plus (trigger, V, saturated) of the law at y.
+class _RhsWork:
+    """What closed_loop_rhs reads of a law bundle, resolved once per run.
 
-    ops is a controllers.KernelOps of a law (ZeroControl is never stepped).
-    trigger is the dead-zone variable (V, ||B P y||^2, ||w||^2 or |s| by
-    variant); latched switches the singular control terms off for good.  The
-    control itself is not returned: the recorded samples take it from
+    z takes the mat-vec stack y; the named views are its row blocks (see
+    controllers.KernelOps): field = A y (empty under an integrating factor),
+    drive = B y, qy = Q y (or a buffer for q_diag * y), gram and pairing for
+    BilinearGrad, w for LinearPhi, and wave = the first half + q rows of P y
+    for a WaveK phi (None otherwise, phi_const holding Zero's or Constant's
+    value).
+    """
+
+    def __init__(self, ops):
+        spec = ops.spec
+        n = ops.stack.shape[1]
+        q = ops.law_from
+        self.stack = ops.stack
+        self.z = z = np.empty(ops.stack.shape[0])
+        self.law = spec.variant
+        self.n = n
+        self.dead_zone = spec.dead_zone
+        self.neg_mu = -spec.mu
+        self.u_max = spec.u_max
+        self.input_map = ops.input_map
+        self.zeta_normsq = ops.zeta_normsq
+        self.varpi = spec.varpi
+        self.slope = ops.slope
+        self.q_diag = ops.q_diag
+        self.field = z[:n]
+        self.drive = z[n:2 * n]
+        self.w = z[n:n + ops.width]
+        self.qy = z[q:q + n] if ops.q_diag is None else np.empty(n)
+        self.gram = z[q + n:q + 2 * n]
+        self.pairing = z[q + 2 * n:q + 3 * n]
+        phi = spec.phi
+        self.phi_const = phi.value if phi.kind == "Constant" else 0.0
+        self.wave = None
+        if phi.kind == "WaveK":
+            self.wave = z[z.shape[0] - n:z.shape[0] - n + phi.half + phi.q]
+            self.wave_q, self.wave_half, self.wave_cap = phi.q, phi.half, phi.cap
+
+
+def _wave_phi(work: _RhsWork) -> float:
+    """WaveK's phi at the state of the last mat-vec, on Python floats: one
+    state's q ratios cost less than the ufunc calls of phi_value's block form,
+    and give the same values."""
+    vals = work.wave.tolist()
+    eps_dz = work.dead_zone
+    half = work.wave_half
+    ratio = 0.0
+    for i in range(work.wave_q):
+        vel = abs(vals[half + i])
+        r = abs(vals[i]) / (vel if vel > eps_dz else eps_dz)
+        if r > ratio:
+            ratio = r
+    return min(ratio, work.wave_cap)
+
+
+def closed_loop_rhs(y: np.ndarray, work: _RhsWork, latched: bool, v: np.ndarray,
+                    out: np.ndarray):
+    """Write the slope of the stepped variable v into out; return (trigger, V,
+    saturated) of the law at y.
+
+    work is the _RhsWork of a law's controllers.KernelOps (ZeroControl is
+    never stepped); its buffers are overwritten, and out must not be one of
+    them.  trigger is the dead-zone variable (V, ||B P y||^2, ||w||^2 or |s|
+    by variant); latched switches the singular control terms off for good.
+    The control itself is not returned: the recorded samples take it from
     closed_loop_law.  Without an integrating factor v is y and the slope is
     the field A y plus the law's contribution.  With one (ops.decay set),
     y = e^{tau A} v for some tau >= 0, and the slope is u(y) B v, without A.
+    A law that is off copies A y as it is: A y + 0 B y would turn a -0.0
+    entry into +0.0.
     """
-    n = y.shape[0]
-    spec = ops.spec
-    law = spec.variant
-    z = ops.stack @ y
-    dy = z[:n]   # A y, except under an integrating factor (set below)
+    z = work.z
+    work.stack.dot(y, out=z)
+    law = work.law
     if law == "RankOne":
         # rows: A, (P* M zeta)^T giving s, (P* A* M zeta)^T giving <Py, A* zeta>
+        n = work.n
         s, comp = z[n], z[n + 1]
         first = 0.0
-        if (not latched) and abs(s) > spec.dead_zone:
-            first = -s * abs(s) ** (-2.0 * spec.mu)
-        dy = dy + ops.input_map @ ((first - comp / ops.zeta_normsq) * spec.varpi)
-        return dy, abs(s), s * s / ops.zeta_normsq, False
+        if (not latched) and abs(s) > work.dead_zone:
+            first = -s * abs(s) ** (2.0 * work.neg_mu)
+        np.add(work.field,
+               work.input_map.dot((first - comp / work.zeta_normsq) * work.varpi), out=out)
+        return abs(s), s * s / work.zeta_normsq, False
     if law == "LinearPhi":
         # rows: A, L* M P giving w; the rows of P follow for WaveK
-        w = z[n:n + ops.width]
-        wnormsq = w @ w
-        if (not latched) and wnormsq > spec.dead_zone:
-            scale = wnormsq ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone)
-            dy = dy + ops.input_map @ (-scale * w)
-        return dy, wnormsq, wnormsq, False
+        w = work.w
+        wnormsq = w.dot(w)
+        if (not latched) and wnormsq > work.dead_zone:
+            phi = work.phi_const if work.wave is None else _wave_phi(work)
+            scale = wnormsq ** work.neg_mu + phi
+            np.add(work.field, work.input_map.dot(-scale * w), out=out)
+        else:
+            np.copyto(out, work.field)
+        return wnormsq, wnormsq, False
     # bilinear laws, rows: A, B (both left out under a factor), Q (the vector
     # q_diag instead, when set); the rows of P follow for WaveK
-    q = ops.law_from
-    V = y @ (z[q:q + n] if ops.q_diag is None else ops.q_diag * y)
+    qy = work.qy
+    if work.q_diag is not None:
+        np.multiply(work.q_diag, y, out=qy)
+    V = y.dot(qy)
     trigger = V
     u = 0.0
     saturated = False
     if law == "BilinearGrad":
         # further rows: Gram P* B* M B P and pairing P* A* M B P
-        bnormsq = y @ z[q + n:q + 2 * n]
+        bnormsq = y.dot(work.gram)
         trigger = bnormsq
-        if (not latched) and bnormsq > spec.dead_zone:
-            u = -(V ** (-spec.mu) + (y @ z[q + 2 * n:q + 3 * n]) / bnormsq)
-            if u > spec.u_max:
-                u = spec.u_max
+        if (not latched) and bnormsq > work.dead_zone:
+            u = -(V ** work.neg_mu + y.dot(work.pairing) / bnormsq)
+            if u > work.u_max:
+                u = work.u_max
                 saturated = True
-            elif u < -spec.u_max:
-                u = -spec.u_max
+            elif u < -work.u_max:
+                u = -work.u_max
                 saturated = True
-    elif law == "BilinearPhi" and (not latched) and V > spec.dead_zone:
-        u = -(V ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone))
-    if ops.decay is not None:
-        dy = u * (ops.slope * v)
+    elif law == "BilinearPhi" and (not latched) and V > work.dead_zone:
+        u = -(V ** work.neg_mu + (work.phi_const if work.wave is None else _wave_phi(work)))
+    if work.slope is not None:
+        np.multiply(work.slope, v, out=out)
+        out *= u
     elif u != 0.0:
-        dy = dy + u * z[n:2 * n]
-    return dy, trigger, V, saturated
+        np.multiply(u, work.drive, out=out)
+        out += work.field
+    else:
+        np.copyto(out, work.field)
+    return trigger, V, saturated
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,7 +318,12 @@ def integrate_adaptive(y0, sample_ts, ops, C, opts):
     supplies rtol, atol, dt_init, dt_min and dt_max.
 
     The stage slopes are the rows of one (7, n) block K, and a stage state is
-    y + (h a_i) @ K.  Only states are recorded; every sample takes its
+    y + (h a_i) K, formed as (h a_i) K + y in one buffer (IEEE addition
+    commutes, so the bits are those of the allocating form).  The scaled
+    coefficients hc, the row views hc[i, :i] and K[:i], the _RhsWork of
+    closed_loop_rhs and |y| of the accepted state are made once per run or
+    step and reused; |y| is taken again after a clamp.  Only states are
+    recorded; every sample takes its
     control and V from the law at its state (fill_law, which
     integrator.simulate calls).  The samples inside the step that latches
     are recorded before the latch, and its step-end sample after it, with
@@ -268,19 +346,37 @@ def integrate_adaptive(y0, sample_ts, ops, C, opts):
     dt_max_accepted, saturation_events, v_increase_events, latch_time,
     clamp_time and dead_zone_regrow.  rhs_calls counts the
     closed_loop_rhs calls: the stages and the re-evaluation after a latch or
-    clamp.  Recording makes none, so every counter is independent of the
-    sample grid.
+    clamp.  Each goes through this module's global name, so a wrapper put in
+    its place sees every one.  Recording makes none, so every counter is
+    independent of the sample grid.
     """
     rtol, atol, dt_min, dt_max = opts.rtol, opts.atol, opts.dt_min, opts.dt_max
     D = ops.decay
     eps_dz = ops.spec.dead_zone
     mu = ops.spec.mu
     rate = ops.read_rate()
+    work = _RhsWork(ops)
     n = y0.shape[0]
     ns = sample_ts.shape[0]
     ys = np.zeros((ns, n))
     K = np.empty((7, n))
+    krows = list(K)   # K[i] as views, made once
+    hc = np.empty_like(_COEF)   # the coefficients scaled by the step, in place
+    # the stage sums: row i of hc against the slopes k1..k_i
+    sums = [(hc[i, :i], K[:i]) for i in range(7)]
     y = y0.copy()
+    ynew = np.empty(n)
+    stage = np.empty(n)   # the stage state V_i
+    if D is None:
+        vnew, ystage = ynew, stage
+    else:
+        vnew, ystage = np.empty(n), np.empty(n)   # V_7 and the law's Y_i = e^{c_i h D} V_i
+        hD = np.empty(n)
+        F = np.empty((_NODES.shape[0], n))   # e^{c_i h D}
+    est = np.empty(n)
+    scale = np.empty(n)
+    absy = np.abs(y)
+    absnew = np.empty(n)
     grid = sample_ts.tolist()   # Python floats: the step loop does scalar work only
     t = grid[0]
     t_end = grid[-1]
@@ -298,7 +394,7 @@ def integrate_adaptive(y0, sample_ts, ops, C, opts):
     dt_hi = 0.0
     status = STATUS_OK
 
-    K[0], trigger, V, _ = closed_loop_rhs(y, ops, False, y)
+    trigger, V, _ = closed_loop_rhs(y, work, False, y, krows[0])
     rhs_calls = 1
     ys[0] = y
     latched = trigger <= eps_dz
@@ -313,22 +409,33 @@ def integrate_adaptive(y0, sample_ts, ops, C, opts):
             h = t_end - t
         if h < dt_min:
             h = dt_min
-        hc = h * _COEF
+        np.multiply(h, _COEF, out=hc)
         if D is not None:
-            hD = h * D
-            F = np.exp(np.multiply.outer(_NODES, hD))   # e^{c_i h D}, c_i >= 0
+            np.multiply(h, D, out=hD)
+            np.exp(np.multiply.outer(_NODES, hD, out=F), out=F)   # c_i >= 0
         for i in range(1, 6):
-            v = y + hc[i, :i] @ K[:i]
-            K[i] = closed_loop_rhs(v if D is None else F[i] * v, ops, latched, v)[0]
-        vnew = y + hc[6, :6] @ K[:6]
-        ynew = vnew if D is None else F[6] * vnew
-        K[6], trig_new, V_new, sat_new = closed_loop_rhs(ynew, ops, latched, vnew)
+            a, k = sums[i]
+            a.dot(k, out=stage)
+            stage += y
+            if D is not None:
+                np.multiply(F[i], stage, out=ystage)
+            closed_loop_rhs(ystage, work, latched, stage, krows[i])
+        a, k = sums[6]
+        a.dot(k, out=vnew)
+        vnew += y
+        if D is not None:
+            np.multiply(F[6], vnew, out=ynew)
+        trig_new, V_new, sat_new = closed_loop_rhs(ynew, work, latched, vnew, krows[6])
         rhs_calls += 6
-        est = hc[_ROW_ERR] @ K
+        hc[_ROW_ERR].dot(K, out=est)
         if D is not None:
             est *= F[6]
-        err = est / (atol + rtol * np.maximum(np.abs(y), np.abs(ynew)))
-        errnorm = math.sqrt(float(err @ err) / n)
+        np.abs(ynew, out=absnew)
+        np.maximum(absy, absnew, out=scale)
+        scale *= rtol
+        scale += atol
+        est /= scale
+        errnorm = math.sqrt(float(est.dot(est)) / n)
         if not errnorm <= 1.0:   # a NaN estimate is rejected too
             n_rejected += 1
             if h <= dt_min * (1.0 + 1e-12):
@@ -354,16 +461,21 @@ def integrate_adaptive(y0, sample_ts, ops, C, opts):
             ydiff = vnew - y
             bspl = h * K[0] - ydiff
             r4 = ydiff - h * K[6] - bspl
-            r5 = hc[_ROW_DENSE] @ K
+            r5 = hc[_ROW_DENSE].dot(K)
             theta = ((sample_ts[nxt:inner] - t) / h)[:, None]
             dense = y + theta * (ydiff + (1.0 - theta)
                                  * (bspl + theta * (r4 + (1.0 - theta) * r5)))
             ys[nxt:inner] = dense if D is None else np.exp(theta * hD) * dense
             nxt = inner
         t = t_new
-        y = ynew
+        y, ynew = ynew, y   # the old state's buffer takes the next attempt
+        absy, absnew = absnew, absy
+        if D is None:
+            vnew = ynew
+            krows[0][:] = krows[6]   # k7 is the new step's k1
+        else:
+            np.multiply(F[6], krows[6], out=krows[0])   # k7 in the new step's frame
         V = V_new
-        K[0] = K[6] if D is None else F[6] * K[6]   # k7 in the new step's frame
         fac = 5.0
         if errnorm > 1e-12:
             fac = min(max(0.9 * errnorm ** -0.2, 0.2), 5.0)
@@ -377,12 +489,13 @@ def integrate_adaptive(y0, sample_ts, ops, C, opts):
             latch_time = float(t)
             latch_from = nxt
         if clamp_now:
-            y = y - C @ y
+            y -= C.dot(y)
+            np.abs(y, out=absy)
             clamped = True
             clamp_time = float(t)
         if latch_now or clamp_now:
             # the slope and V change with the latch or the clamp
-            K[0], _, V, _ = closed_loop_rhs(y, ops, latched, y)
+            _, V, _ = closed_loop_rhs(y, work, latched, y, krows[0])
             rhs_calls += 1
         regrow = regrow or regrown
         if nxt < ns and grid[nxt] <= t + tol_t:

@@ -341,6 +341,20 @@ def test_heat_settling_does_not_depend_on_the_truncation():
         assert abs(traj.settling_time - T) <= allowance, (n, traj.settling_time, T)
 
 
+@pytest.mark.parametrize("name, counts", [
+    ("wave-settling", (1664, 474, 12829)),
+    ("beam-rankone", (180, 19, 1196)),
+    ("heat-settling", (126, 19, 873)),
+    ("heat-unobservable", (14, 0, 86)),
+])
+def test_stepper_counters_on_the_stepped_suite_scenarios(name, counts):
+    # (steps, rejections, rhs_calls) are deterministic: a change to the step sequence
+    # shows here, and names the counts it moved
+    from finstab.suite import SCENARIOS
+    diag = simulate_scenario(build_scenario(scenario_from_json(SCENARIOS[name]))).diagnostics
+    assert (diag["steps"], diag["rejections"], diag["rhs_calls"]) == counts
+
+
 def test_heat_settling_takes_few_steps_per_sample():
     from finstab.suite import SCENARIOS
     built = build_scenario(scenario_from_json(SCENARIOS["heat-settling"]))

@@ -1,5 +1,6 @@
 """closed_loop_rhs and closed_loop_law against the closed-loop field written out from
-the model matrices, the row-wise law against the field, and the stepper's tableau."""
+the model matrices, the row-wise law against the field, closed_loop_rhs against its
+allocating per-call formula bit for bit, and the stepper's tableau."""
 import numpy as np
 import pytest
 
@@ -9,11 +10,19 @@ from finstab.controllers import assemble_kernel_args
 from finstab.kernels import closed_loop_law, closed_loop_rhs, dead_zone_rule
 
 
+def field(ops, y, latched=False, v=None):
+    """(dy, trigger, V, saturated): closed_loop_rhs at y in the stepper's call form, the
+    slope written into a row of a stage block, for the stepped variable v (y by default)."""
+    K = np.full((7, y.shape[0]), np.nan)
+    flags = closed_loop_rhs(y, kernels._RhsWork(ops), latched, y if v is None else v, K[3])
+    return (K[3], *flags)
+
+
 def rhs(spec, model, dec, y, latched=False):
     """(dy, control, trigger, V, saturated): the field and flags of closed_loop_rhs and the
     control of closed_loop_law at one state."""
     ops = assemble_kernel_args(spec, model, dec)
-    dy, trigger, V, saturated = closed_loop_rhs(y, ops, latched, y)
+    dy, trigger, V, saturated = field(ops, y, latched)
     return dy, closed_loop_law(y, ops, latched)[0], trigger, V, saturated
 
 
@@ -53,7 +62,7 @@ def test_bilinear_family_field(spec):
     assert V_k == pytest.approx(V, rel=1e-14)
     assert control[0] == pytest.approx(u, rel=1e-14)
     if spec.variant != "ZeroControl":   # free_flow samples it; it is never stepped
-        dy, _, _, saturated = closed_loop_rhs(y, ops, False, y)
+        dy, _, _, saturated = field(ops, y)
         assert np.allclose(dy, A @ y + u * (B @ y), rtol=1e-14, atol=1e-14)
         assert not saturated
 
@@ -94,7 +103,7 @@ def test_diagonal_bilinear_phi_takes_the_integrating_factor():
     u = closed_loop_law(y, ops, False)[0][0]
     assert u == pytest.approx(-(y[1:] @ y[1:]) ** -0.25, rel=1e-14)
     # the slope of the stepped variable v: the law read at y acts on v, without A
-    assert np.array_equal(closed_loop_rhs(y, ops, False, v)[0], u * (np.diag(B) * v))
+    assert np.array_equal(field(ops, y, v=v)[0], u * (np.diag(B) * v))
     # BilinearGrad and a non-diagonal A step the plain field
     grad = ControllerSpec(variant="BilinearGrad", mu=0.25)
     assert assemble_kernel_args(grad, model, dec).decay is None
@@ -223,7 +232,7 @@ def test_row_law_matches_the_per_state_law(case):
         if spec.variant == "ZeroControl":   # free_flow samples it; it is never stepped
             below.append(one_V <= spec.dead_zone)
             continue
-        dy, trigger, V_i, _ = closed_loop_rhs(ys[i], ops, bool(latched[i]), ys[i])
+        dy, trigger, V_i, _ = field(ops, ys[i], bool(latched[i]))
         # the field closed_loop_rhs steps is the one the row's control drives
         if model.input_map is None:
             drive = controls[i, 0] * (model.control_op @ ys[i])
@@ -241,6 +250,116 @@ def test_row_law_matches_the_per_state_law(case):
         saturated = np.abs(controls[:, 0]) == spec.u_max
         assert np.any(controls[:, 0] == spec.u_max) and np.any(controls[:, 0] == -spec.u_max)
         assert np.any(~saturated & (controls[:, 0] != 0.0))
+
+
+def reference_rhs(y, ops, latched, v):
+    """closed_loop_rhs's allocating per-call formula, as the stepper used it before its
+    workspace: (dy, trigger, V, saturated), every quantity read from ops on the call and
+    every product taken by @."""
+    n = y.shape[0]
+    spec = ops.spec
+    law = spec.variant
+
+    def phi_value(phi, py, eps_dz):
+        if phi.kind == "Zero":
+            return 0.0
+        if phi.kind == "Constant":
+            return phi.value
+        vals = py.tolist()
+        ratio = 0.0
+        for i in range(phi.q):
+            vel = abs(vals[phi.half + i])
+            r = abs(vals[i]) / (vel if vel > eps_dz else eps_dz)
+            if r > ratio:
+                ratio = r
+        return min(ratio, phi.cap)
+
+    z = ops.stack @ y
+    dy = z[:n]
+    if law == "RankOne":
+        s, comp = z[n], z[n + 1]
+        first = 0.0
+        if (not latched) and abs(s) > spec.dead_zone:
+            first = -s * abs(s) ** (-2.0 * spec.mu)
+        dy = dy + ops.input_map @ ((first - comp / ops.zeta_normsq) * spec.varpi)
+        return dy, abs(s), s * s / ops.zeta_normsq, False
+    if law == "LinearPhi":
+        w = z[n:n + ops.width]
+        wnormsq = w @ w
+        if (not latched) and wnormsq > spec.dead_zone:
+            scale = wnormsq ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone)
+            dy = dy + ops.input_map @ (-scale * w)
+        return dy, wnormsq, wnormsq, False
+    q = ops.law_from
+    V = y @ (z[q:q + n] if ops.q_diag is None else ops.q_diag * y)
+    trigger = V
+    u = 0.0
+    saturated = False
+    if law == "BilinearGrad":
+        bnormsq = y @ z[q + n:q + 2 * n]
+        trigger = bnormsq
+        if (not latched) and bnormsq > spec.dead_zone:
+            u = -(V ** (-spec.mu) + (y @ z[q + 2 * n:q + 3 * n]) / bnormsq)
+            if u > spec.u_max:
+                u = spec.u_max
+                saturated = True
+            elif u < -spec.u_max:
+                u = -spec.u_max
+                saturated = True
+    elif law == "BilinearPhi" and (not latched) and V > spec.dead_zone:
+        u = -(V ** (-spec.mu) + phi_value(spec.phi, z[-n:], spec.dead_zone))
+    if ops.decay is not None:
+        dy = u * (ops.slope * v)
+    elif u != 0.0:
+        dy = dy + u * z[n:2 * n]
+    return dy, trigger, V, saturated
+
+
+def stepped_law_cases():
+    cases = row_law_cases()
+    del cases["ZeroControl"]   # free_flow samples it; it is never stepped
+    heat, heat_dec = coupled_bilinear()
+    cases["BilinearGrad-unsaturated"] = (heat, heat_dec,
+                                         ControllerSpec(variant="BilinearGrad", mu=0.4))
+    diagonal = build_frontend(FrontendSpec(kind="Heat1D", n_modes=6))
+    cases["BilinearPhi-factor"] = (diagonal.model, diagonal.dec,
+                                   ControllerSpec(variant="BilinearPhi", mu=0.25))
+    return cases
+
+
+@pytest.mark.parametrize("latched", [False, True])
+@pytest.mark.parametrize("case", list(stepped_law_cases()))
+def test_rhs_writes_the_per_call_formula_bit_for_bit(case, latched):
+    model, dec, spec = stepped_law_cases()[case]
+    ops = assemble_kernel_args(spec, model, dec)
+    assert (ops.decay is not None) == (case == "BilinearPhi-factor")
+    work = kernels._RhsWork(ops)   # one workspace for every call, as in a run
+    rng = np.random.default_rng(5)
+    ys = rng.standard_normal((40, model.dim))
+    vs = ys if ops.decay is None else rng.standard_normal((40, model.dim))
+    ys[::4] *= 1e-13          # triggers below the dead zone: the law is off, u = 0
+    ys[::4, ::2] = -0.0
+    vs[::4, ::2] = -0.0
+    K = np.full((7, model.dim), np.nan)
+    below, saturated, signed_zero = [], [], False
+    for y, v in zip(ys, vs):
+        trigger, V, sat = closed_loop_rhs(y, work, latched, v, K[2])
+        dy, ref_trigger, ref_V, ref_sat = reference_rhs(y, ops, latched, v)
+        assert K[2].tobytes() == np.asarray(dy).tobytes()
+        assert np.float64(trigger).tobytes() == np.float64(ref_trigger).tobytes()
+        assert np.float64(V).tobytes() == np.float64(ref_V).tobytes()
+        assert sat == ref_sat
+        assert np.isnan(np.delete(K, 2, axis=0)).all()   # only the caller's row is written
+        below.append(trigger <= spec.dead_zone)
+        saturated.append(sat)
+        signed_zero = signed_zero or bool(np.any(np.signbit(K[2]) & (K[2] == 0.0)))
+    assert any(below) and not all(below)
+    if case == "BilinearGrad" and not latched:
+        assert any(saturated) and not all(saturated)
+    else:
+        assert not any(saturated)
+    if case == "BilinearPhi-factor":   # u = 0 keeps the sign of each zero of B v
+        assert signed_zero
 
 
 def test_tableau_rows():
